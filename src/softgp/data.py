@@ -13,11 +13,13 @@ import gzip
 import io
 import math
 import os
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
+from http.client import HTTPException
 from typing import List, Optional, Tuple
 
 import numpy as np
-import requests
 
 PMLB_URL = "https://github.com/EpistasisLab/pmlb/raw/master/datasets/{name}/{name}.tsv.gz"
 DEFAULT_TARGET = "target"
@@ -79,8 +81,9 @@ def read_matrix(path, delimiter: Optional[str] = None,
     """Read a delimited numeric table.
 
     Returns (feature column names, feature matrix, raw values of
-    drop_column or None if that column is absent). Non-numeric cells are
-    reported with their file line number and column name.
+    drop_column or None if that column is absent). Non-numeric and
+    non-finite cells are reported with their file line number and column
+    name.
     """
     delim = _sniff_delimiter(path, delimiter)
     try:
@@ -112,6 +115,9 @@ def read_matrix(path, delimiter: Optional[str] = None,
                     except ValueError:
                         raise DataError(f"{path} line {lineno}, column {header[i]!r}: "
                                         f"non-numeric value {cell.strip()!r}") from None
+                    if not math.isfinite(v):
+                        raise DataError(f"{path} line {lineno}, column {header[i]!r}: "
+                                        f"non-finite value {cell.strip()!r}")
                     if i == drop_idx:
                         dropped.append(v)
                     else:
@@ -148,6 +154,20 @@ def load_table(path, delimiter: Optional[str] = None,
     return Dataset(_dataset_name(path), names, x, y)
 
 
+def _http_get(url: str) -> Tuple[int, bytes]:
+    """GET url and return (status code, body).
+
+    An HTTP error status is returned, not raised; a network failure raises
+    OSError or http.client.HTTPException.
+    """
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as e:
+        e.close()
+        return e.code, b""
+
+
 def fetch_pmlb(name: str, cache_dir) -> Dataset:
     """Fetch a PMLB dataset by name, caching the raw gzip TSV.
 
@@ -161,16 +181,17 @@ def fetch_pmlb(name: str, cache_dir) -> Dataset:
         return load_table(cached, delimiter="\t", target_column=DEFAULT_TARGET)
     url = PMLB_URL.format(name=name)
     try:
-        resp = requests.get(url, timeout=60)
-    except requests.RequestException as e:
+        status, body = _http_get(url)
+    except (OSError, HTTPException) as e:
         raise DataError(f"network failure fetching {name!r}: {e}") from e
-    if resp.status_code == 404:
+    if status == 404:
         raise DataError(f"unknown dataset {name!r} (HTTP 404 at {url})")
-    if resp.status_code != 200:
-        raise DataError(f"fetching {name!r} failed: HTTP {resp.status_code}")
-    tmp = f"{cached}.tmp.{os.getpid()}"
+    if status != 200:
+        raise DataError(f"fetching {name!r} failed: HTTP {status}")
+    # the .gz suffix makes load_table decompress the download
+    tmp = f"{cached}.{os.getpid()}.tmp.gz"
     with open(tmp, "wb") as fh:
-        fh.write(resp.content)
+        fh.write(body)
     try:
         ds = load_table(tmp, delimiter="\t", target_column=DEFAULT_TARGET)
     except Exception as e:

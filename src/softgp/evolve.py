@@ -17,6 +17,7 @@ config, seed).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -137,7 +138,11 @@ def _const_range(x: np.ndarray) -> Tuple[float, float]:
     # against; fall back to [-1,1] for degenerate input.
     if x.size == 0:
         return (-1.0, 1.0)
-    return (float(x.min()), float(x.max()))
+    lo, hi = float(x.min()), float(x.max())
+    # uniform draws over [lo, hi] need a finite width; NaN cells fail here too
+    if not math.isfinite(hi - lo):
+        raise EvolveError(f"feature values span [{lo!r}, {hi!r}], which is not a finite range")
+    return (lo, hi)
 
 
 def _best(pop: Sequence[Individual]) -> Individual:
@@ -223,7 +228,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
             pops[i] = pop
             bests[i] = _best(pop)
         if gen % cfg.migration_period == 0:
-            migrants = [Individual(b.tree, b.fitness, b.sort_key) for b in bests]
+            migrants = [Individual(b.tree, b.fitness) for b in bests]
             for i in range(num):
                 target = pops[(i + 1) % num]
                 target[_worst_index(target)] = migrants[i]

@@ -14,18 +14,17 @@ fitness does not drop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .metrics import ConfusionMatrix, MetricsError, balanced_accuracy
-from .sexpr import format_tree
 from .tree import (
     BOOL_DEPTH_CAP,
     DEFAULT_BOUNDS,
     NODE_CAP,
-    _CLASS_BY_KIND,
+    OP_CLASS,
     ExprTree,
     GenBounds,
     Node,
@@ -57,16 +56,6 @@ class Individual:
 
     tree: ExprTree
     fitness: Optional[float] = None
-    # cached serialization used as a deterministic tie-break in sorts;
-    # valid only for the current tree, so copies may share it but any
-    # new tree starts at None
-    sort_key: Optional[str] = field(default=None, repr=False, compare=False)
-
-
-def _sort_key(ind: Individual) -> str:
-    if ind.sort_key is None:
-        ind.sort_key = format_tree(ind.tree)
-    return ind.sort_key
 
 
 @dataclass(frozen=True)
@@ -84,8 +73,7 @@ class MutationWeights:
             raise ValueError("at least one mutation weight must be positive")
 
     def of(self, cls: OpClass) -> float:
-        return {OpClass.BOOLEAN: self.boolean, OpClass.COMPARISON: self.comparison,
-                OpClass.MATHEMATICAL: self.mathematical, OpClass.TERM: self.terms}[cls]
+        return (self.boolean, self.comparison, self.mathematical, self.terms)[cls]
 
 
 class EvalContext:
@@ -143,21 +131,20 @@ def rank_select(pop: Sequence[Individual], rng: np.random.Generator) -> List[Ind
 
     The best individual is always copied into slot 0; the remaining
     size-1 slots are drawn with replacement, probability proportional to
-    rank (worst 1 ... best N). Fitness ties order by serialized tree so
-    the ranking, and therefore the draw, is deterministic.
+    rank (worst 1 ... best N). The sort is stable, so fitness ties keep
+    population order and the draw stays deterministic under the seed.
     """
     if not pop:
         raise ValueError("empty population")
     _require_evaluated(pop)
-    ranked = sorted(pop, key=lambda ind: (ind.fitness, _sort_key(ind)))
+    ranked = sorted(pop, key=lambda ind: ind.fitness)
     n = len(ranked)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     probs = ranks / ranks.sum()
     best = ranked[-1]
-    out = [Individual(best.tree, best.fitness, best.sort_key)]
+    out = [Individual(best.tree, best.fitness)]
     idx = rng.choice(n, size=n - 1, replace=True, p=probs)
-    out.extend(Individual(ranked[i].tree, ranked[i].fitness, ranked[i].sort_key)
-               for i in idx)
+    out.extend(Individual(ranked[i].tree, ranked[i].fitness) for i in idx)
     return out
 
 
@@ -181,8 +168,8 @@ def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
         raise TreeError("cannot cross trees of different variants")
     nodes1 = list(iter_nodes(t1.root))
     path1, node1 = nodes1[int(rng.integers(0, len(nodes1)))]
-    cls = _CLASS_BY_KIND[node1.kind]
-    candidates = [(p, n) for p, n in iter_nodes(t2.root) if _CLASS_BY_KIND[n.kind] is cls]
+    cls = OP_CLASS[node1.kind]
+    candidates = [(p, n) for p, n in iter_nodes(t2.root) if OP_CLASS[n.kind] is cls]
     if not candidates:
         return t1, t2
     bool_max = _bool_limit(bounds, t1.root, t2.root)
@@ -197,30 +184,25 @@ def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
     return t1, t2
 
 
-_CLASS_ORDER = (OpClass.BOOLEAN, OpClass.COMPARISON, OpClass.MATHEMATICAL, OpClass.TERM)
-# kind int value -> position of its class in _CLASS_ORDER
-_CLASS_IDX = tuple(-1 if c is None else _CLASS_ORDER.index(c) for c in _CLASS_BY_KIND)
-
-
 def _class_counts(root: Node) -> List[int]:
-    """Node counts per class, ordered like _CLASS_ORDER."""
+    """Node counts indexed by OpClass."""
     counts = [0, 0, 0, 0]
     stack = [root]
     while stack:
         node = stack.pop()
-        counts[_CLASS_IDX[node.kind]] += 1
+        counts[OP_CLASS[node.kind]] += 1
         stack.extend(node.children)
     return counts
 
 
-def _kth_of_class(root: Node, cidx: int, k: int) -> Tuple[Tuple[int, ...], Node]:
-    """Locate the k-th node (preorder) whose class index is cidx."""
+def _kth_of_class(root: Node, cls: OpClass, k: int) -> Tuple[Tuple[int, ...], Node]:
+    """Locate the k-th node (preorder) of class cls."""
     path: List[int] = []
     remaining = k
 
     def walk(node: Node) -> Optional[Node]:
         nonlocal remaining
-        if _CLASS_IDX[node.kind] == cidx:
+        if OP_CLASS[node.kind] is cls:
             if remaining == 0:
                 return node
             remaining -= 1
@@ -234,8 +216,7 @@ def _kth_of_class(root: Node, cidx: int, k: int) -> Tuple[Tuple[int, ...], Node]
 
     node = walk(root)
     if node is None:
-        raise LookupError(f"tree has fewer than {k + 1} nodes of class "
-                          f"{_CLASS_ORDER[cidx].value}")
+        raise LookupError(f"tree has fewer than {k + 1} nodes of class {cls.name}")
     return tuple(path), node
 
 
@@ -259,12 +240,10 @@ def _mutate(ind: Individual, weights: MutationWeights, n_features: int,
     # counts is _class_counts(ind.tree.root), hoisted so repeated mutation
     # of one individual walks the tree once
     tree = ind.tree
-    present = [i for i, c in enumerate(_CLASS_ORDER)
-               if counts[i] > 0 and weights.of(c) > 0]
-    w = np.array([weights.of(_CLASS_ORDER[i]) for i in present], dtype=np.float64)
-    cidx = present[int(rng.choice(len(present), p=w / w.sum()))]
-    cls = _CLASS_ORDER[cidx]
-    path, node = _kth_of_class(tree.root, cidx, int(rng.integers(0, counts[cidx])))
+    present = [c for c in OpClass if counts[c] > 0 and weights.of(c) > 0]
+    w = np.array([weights.of(c) for c in present], dtype=np.float64)
+    cls = present[int(rng.choice(len(present), p=w / w.sum()))]
+    path, node = _kth_of_class(tree.root, cls, int(rng.integers(0, counts[cls])))
 
     if cls is OpClass.TERM:
         if node.kind is OpKind.SYMBOL:
@@ -282,7 +261,7 @@ def _mutate(ind: Individual, weights: MutationWeights, n_features: int,
             maths_above = 0
             cursor = tree.root
             for i in path:
-                if _CLASS_BY_KIND[cursor.kind] is OpClass.MATHEMATICAL:
+                if OP_CLASS[cursor.kind] is OpClass.MATHEMATICAL:
                     maths_above += 1
                 cursor = cursor.children[i]
             budget = bounds.math_max - maths_above
@@ -298,9 +277,9 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
     {parents, children}, preferring children on ties for diversity."""
     _require_evaluated((ind1, ind2))
     c1, c2 = crossover(ind1.tree, ind2.tree, rng, bounds)
+    # children come first and the sort is stable, so they win fitness ties
     pool = [ctx.evaluate(Individual(c1)), ctx.evaluate(Individual(c2)), ind1, ind2]
-    is_child = {id(pool[0]): 0, id(pool[1]): 0}
-    pool.sort(key=lambda ind: (-ind.fitness, is_child.get(id(ind), 1), _sort_key(ind)))
+    pool.sort(key=lambda ind: -ind.fitness)
     return pool[0], pool[1]
 
 

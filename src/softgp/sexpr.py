@@ -16,8 +16,8 @@ n_features=<n>" followed by one tree. Reals are rendered with repr(), whose
 shortest round-trip form re-parses to the identical float, so serialization
 preserves evaluation exactly.
 
-The parser checks token shape and arity only; layer-chain legality is
-validate()'s job.
+The parser checks token shape, arity and nesting depth only; layer-chain
+legality is validate()'s job.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ _SYMBOL_RE = re.compile(r"^x(\d+)$")
 _HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=(\d+)\s*$")
 
 _KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)}
+
+# Deepest operator nesting the parser accepts. Valid trees are at most
+# about 12 levels deep; the limit keeps hostile input far from Python's
+# recursion limit.
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -48,9 +53,9 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str, line: int) -> List[_Token]:
     out: List[_Token] = []
-    line, col = 1, 1
+    col = 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -99,10 +104,13 @@ class _Parser:
         except ValueError:
             raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
 
-    def node(self) -> Node:
+    def node(self, depth: int) -> Node:
         tok = self.take("a term or '('")
         if tok.text == "(":
-            return self.operator()
+            if depth >= MAX_DEPTH:
+                raise ParseError(f"operators nested deeper than {MAX_DEPTH} levels",
+                                 tok.line, tok.col)
+            return self.operator(depth + 1)
         if tok.text == ")":
             raise ParseError("expected a term or '('", tok.line, tok.col)
         m = _SYMBOL_RE.match(tok.text)
@@ -113,7 +121,7 @@ class _Parser:
         except ValueError:
             raise ParseError(f"expected a term, got {tok.text!r}", tok.line, tok.col) from None
 
-    def operator(self) -> Node:
+    def operator(self, depth: int) -> Node:
         tok = self.take("an operator name")
         kind = _KIND_BY_NAME.get(tok.text)
         if kind is None:
@@ -133,12 +141,23 @@ class _Parser:
                 raise ParseError(
                     f"{kind.name} expects {ARITY[kind]} children, got {len(children)}",
                     where.line, where.col)
-            children.append(self.node())
+            children.append(self.node(depth))
         closer = self.take("')'")
         if closer.text != ")":
             raise ParseError(f"{kind.name} expects {ARITY[kind]} children; "
                              f"unexpected {closer.text!r}", closer.line, closer.col)
         return Node(kind, tuple(children), weight=weight, coeffs=coeffs)
+
+
+def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
+    # text holds exactly one tree and starts on line first_line
+    p = _Parser(_tokenize(text, first_line), variant is Variant.SOFT,
+                first_line + text.count("\n"))
+    root = p.node(0)
+    rest = p.peek()
+    if rest is not None:
+        raise ParseError(f"unexpected trailing input {rest.text!r}", rest.line, rest.col)
+    return ExprTree(variant, root)
 
 
 def parse_tree(text: str, variant: Variant) -> ExprTree:
@@ -149,14 +168,7 @@ def parse_tree(text: str, variant: Variant) -> ExprTree:
     parseable, so callers must know which they hold (model files record it
     in the header).
     """
-    tokens = _tokenize(text)
-    end_line = text.count("\n") + 1
-    p = _Parser(tokens, variant is Variant.SOFT, end_line)
-    root = p.node()
-    rest = p.peek()
-    if rest is not None:
-        raise ParseError(f"unexpected trailing input {rest.text!r}", rest.line, rest.col)
-    return ExprTree(variant, root)
+    return _parse(text, variant, 1)
 
 
 def _real(v: float) -> str:
@@ -195,18 +207,7 @@ def parse_model(text: str) -> Tuple[ExprTree, int]:
     m = _HEADER_RE.match(text[:newline])
     if not m:
         raise ParseError("bad or missing '#sgp-tree v1' header", 1, 1)
-    variant = Variant(m.group(1))
-    n_features = int(m.group(2))
-    body = text[newline + 1:]
-    tokens = _tokenize(body)
-    # shift body token line numbers past the header
-    tokens = [_Token(t.text, t.line + 1, t.col) for t in tokens]
-    p = _Parser(tokens, variant is Variant.SOFT, body.count("\n") + 2)
-    root = p.node()
-    rest = p.peek()
-    if rest is not None:
-        raise ParseError(f"unexpected trailing input {rest.text!r}", rest.line, rest.col)
-    return ExprTree(variant, root), n_features
+    return _parse(text[newline + 1:], Variant(m.group(1)), 2), int(m.group(2))
 
 
 def save_model(path, tree: ExprTree, n_features: int) -> None:

@@ -42,31 +42,32 @@ class Variant(enum.Enum):
     SOFT = "soft"
 
 
-class OpClass(enum.Enum):
-    BOOLEAN = "boolean"
-    COMPARISON = "comparison"
-    MATHEMATICAL = "mathematical"
-    TERM = "term"
+class OpClass(enum.IntEnum):
+    # IntEnum numbered from 0 so a class indexes per-class lists directly
+    BOOLEAN = 0
+    COMPARISON = 1
+    MATHEMATICAL = 2
+    TERM = 3
 
 
 class OpKind(enum.IntEnum):
-    # IntEnum so dict lookups keyed by kind hash like plain ints; the
+    # IntEnum numbered from 0 so a kind indexes OP_CLASS directly; the
     # operator's spelled name is .name
-    OR = 1
-    AND = 2
-    NOT = 3
-    OR3 = 4
-    AND3 = 5
-    GT = 6
-    LT = 7
-    ADD = 8
-    MUL = 9
-    NEG = 10
-    SIGM = 11
-    LIN2 = 12
-    LIN3 = 13
-    SYMBOL = 14
-    CONST = 15
+    OR = 0
+    AND = 1
+    NOT = 2
+    OR3 = 3
+    AND3 = 4
+    GT = 5
+    LT = 6
+    ADD = 7
+    MUL = 8
+    NEG = 9
+    SIGM = 10
+    LIN2 = 11
+    LIN3 = 12
+    SYMBOL = 13
+    CONST = 14
 
 
 ARITY = {
@@ -77,7 +78,10 @@ ARITY = {
     OpKind.SYMBOL: 0, OpKind.CONST: 0,
 }
 
-OP_CLASS = {
+# The operator class of every kind, as a tuple indexed by the kind: the
+# tree walks look a class up per node, and a tuple index skips the enum
+# hashing a dict lookup pays. Building it fails if a kind is missing.
+OP_CLASS: Tuple[OpClass, ...] = tuple({
     OpKind.OR: OpClass.BOOLEAN, OpKind.AND: OpClass.BOOLEAN, OpKind.NOT: OpClass.BOOLEAN,
     OpKind.OR3: OpClass.BOOLEAN, OpKind.AND3: OpClass.BOOLEAN,
     OpKind.GT: OpClass.COMPARISON, OpKind.LT: OpClass.COMPARISON,
@@ -85,15 +89,10 @@ OP_CLASS = {
     OpKind.NEG: OpClass.MATHEMATICAL, OpKind.SIGM: OpClass.MATHEMATICAL,
     OpKind.LIN2: OpClass.MATHEMATICAL, OpKind.LIN3: OpClass.MATHEMATICAL,
     OpKind.SYMBOL: OpClass.TERM, OpKind.CONST: OpClass.TERM,
-}
+}[kind] for kind in OpKind)
 
 # Operators that only exist in the soft variant.
 SOFT_ONLY = frozenset({OpKind.OR3, OpKind.AND3, OpKind.SIGM, OpKind.LIN2, OpKind.LIN3})
-
-# OP_CLASS mirrored as a tuple indexed by the kind's int value; indexing
-# skips enum hashing, which matters in the traversal-heavy operators.
-_CLASS_BY_KIND: Tuple[Optional[OpClass], ...] = (None,) + tuple(
-    OP_CLASS[k] for k in sorted(OpKind, key=int))
 
 _HARD_BOOL_OPS = (OpKind.OR, OpKind.AND, OpKind.NOT)
 _SOFT_BOOL_OPS = (OpKind.OR, OpKind.AND, OpKind.NOT, OpKind.OR3, OpKind.AND3)
@@ -237,7 +236,7 @@ def replace_subtree(root: Node, path: Sequence[int], new: Node) -> Node:
 
 def max_bool_depth(node: Node) -> int:
     """Longest run of boolean nodes on any path starting at node."""
-    if _CLASS_BY_KIND[node.kind] is not OpClass.BOOLEAN:
+    if OP_CLASS[node.kind] is not OpClass.BOOLEAN:
         return 0
     best = 0
     for c in node.children:
@@ -249,7 +248,7 @@ def max_bool_depth(node: Node) -> int:
 
 def max_math_chain(node: Node) -> int:
     """Longest run of mathematical nodes on any path below (or at) node."""
-    cls = _CLASS_BY_KIND[node.kind]
+    cls = OP_CLASS[node.kind]
     if cls is OpClass.TERM:
         return 0
     best = 0

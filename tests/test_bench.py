@@ -3,7 +3,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import requests
 
 import softgp.data
 from softgp.bench import (
@@ -87,8 +86,8 @@ def test_resolve_local_path(tmp_path):
 
 def test_resolve_falls_back_to_pmlb(tmp_path, monkeypatch):
     def refuse(*a, **k):
-        raise requests.exceptions.ConnectionError("no route")
-    monkeypatch.setattr(softgp.data.requests, "get", refuse)
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
     with pytest.raises(DataError, match="network failure"):
         resolve_dataset("definitely_not_a_local_file", tmp_path, 0)
 
@@ -127,8 +126,8 @@ def test_benchmark_uses_per_cell_seeds(small_grid):
 
 def test_benchmark_records_resolve_failures(tmp_path, monkeypatch):
     def refuse(*a, **k):
-        raise requests.exceptions.ConnectionError("no route")
-    monkeypatch.setattr(softgp.data.requests, "get", refuse)
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
     results, failures = run_benchmark(["synth:linsep:30", "absent_ds"],
                                       [Algo.GP], runs=1, ratio=0.7,
                                       cfg=TINY, master_seed=0, cache_dir=tmp_path)

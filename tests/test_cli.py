@@ -3,7 +3,6 @@ import gzip
 import os
 
 import pytest
-import requests
 
 import softgp.data
 from softgp.cli import main
@@ -127,6 +126,26 @@ def test_predict_invalid_model_exits_2(tmp_path, capsys):
     assert "invalid model" in capsys.readouterr().err
 
 
+def test_predict_deeply_nested_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "deep.sgp"
+    model.write_text("#sgp-tree v1 variant=soft n_features=2\n"
+                     + "(NOT 1.0 " * 5000 + "(GT 1.0 x0 x1)" + ")" * 5000 + "\n")
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1\n1,2\n")
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column " in err and "nested deeper than" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_train_on_non_finite_cells_exits_2(tmp_path, capsys, cell):
+    data = tmp_path / "d.csv"
+    data.write_text(f"x0,x1,target\n1,2,0\n{cell},1,1\n3,4,1\n")
+    assert run(["train", "--algo", "sgp", "--data", str(data),
+                "--config", str(write_cfg(tmp_path))]) == 2
+    assert "line 3, column 'x0': non-finite value" in capsys.readouterr().err
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     assert run(["train", "--algo", "gp", "--data", str(tmp_path / "no.csv")]) == 2
     assert run(["predict", "--model", str(tmp_path / "no.sgp"),
@@ -156,8 +175,8 @@ def test_fetch_uses_cache_and_reports(tmp_path, capsys):
 
 def test_fetch_network_failure_exits_2(tmp_path, monkeypatch, capsys):
     def refuse(*a, **k):
-        raise requests.exceptions.ConnectionError("no route")
-    monkeypatch.setattr(softgp.data.requests, "get", refuse)
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
     assert run(["fetch", "nosuch", "--cache", str(tmp_path)]) == 2
     assert "network failure" in capsys.readouterr().err
 
@@ -180,8 +199,8 @@ def test_bench_on_synthetics(tmp_path, capsys):
 
 def test_bench_partial_failure_exits_3(tmp_path, monkeypatch, capsys):
     def refuse(*a, **k):
-        raise requests.exceptions.ConnectionError("no route")
-    monkeypatch.setattr(softgp.data.requests, "get", refuse)
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
     out = tmp_path / "bench"
     rc = run(["bench", "synth:linsep:40", "unfetchable", "--algos", "gp",
               "--runs", "1", "--out", str(out), "--cache", str(tmp_path / "cache"),
@@ -193,8 +212,8 @@ def test_bench_partial_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_bench_total_failure_exits_2(tmp_path, monkeypatch, capsys):
     def refuse(*a, **k):
-        raise requests.exceptions.ConnectionError("no route")
-    monkeypatch.setattr(softgp.data.requests, "get", refuse)
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
     rc = run(["bench", "unfetchable", "--algos", "gp", "--runs", "1",
               "--out", str(tmp_path / "bench"), "--cache", str(tmp_path / "cache")])
     assert rc == 2

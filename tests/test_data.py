@@ -1,9 +1,12 @@
 import gzip
 import math
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+import softgp.data
 from softgp.data import (
     DataError,
     Dataset,
@@ -59,6 +62,15 @@ def test_read_matrix_reports_cell_position(tmp_path):
     p = write(tmp_path / "t.csv", "a,target\n1,0\nok,1\n")
     with pytest.raises(DataError, match="line 3, column 'a': non-numeric value"):
         read_matrix(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("column", ["a", "target"])
+def test_read_matrix_rejects_non_finite_cells(tmp_path, cell, column):
+    row = f"{cell},1" if column == "a" else f"1,{cell}"
+    p = write(tmp_path / "t.csv", f"a,target\n1,0\n{row}\n")
+    with pytest.raises(DataError, match=f"line 3, column '{column}': non-finite value"):
+        read_matrix(p, drop_column="target")
 
 
 def test_read_matrix_rejects_ragged_rows(tmp_path):
@@ -141,6 +153,60 @@ def test_fetch_pmlb_rejects_a_corrupt_cache_entry(tmp_path):
     (cache / "demo.tsv.gz").write_bytes(b"not gzip at all")
     with pytest.raises(DataError, match="cannot read"):
         fetch_pmlb("demo", cache)
+
+
+def demo_gzip():
+    return gzip.compress(b"x0\ttarget\n0.5\t1\n1.5\t0\n", mtime=0)
+
+
+def test_fetch_pmlb_downloads_into_the_cache(tmp_path, monkeypatch):
+    urls = []
+
+    def serve(url):
+        urls.append(url)
+        return 200, demo_gzip()
+
+    monkeypatch.setattr(softgp.data, "_http_get", serve)
+    ds = fetch_pmlb("demo", tmp_path)
+    assert urls == [softgp.data.PMLB_URL.format(name="demo")]
+    assert ds.name == "demo" and ds.rows == 2
+    assert (tmp_path / "demo.tsv.gz").read_bytes() == demo_gzip()
+
+
+@pytest.mark.parametrize("status, message", [(404, "unknown dataset 'demo' \\(HTTP 404"),
+                                             (503, "fetching 'demo' failed: HTTP 503")])
+def test_fetch_pmlb_reports_http_errors(tmp_path, monkeypatch, status, message):
+    monkeypatch.setattr(softgp.data, "_http_get", lambda url: (status, b""))
+    with pytest.raises(DataError, match=message):
+        fetch_pmlb("demo", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_http_get_returns_status_and_body(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")  # keep the request on this host
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            found = self.path == "/demo"
+            self.send_response(200 if found else 404)
+            self.end_headers()
+            self.wfile.write(demo_gzip() if found else b"missing")
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        assert softgp.data._http_get(base + "/demo") == (200, demo_gzip())
+        assert softgp.data._http_get(base + "/absent") == (404, b"")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # --- shuffle_split ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softgp.data import gen_synthetic, shuffle_split
+from softgp.data import Dataset, gen_synthetic, shuffle_split
 from softgp.evolve import (
     Algo,
     EvolutionConfig,
@@ -112,6 +112,14 @@ def test_fit_sgp_returns_a_valid_soft_classifier(circles):
 def test_fit_dispatches_on_algo(linsep):
     assert fit(linsep, Algo.GP, TINY).model.variant is Variant.HARD
     assert fit(linsep, Algo.SGP, TINY).model.variant is Variant.SOFT
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, float("nan"))])
+def test_fit_rejects_a_feature_span_that_is_not_finite(algo, lo, hi):
+    ds = Dataset("wide", ["a"], np.array([[lo], [hi], [0.0], [1.0]]), np.array([0, 1, 0, 1]))
+    with pytest.raises(EvolveError, match="not a finite range"):
+        fit(ds, algo, TINY)
 
 
 def test_fit_is_deterministic_under_seed(circles):

@@ -159,7 +159,7 @@ def test_rank_select_keeps_the_best_in_slot_zero(ctx):
 
 def test_rank_select_prefers_higher_ranks(ctx):
     pop = make_pop(ctx, 20)
-    ranked = sorted(pop, key=lambda i: (i.fitness, format_tree(i.tree)))
+    ranked = sorted(pop, key=lambda i: i.fitness)
     best_tree, worst_tree = ranked[-1].tree, ranked[0].tree
     rng = np.random.default_rng(2)
     hits_best = hits_worst = 0
@@ -169,6 +169,18 @@ def test_rank_select_prefers_higher_ranks(ctx):
         hits_worst += sum(1 for i in out[1:] if i.tree is worst_tree)
     # linear ranks: the best is 20x more likely than the worst
     assert hits_best > 10 * max(hits_worst, 1)
+
+
+def test_rank_select_ranks_ties_by_population_order(ctx):
+    pop = make_pop(ctx, 12)
+    tied = [Individual(ind.tree, 0.5) for ind in pop]
+    out = rank_select(tied, np.random.default_rng(8))
+    # with every fitness equal, rank i is population slot i
+    n = len(tied)
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    idx = np.random.default_rng(8).choice(n, size=n - 1, replace=True, p=ranks / ranks.sum())
+    assert [i.tree for i in out] == [tied[-1].tree] + [tied[i].tree for i in idx]
+    assert all(i.fitness == 0.5 for i in out)
 
 
 def test_rank_select_is_deterministic(ctx):

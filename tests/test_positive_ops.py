@@ -6,6 +6,7 @@ from softgp.genetics import (
     EvalContext,
     Individual,
     MutationWeights,
+    crossover,
     extension_mutation,
     positive_crossover,
     positive_mutation,
@@ -72,6 +73,19 @@ def test_positive_crossover_is_deterministic(ctx):
     r1 = positive_crossover(a, b, ctx, np.random.default_rng(5))
     r2 = positive_crossover(a, b, ctx, np.random.default_rng(5))
     assert [format_tree(i.tree) for i in r1] == [format_tree(i.tree) for i in r2]
+
+
+def test_positive_crossover_returns_the_children_when_all_four_tie():
+    # identical rows make every tree predict one label for all of them,
+    # so every candidate scores balanced accuracy 0.5
+    flat = EvalContext(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+    gen = np.random.default_rng(65)
+    a, b = soft_ind(flat, gen), soft_ind(flat, gen)
+    o1, o2 = positive_crossover(a, b, flat, np.random.default_rng(6))
+    c1, c2 = crossover(a.tree, b.tree, np.random.default_rng(6))
+    assert a.fitness == b.fitness == o1.fitness == o2.fitness == 0.5
+    assert all(o is not a and o is not b for o in (o1, o2))
+    assert (format_tree(o1.tree), format_tree(o2.tree)) == (format_tree(c1), format_tree(c2))
 
 
 def test_positive_mutation_only_improves_or_returns_the_original(ctx):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softgp.sexpr import (
+    MAX_DEPTH,
     ParseError,
     format_model,
     format_tree,
@@ -119,6 +120,21 @@ def test_unclosed_tree_rejected():
         parse_tree("(NOT 1.0 (GT 1.0 x0 x1)", Variant.SOFT)
     with pytest.raises(ParseError, match="AND expects 2 children, got 1"):
         parse_tree("(AND 1.0 (GT 1.0 x0 x1)", Variant.SOFT)
+
+
+def nested_nots(levels):
+    return "(NOT 1.0 " * (levels - 1) + "(GT 1.0 x0 x1)" + ")" * (levels - 1)
+
+
+def test_nesting_depth_is_bounded():
+    t = parse_tree(nested_nots(MAX_DEPTH), Variant.SOFT)
+    assert t.root.kind is OpKind.NOT
+    header = "#sgp-tree v1 variant=soft n_features=2\n"
+    for text, parse in ((nested_nots(MAX_DEPTH + 1), lambda s: parse_tree(s, Variant.SOFT)),
+                        (header + nested_nots(5000), parse_model)):
+        with pytest.raises(ParseError, match="nested deeper than") as err:
+            parse(text)
+        assert err.value.col == 9 * MAX_DEPTH + 1  # the first '(' past the limit
 
 
 def test_bare_term_parses():

@@ -3,8 +3,10 @@ import pytest
 
 from softgp.sexpr import format_tree
 from softgp.tree import (
+    ARITY,
     BOOL_DEPTH_CAP,
     DEFAULT_BOUNDS,
+    OP_CLASS,
     VALIDATION_BOUNDS,
     ExprTree,
     GenBounds,
@@ -192,6 +194,16 @@ def sample_tree():
               weight=0.2),
            weight=0.9),
         weight=0.4))
+
+
+def test_op_class_has_exactly_one_entry_per_kind():
+    assert len(OP_CLASS) == len(OpKind) == len(ARITY)
+    assert set(ARITY) == set(OpKind)
+    expected = {}
+    for kinds, cls in ((BOOL_KINDS, OpClass.BOOLEAN), (CMP_KINDS, OpClass.COMPARISON),
+                       (MATH_KINDS, OpClass.MATHEMATICAL), (TERM_KINDS, OpClass.TERM)):
+        expected.update(dict.fromkeys(kinds, cls))
+    assert {k: OP_CLASS[k] for k in ARITY} == expected
 
 
 def test_iter_nodes_is_preorder_with_paths():
