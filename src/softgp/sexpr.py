@@ -28,8 +28,10 @@ from typing import List, Optional, Tuple
 
 from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, Variant
 
-_SYMBOL_RE = re.compile(r"^x(\d+)$")
-_HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=(\d+)\s*$")
+# Indices and counts are capped at 9 digits: int() refuses strings past
+# 4300 digits with a ValueError, and no real model comes near the cap.
+_SYMBOL_RE = re.compile(r"^x(\d{1,9})$")
+_HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=(\d{1,9})\s*$")
 
 _KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)}
 

@@ -9,12 +9,18 @@ comparison node and evaluate to [0,1] via weighted continuous operators
 
 Trees are immutable; every "mutation" here returns a new tree that shares
 unchanged subtrees with the original. Evaluation is pure and vectorized
-over a whole row matrix at once.
+over a whole row matrix at once. Mathematical operators saturate at
++/-FLOAT_MAX. Evaluation first runs a trapping pass that leaves arrays
+unclamped and raises on overflow or an invalid operation; when it raises,
+when a constant or coefficient is not finite, or when the input has a
+non-finite cell, a saturating pass that clamps every math-node result runs
+instead. Both give the same bits.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -357,13 +363,30 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# The kinds as module globals for the evaluator's dispatch chain: on
+# Python 3.11 reading an enum member off its class is a descriptor call,
+# about 100 ns, several times a global load.
+(_OR, _AND, _NOT, _OR3, _AND3, _GT, _LT, _ADD, _MUL, _NEG, _SIGM, _LIN2, _LIN3,
+ _SYMBOL, _CONST) = OpKind
+
+
 def _sat(v):
-    # Saturate math-layer overflow to the largest finite magnitude so that
+    # Saturate a math-layer result to the largest finite magnitude so that
     # evaluation stays total (MUL/ADD chains cannot smuggle inf/NaN upward).
-    # Two ufunc calls; np.clip's dispatch overhead dominates at these sizes.
+    # The saturating pass applies it to every math-node result; the
+    # trapping pass only needs it for scalars (see _sat_scalar).
     if isinstance(v, np.ndarray):
         return np.minimum(np.maximum(v, -FLOAT_MAX), FLOAT_MAX)
-    # scalar from a constants-only subtree
+    return _sat_scalar(v)
+
+
+def _sat_scalar(v):
+    # The trapping pass's saturation step. An array result that overflowed
+    # has already raised, so arrays pass through; a scalar from a
+    # constants-only subtree is a Python float, which overflows to inf
+    # without raising, so it is clamped exactly as _sat clamps it.
+    if isinstance(v, np.ndarray):
+        return v
     v = float(v)
     if v > FLOAT_MAX:
         return FLOAT_MAX
@@ -372,78 +395,124 @@ def _sat(v):
     return v
 
 
-def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-               fill_memo: bool = False) -> np.ndarray:
-    """Evaluate the tree on a (rows, n_features) matrix; returns (rows,).
+def _walk(root: Node, x: np.ndarray, memo: Optional[dict], fill_memo: bool,
+          trap: bool) -> np.ndarray:
+    """One recursive evaluation pass; eval_batch documents the two modes.
 
-    Hard trees yield values in {0,1}, soft trees in [0,1]. When memo is
-    given, per-node activations are looked up by object identity, which
-    makes re-evaluating a slightly edited copy of a tree cheap (unchanged
-    subtrees are shared). Pass fill_memo=True on the evaluation whose nodes
-    should populate the memo; the caller must keep every contributing tree
-    alive for as long as the memo is reused, and must not mutate returned
-    arrays.
+    With trap=True the caller has made overflow and invalid operations
+    raise, array results are left unclamped, and a non-finite constant or
+    coefficient raises FloatingPointError as well, since inf operands
+    yield inf without raising. Only array results are memoised: scalars
+    are cheap to recompute, and keeping them out of the memo means every
+    literal passes the trap before it reaches an array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
-    rows = x.shape[0]
+    sat = _sat_scalar if trap else _sat
+    store = memo if fill_memo else None
+    isfinite = math.isfinite
 
     def ev(node: Node):
+        k = node.kind
+        if k is _CONST:
+            r = node.payload
+            if trap and not isfinite(r):
+                raise FloatingPointError(f"non-finite constant {r!r}")
+            return r
         if memo is not None:
             hit = memo.get(id(node))
             if hit is not None:
                 return hit
-        k = node.kind
         ch = node.children
-        # leaves first: terms are about half of all nodes
-        if k is OpKind.SYMBOL:
+        # ordered by frequency: terms are about half of all nodes, the
+        # math layer most of the rest
+        if k is _SYMBOL:
             r = x[:, node.payload]
-        elif k is OpKind.CONST:
-            r = node.payload
-        elif k is OpKind.GT:
-            r = np.greater(ev(ch[0]), ev(ch[1])).astype(np.float64)
-        elif k is OpKind.LT:
-            r = np.less(ev(ch[0]), ev(ch[1])).astype(np.float64)
-        elif k is OpKind.ADD:
-            r = _sat(ev(ch[0]) + ev(ch[1]))
-        elif k is OpKind.MUL:
-            r = _sat(ev(ch[0]) * ev(ch[1]))
-        elif k is OpKind.NEG:
+        elif k is _ADD:
+            r = sat(ev(ch[0]) + ev(ch[1]))
+        elif k is _MUL:
+            r = sat(ev(ch[0]) * ev(ch[1]))
+        elif k is _LIN2 or k is _LIN3:
+            cs = node.coeffs
+            if trap and not all(map(isfinite, cs)):
+                raise FloatingPointError(f"non-finite coefficient in {cs!r}")
+            r = sat(sat(cs[0] * ev(ch[0])) + sat(cs[1] * ev(ch[1])))
+            if k is _LIN3:
+                r = sat(r + sat(cs[2] * ev(ch[2])))
+        elif k is _NEG:
             r = -ev(ch[0])
-        elif k is OpKind.SIGM:
+        elif k is _SIGM:
             r = 1.0 / (1.0 + np.exp(-ev(ch[0])))
-        elif k is OpKind.LIN2:
-            a, b = node.coeffs
-            r = _sat(_sat(a * ev(ch[0])) + _sat(b * ev(ch[1])))
-        elif k is OpKind.LIN3:
-            a, b, c = node.coeffs
-            r = _sat(_sat(_sat(a * ev(ch[0])) + _sat(b * ev(ch[1]))) + _sat(c * ev(ch[2])))
-        elif k is OpKind.OR:
-            r = np.maximum(ev(ch[0]), ev(ch[1]))
-        elif k is OpKind.AND:
-            r = np.minimum(ev(ch[0]), ev(ch[1]))
-        elif k is OpKind.NOT:
-            r = 1.0 - ev(ch[0])
-        elif k is OpKind.OR3:
-            r = np.maximum(np.maximum(ev(ch[0]), ev(ch[1])), ev(ch[2]))
-        elif k is OpKind.AND3:
-            r = np.minimum(np.minimum(ev(ch[0]), ev(ch[1])), ev(ch[2]))
-        else:  # pragma: no cover
-            raise TreeError(f"unknown operator {k}")
-        w = node.weight
-        if w is not None and w != 1.0:
-            r = w * r
-        if fill_memo and memo is not None:
-            memo[id(node)] = r
+        elif k is _GT or k is _LT:
+            c = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1]))
+            w = node.weight
+            # a soft comparison casts and weighs in one multiply: the same
+            # w * 1.0 or w * 0.0 as casting first, one array pass fewer
+            r = c.astype(np.float64) if w is None else w * c
+        else:
+            if k is _OR:
+                r = np.maximum(ev(ch[0]), ev(ch[1]))
+            elif k is _AND:
+                r = np.minimum(ev(ch[0]), ev(ch[1]))
+            elif k is _NOT:
+                r = 1.0 - ev(ch[0])
+            elif k is _OR3:
+                r = np.maximum(np.maximum(ev(ch[0]), ev(ch[1])), ev(ch[2]))
+            elif k is _AND3:
+                r = np.minimum(np.minimum(ev(ch[0]), ev(ch[1])), ev(ch[2]))
+            else:  # pragma: no cover
+                raise TreeError(f"unknown operator {k}")
+            w = node.weight
+            if w is not None and w != 1.0:
+                r = w * r
+        if store is not None and isinstance(r, np.ndarray):
+            store[id(node)] = r
         return r
 
-    with np.errstate(over="ignore"):
-        out = ev(tree.root)
-    out = np.asarray(out, dtype=np.float64)
+    out = np.asarray(ev(root), dtype=np.float64)
     if out.ndim == 0:
-        out = np.full(rows, float(out))
+        out = np.full(x.shape[0], float(out))
     return out
+
+
+def _eval_saturating(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
+                     fill_memo: bool = False) -> np.ndarray:
+    # The reference semantics: every math-node result is clamped. eval_batch
+    # falls back to it, and the tests compare eval_batch against it.
+    with np.errstate(over="ignore"):
+        return _walk(tree.root, x, memo, fill_memo, trap=False)
+
+
+def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
+               fill_memo: bool = False) -> np.ndarray:
+    """Evaluate the tree on a (rows, n_features) matrix; returns (rows,).
+
+    Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
+    operators saturate at +/-FLOAT_MAX. The result is computed by a
+    trapping pass that leaves arrays unclamped with overflow and invalid
+    operations raising; clamping a finite array changes nothing, so while
+    nothing overflows it equals the saturating pass bit for bit. When an
+    operation overflows or is invalid, a constant or coefficient is not
+    finite, or x has a non-finite cell, the saturating pass (which clamps
+    every math-node result) computes the result instead; either way the
+    bits are those of the saturating pass.
+
+    When memo is given, per-node activations are looked up by object
+    identity, which makes re-evaluating a slightly edited copy of a tree
+    cheap (unchanged subtrees are shared). Pass fill_memo=True on the
+    evaluation whose nodes should populate the memo; the caller must keep
+    every contributing tree alive for as long as the memo is reused, and
+    must not mutate returned arrays. Entries are exact whichever pass
+    wrote them, so the fallback reuses those a trapped pass wrote.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
+    if np.isfinite(x).all():
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return _walk(tree.root, x, memo, fill_memo, trap=True)
+        except FloatingPointError:
+            pass
+    return _eval_saturating(tree, x, memo, fill_memo)
 
 
 def eval_row(tree: ExprTree, row: Sequence[float]) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import softgp.tree as tree_mod
 from softgp.tree import (
     DEFAULT_BOUNDS,
     FLOAT_MAX,
@@ -248,6 +249,132 @@ def test_lin_saturates_per_product():
     got = eval_batch(t, col(1e10))
     assert np.isfinite(got).all()
     assert got[0] == 0.0  # both products clamp to +/-FLOAT_MAX and cancel
+
+
+# --- array overflow: the trapping pass against the saturating reference ------
+#
+# The cases above only reach _sat's Python-scalar branch. These put the
+# overflow in array operands, so the trapping pass raises and eval_batch
+# falls back; each must equal the saturating pass bit for bit.
+
+BIG = col(1e200, -1e200, 3.0, -0.5, 0.0)
+saturating = tree_mod._eval_saturating  # bound before any spy replaces it
+
+
+def same_bits(t, x, memo=None):
+    got = eval_batch(t, x, memo=memo)
+    assert got.tobytes() == saturating(t, x).tobytes()
+    return got
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the saturating passes eval_batch runs."""
+    calls = []
+    real = tree_mod._eval_saturating
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_eval_saturating", spy)
+    return calls
+
+
+x0 = symbol(0)
+
+
+@pytest.mark.parametrize("node, expect", [
+    # MUL: the second product overflows
+    (op(OpKind.MUL, op(OpKind.MUL, x0, x0), x0), [FLOAT_MAX, -FLOAT_MAX, 27.0, -0.125, 0.0]),
+    # ADD: 1e308 + 1e308 is the first overflow
+    (op(OpKind.ADD, op(OpKind.MUL, x0, const(1e108)), op(OpKind.MUL, x0, const(1e108))),
+     [FLOAT_MAX, -FLOAT_MAX, 3.0 * 1e108 + 3.0 * 1e108, -1e108, 0.0]),
+    # ADD of two opposite saturations cancels instead of making NaN
+    (op(OpKind.ADD, op(OpKind.MUL, x0, x0), op(OpKind.MUL, x0, op(OpKind.NEG, x0))),
+     [0.0, 0.0, 0.0, 0.0, 0.0]),
+    # LIN2: each product saturates before the sum
+    (op(OpKind.LIN2, x0, x0, coeffs=(1e200, -1e200)), [0.0, 0.0, 0.0, 0.0, 0.0]),
+    # LIN3: the partial sum overflows
+    (op(OpKind.LIN3, x0, x0, x0, coeffs=(1e108, 1e108, -0.5)),
+     [FLOAT_MAX, -FLOAT_MAX, (1e108 * 3.0 + 1e108 * 3.0) + -0.5 * 3.0, -1e108, 0.0]),
+])
+def test_array_overflow_matches_the_saturating_pass(node, expect, fallbacks):
+    got = same_bits(soft(node), BIG)
+    assert got.tolist() == expect
+    assert len(fallbacks) == 1
+
+
+def test_sigm_array_overflow_matches_the_saturating_pass(fallbacks):
+    got = same_bits(soft(op(OpKind.SIGM, x0)), col(-800.0, 800.0, 0.0, -1.0))
+    assert got[:3].tolist() == [0.0, 1.0, 0.5]
+    assert len(fallbacks) == 1
+
+
+def test_finite_evaluation_takes_no_fallback(fallbacks):
+    t = soft(op(OpKind.GT, op(OpKind.LIN2, x0, op(OpKind.SIGM, x0), coeffs=(0.5, -2.0)),
+                const(0.1), weight=0.7))
+    same_bits(t, col(-2.0, -0.1, 0.0, 0.3, 4.0))
+    assert fallbacks == []
+
+
+def test_non_finite_input_takes_the_saturating_pass():
+    # trapping would give inf + -FLOAT_MAX = inf > 1; saturating gives
+    # FLOAT_MAX + -FLOAT_MAX = 0, which is not
+    t = hard(op(OpKind.GT, op(OpKind.ADD, op(OpKind.MUL, x0, const(2.0)), const(-FLOAT_MAX)),
+                const(1.0)))
+    assert same_bits(t, col(np.inf)).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("node", [
+    # inf operands overflow nothing, so only the literal check traps them
+    op(OpKind.GT, op(OpKind.ADD, x0, const(np.inf)), const(FLOAT_MAX), weight=1.0),
+    op(OpKind.GT, op(OpKind.LIN2, x0, x0, coeffs=(np.inf, 0.5)), const(FLOAT_MAX), weight=1.0),
+    op(OpKind.LT, op(OpKind.MUL, x0, op(OpKind.NEG, const(np.inf))), const(-FLOAT_MAX), weight=1.0),
+])
+def test_non_finite_literals_take_the_saturating_pass(node):
+    assert same_bits(soft(node), col(1.0, 2.0)).tolist() == [0.0, 0.0]
+
+
+def test_memo_never_carries_a_non_finite_literal_past_the_trap():
+    neg_inf = op(OpKind.NEG, const(np.inf))
+    x = col(1.0, 2.0)
+    memo = {}
+    first = soft(op(OpKind.GT, neg_inf, x0, weight=1.0))  # alive while the memo is used
+    eval_batch(first, x, memo=memo, fill_memo=True)
+    # a memoised -inf would reach MUL as an operand and leave it unclamped
+    t = soft(op(OpKind.LT, op(OpKind.MUL, x0, neg_inf), const(-FLOAT_MAX), weight=1.0))
+    assert same_bits(t, x, memo=memo).tolist() == [0.0, 0.0]
+
+
+def test_memo_from_a_fallback_serves_a_trapping_pass(fallbacks):
+    shared = op(OpKind.MUL, x0, x0)  # overflows at 1e200
+    first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
+    memo = {}
+    eval_batch(first, BIG, memo=memo, fill_memo=True)
+    assert len(fallbacks) == 1
+    assert memo[id(shared)][0] == FLOAT_MAX
+    second = soft(op(OpKind.LT, shared, const(5.0), weight=0.25))
+    same_bits(second, BIG, memo=memo)
+    assert len(fallbacks) == 1  # the memo hit kept eval_batch on the trapping pass
+
+
+def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
+    shared = op(OpKind.ADD, x0, x0)  # finite at 1e200
+    first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
+    memo = {}
+    eval_batch(first, BIG, memo=memo, fill_memo=True)
+    assert fallbacks == []
+    # shared is served from first's trapping pass; MUL then overflows and
+    # the fallback must reuse that entry rather than recompute it
+    second = soft(op(OpKind.OR, op(OpKind.LT, shared, const(0.0), weight=1.0),
+                     op(OpKind.GT, op(OpKind.MUL, shared, x0), const(0.0), weight=1.0),
+                     weight=1.0))
+    memo2 = dict(memo)
+    got = eval_batch(second, BIG, memo=memo2, fill_memo=True)
+    assert len(fallbacks) == 1
+    assert got.tobytes() == saturating(second, BIG).tobytes()
+    assert memo2[id(shared)] is memo[id(shared)]
 
 
 # --- batching, memo, input checking -------------------------------------------
