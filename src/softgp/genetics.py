@@ -15,7 +15,7 @@ fitness does not drop).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,19 +30,22 @@ from .tree import (
     Node,
     OpClass,
     OpKind,
+    SUMMARY_BOOL_DEPTH,
+    SUMMARY_MATH_CHAIN,
+    SUMMARY_SIZE,
+    SUMMARY_SLOTS,
     TreeError,
     Variant,
-    collect_weights,
     const,
     eval_batch,
-    iter_nodes,
+    locate_node,
+    locate_weight,
     max_bool_depth,
-    max_math_chain,
-    node_count,
     random_subtree,
     random_tree,
     replace_subtree,
     set_weight,
+    summary,
     symbol,
 )
 
@@ -166,58 +169,24 @@ def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
     """
     if t1.variant is not t2.variant:
         raise TreeError("cannot cross trees of different variants")
-    nodes1 = list(iter_nodes(t1.root))
-    path1, node1 = nodes1[int(rng.integers(0, len(nodes1)))]
+    path1, node1 = locate_node(t1.root, int(rng.integers(0, summary(t1.root)[SUMMARY_SIZE])))
     cls = OP_CLASS[node1.kind]
-    candidates = [(p, n) for p, n in iter_nodes(t2.root) if OP_CLASS[n.kind] is cls]
-    if not candidates:
+    n_candidates = summary(t2.root)[cls]
+    if not n_candidates:
         return t1, t2
     bool_max = _bool_limit(bounds, t1.root, t2.root)
+    math_max = bounds.math_max
     for _ in range(20):
-        path2, node2 = candidates[int(rng.integers(0, len(candidates)))]
+        path2, node2 = locate_node(t2.root, int(rng.integers(0, n_candidates)), cls)
         c1 = replace_subtree(t1.root, path1, node2)
         c2 = replace_subtree(t2.root, path2, node1)
-        if (max_bool_depth(c1) <= bool_max and max_bool_depth(c2) <= bool_max
-                and max_math_chain(c1) <= bounds.math_max
-                and max_math_chain(c2) <= bounds.math_max):
+        # only the rebuilt path nodes of c1 and c2 fill a summary here
+        s1 = summary(c1)
+        s2 = summary(c2)
+        if (s1[SUMMARY_BOOL_DEPTH] <= bool_max and s2[SUMMARY_BOOL_DEPTH] <= bool_max
+                and s1[SUMMARY_MATH_CHAIN] <= math_max and s2[SUMMARY_MATH_CHAIN] <= math_max):
             return ExprTree(t1.variant, c1), ExprTree(t2.variant, c2)
     return t1, t2
-
-
-def _class_counts(root: Node) -> List[int]:
-    """Node counts indexed by OpClass."""
-    counts = [0, 0, 0, 0]
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        counts[OP_CLASS[node.kind]] += 1
-        stack.extend(node.children)
-    return counts
-
-
-def _kth_of_class(root: Node, cls: OpClass, k: int) -> Tuple[Tuple[int, ...], Node]:
-    """Locate the k-th node (preorder) of class cls."""
-    path: List[int] = []
-    remaining = k
-
-    def walk(node: Node) -> Optional[Node]:
-        nonlocal remaining
-        if OP_CLASS[node.kind] is cls:
-            if remaining == 0:
-                return node
-            remaining -= 1
-        for i, child in enumerate(node.children):
-            path.append(i)
-            hit = walk(child)
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    node = walk(root)
-    if node is None:
-        raise LookupError(f"tree has fewer than {k + 1} nodes of class {cls.name}")
-    return tuple(path), node
 
 
 def mutate(ind: Individual, weights: MutationWeights, n_features: int,
@@ -230,20 +199,12 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
     Term targets mutate in place: a symbol re-draws its feature index, a
     constant c becomes c + r with r standard normal.
     """
-    return _mutate(ind, weights, n_features, const_range, rng, bounds,
-                   _class_counts(ind.tree.root))
-
-
-def _mutate(ind: Individual, weights: MutationWeights, n_features: int,
-            const_range: Tuple[float, float], rng: np.random.Generator,
-            bounds: GenBounds, counts: List[int]) -> Individual:
-    # counts is _class_counts(ind.tree.root), hoisted so repeated mutation
-    # of one individual walks the tree once
     tree = ind.tree
+    counts = summary(tree.root)
     present = [c for c in OpClass if counts[c] > 0 and weights.of(c) > 0]
     w = np.array([weights.of(c) for c in present], dtype=np.float64)
     cls = present[int(rng.choice(len(present), p=w / w.sum()))]
-    path, node = _kth_of_class(tree.root, cls, int(rng.integers(0, counts[cls])))
+    path, node = locate_node(tree.root, int(rng.integers(0, counts[cls])), cls)
 
     if cls is OpClass.TERM:
         if node.kind is OpKind.SYMBOL:
@@ -298,9 +259,8 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
     # evaluation reuses the original's per-node activations
     memo: dict = {}
     ctx.fitness_of(ind.tree, memo=memo, fill_memo=True)
-    counts = _class_counts(ind.tree.root)
     for _ in range(max_tries):
-        mutant = _mutate(ind, weights, n_features, const_range, rng, bounds, counts)
+        mutant = mutate(ind, weights, n_features, const_range, rng, bounds)
         mutant.fitness = ctx.fitness_of(mutant.tree, memo=memo)
         if mutant.fitness > ind.fitness:
             return mutant
@@ -322,13 +282,13 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
         raise TreeError("weight adjustment requires a soft tree")
     if ind.fitness >= 1.0 or max_tries <= 0:
         return ind
-    slots = collect_weights(ind.tree)
-    if not slots:
+    n_slots = summary(ind.tree.root)[SUMMARY_SLOTS]
+    if not n_slots:
         return ind
     memo: dict = {}
     ctx.fitness_of(ind.tree, memo=memo, fill_memo=True)
     for _ in range(max_tries):
-        loc, w = slots[int(rng.integers(0, len(slots)))]
+        loc, w = locate_weight(ind.tree, int(rng.integers(0, n_slots)))
         candidate = set_weight(ind.tree, loc, w + float(rng.normal(0.0, 0.1)))
         f = ctx.fitness_of(candidate, memo=memo)
         if f > ind.fitness:
@@ -351,7 +311,8 @@ def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
     fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, bounds, n_features,
                            const_range, rng, depth_budget=bounds.bool_max)
     root = Node(OpKind.OR, (ind.tree.root, fresh), weight=1.0)
-    if max_bool_depth(root) > BOOL_DEPTH_CAP or node_count(root) > NODE_CAP:
+    s = summary(root)
+    if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:
         return ind
     extended = ExprTree(Variant.SOFT, root)
     f = ctx.fitness_of(extended)

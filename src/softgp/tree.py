@@ -15,13 +15,26 @@ unclamped and raises on overflow or an invalid operation; when it raises,
 when a constant or coefficient is not finite, or when the input has a
 non-finite cell, a saturating pass that clamps every math-node result runs
 instead. Both give the same bits.
+
+Every node carries a summary of its subtree: its node count per operator
+class, its size, its weight-slot count (operator weights plus linear
+coefficients), its boolean depth and its math chain. summary() fills it
+from the children's summaries the first time a variation operator asks,
+and the locators use the per-child counts to find the k-th node or weight
+slot by walking a single root-to-node path. A node never changes after
+construction, so a summary cannot go stale, and a tree edited by
+replace_subtree rebuilds only the nodes on the edited path; every shared
+subtree keeps its summary. The readers of fresh trees (node_count,
+max_bool_depth, max_math_chain) use a summary that is present but never
+fill one: parsing and prediction read each tree once, and a fill costs
+more than a plain walk.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,7 +53,8 @@ class TreeError(ValueError):
 
 
 class LocatorError(TreeError):
-    """Raised when a weight locator does not resolve to a weight slot."""
+    """Raised when a path, a weight locator or a node or slot index does not
+    resolve."""
 
 
 class Variant(enum.Enum):
@@ -97,6 +111,13 @@ OP_CLASS: Tuple[OpClass, ...] = tuple({
     OpKind.SYMBOL: OpClass.TERM, OpKind.CONST: OpClass.TERM,
 }[kind] for kind in OpKind)
 
+# The classes and kinds as module globals for the per-node loops: on
+# Python 3.11 reading an enum member off its class is a descriptor call,
+# about 100 ns, several times a global load.
+_BOOLEAN, _COMPARISON, _MATHEMATICAL, _TERM = OpClass
+(_OR, _AND, _NOT, _OR3, _AND3, _GT, _LT, _ADD, _MUL, _NEG, _SIGM, _LIN2, _LIN3,
+ _SYMBOL, _CONST) = OpKind
+
 # Operators that only exist in the soft variant.
 SOFT_ONLY = frozenset({OpKind.OR3, OpKind.AND3, OpKind.SIGM, OpKind.LIN2, OpKind.LIN3})
 
@@ -107,28 +128,49 @@ _HARD_MATH_OPS = (OpKind.ADD, OpKind.MUL, OpKind.NEG)
 _SOFT_MATH_OPS = (OpKind.ADD, OpKind.MUL, OpKind.NEG, OpKind.SIGM, OpKind.LIN2, OpKind.LIN3)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     """One tree node.
 
     weight is present on boolean/comparison nodes of soft trees (clamped to
     [0,1] at construction), coeffs on LIN2/LIN3 nodes, payload on terms
     (feature index for SYMBOL, float for CONST).
+
+    summary caches what summary() returns for this subtree: node counts
+    per class, size, weight slots, boolean depth and math chain. It is None
+    until summary() first runs on the node (node_count, max_bool_depth and
+    max_math_chain read it but never fill it), and stays None on terms
+    with no weight or coefficients, which share one constant. A node is
+    immutable, so its summary never goes stale; it takes no part in ==,
+    hash or repr.
     """
 
     kind: OpKind
-    children: Tuple["Node", ...] = ()
-    weight: Optional[float] = None
-    coeffs: Optional[Tuple[float, ...]] = None
-    payload: Union[int, float, None] = None
+    children: Tuple["Node", ...]
+    weight: Optional[float]
+    coeffs: Optional[Tuple[float, ...]]
+    payload: Union[int, float, None]
+    summary: Optional[tuple] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.children, tuple):
-            object.__setattr__(self, "children", tuple(self.children))
-        if self.coeffs is not None and not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.weight is not None:
-            object.__setattr__(self, "weight", min(1.0, max(0.0, float(self.weight))))
+    def __init__(self, kind: OpKind, children: Tuple["Node", ...] = (),
+                 weight: Optional[float] = None, coeffs: Optional[Tuple[float, ...]] = None,
+                 payload: Union[int, float, None] = None):
+        # Written out rather than generated: a generated __init__ would also
+        # call a __post_init__, and the call saved pays for storing summary.
+        store = object.__setattr__
+        store(self, "kind", kind)
+        store(self, "children", children if isinstance(children, tuple) else tuple(children))
+        # a float already in (0, 1] is stored as given; anything else (an
+        # int, a numpy scalar, NaN, -0.0, a value out of range) is clamped
+        # to a Python float, which stores -0.0 and NaN as 0.0
+        if weight is not None and not (type(weight) is float and 0.0 < weight <= 1.0):
+            weight = min(1.0, max(0.0, float(weight)))
+        store(self, "weight", weight)
+        if coeffs is not None and not isinstance(coeffs, tuple):
+            coeffs = tuple(float(c) for c in coeffs)
+        store(self, "coeffs", coeffs)
+        store(self, "payload", payload)
+        store(self, "summary", None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,11 +232,11 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 def symbol(index: int) -> Node:
-    return Node(OpKind.SYMBOL, payload=int(index))
+    return Node(_SYMBOL, payload=int(index))
 
 
 def const(value: float) -> Node:
-    return Node(OpKind.CONST, payload=float(value))
+    return Node(_CONST, payload=float(value))
 
 
 def op(kind: OpKind, *children: Node, weight: Optional[float] = None,
@@ -209,13 +251,28 @@ def op(kind: OpKind, *children: Node, weight: Optional[float] = None,
 
 def iter_nodes(node: Node, path: Tuple[int, ...] = ()) -> Iterator[Tuple[Tuple[int, ...], Node]]:
     """Preorder traversal yielding (path-from-root, node)."""
-    yield path, node
-    for i, child in enumerate(node.children):
-        yield from iter_nodes(child, path + (i,))
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        children = node.children
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i]))
 
 
 def node_count(node: Node) -> int:
-    return 1 + sum(node_count(c) for c in node.children)
+    """Number of nodes in the subtree at node; reads summaries, fills none."""
+    count = 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        s = node.summary
+        if s is None:
+            count += 1
+            stack.extend(node.children)
+        else:
+            count += s[SUMMARY_SIZE]
+    return count
 
 
 def subtree_at(root: Node, path: Sequence[int]) -> Node:
@@ -242,7 +299,10 @@ def replace_subtree(root: Node, path: Sequence[int], new: Node) -> Node:
 
 def max_bool_depth(node: Node) -> int:
     """Longest run of boolean nodes on any path starting at node."""
-    if OP_CLASS[node.kind] is not OpClass.BOOLEAN:
+    s = node.summary
+    if s is not None:
+        return s[SUMMARY_BOOL_DEPTH]
+    if OP_CLASS[node.kind] is not _BOOLEAN:
         return 0
     best = 0
     for c in node.children:
@@ -254,22 +314,115 @@ def max_bool_depth(node: Node) -> int:
 
 def max_math_chain(node: Node) -> int:
     """Longest run of mathematical nodes on any path below (or at) node."""
+    s = node.summary
+    if s is not None:
+        return s[SUMMARY_MATH_CHAIN]
     cls = OP_CLASS[node.kind]
-    if cls is OpClass.TERM:
+    if cls is _TERM:
         return 0
     best = 0
     for c in node.children:
         d = max_math_chain(c)
         if d > best:
             best = d
-    return best + 1 if cls is OpClass.MATHEMATICAL else best
+    return best + 1 if cls is _MATHEMATICAL else best
+
+
+# ---------------------------------------------------------------------------
+# Subtree summaries
+# ---------------------------------------------------------------------------
+
+# A summary is a tuple whose entries 0-3 are the subtree's node counts per
+# OpClass (so a class indexes its own count), followed by these entries.
+SUMMARY_SIZE = 4        # node count
+SUMMARY_SLOTS = 5       # weight slots, as collect_weights lists them
+SUMMARY_BOOL_DEPTH = 6  # max_bool_depth
+SUMMARY_MATH_CHAIN = 7  # max_math_chain
+
+# The summary of every term without a weight or coefficients: terms are
+# about half of all nodes, so they share this instead of storing one.
+_TERM_SUMMARY = (0, 0, 0, 1, 1, 0, 0, 0)
+
+
+def summary(node: Node) -> tuple:
+    """The subtree summary of node, filled and stored on first use.
+
+    Filling reads each child's summary, so it visits only the nodes that
+    have none yet: after replace_subtree, the rebuilt path.
+    """
+    s = node.summary
+    if s is not None:
+        return s
+    cls = OP_CLASS[node.kind]
+    w = node.weight
+    coeffs = node.coeffs
+    children = node.children
+    if cls is _TERM and w is None and coeffs is None and not children:
+        return _TERM_SUMMARY
+    counts = [0, 0, 0, 0]
+    counts[cls] = 1
+    size = 1
+    slots = (0 if w is None else 1) + (0 if coeffs is None else len(coeffs))
+    bool_depth = math_chain = 0
+    for c in children:
+        cs = c.summary or summary(c)
+        counts[0] += cs[0]
+        counts[1] += cs[1]
+        counts[2] += cs[2]
+        counts[3] += cs[3]
+        size += cs[4]
+        slots += cs[5]
+        if cs[6] > bool_depth:
+            bool_depth = cs[6]
+        if cs[7] > math_chain:
+            math_chain = cs[7]
+    if cls is _BOOLEAN:
+        bool_depth += 1
+    else:
+        bool_depth = 0
+        if cls is _MATHEMATICAL:
+            math_chain += 1
+        elif cls is _TERM:
+            math_chain = 0
+    s = (counts[0], counts[1], counts[2], counts[3], size, slots, bool_depth, math_chain)
+    object.__setattr__(node, "summary", s)
+    return s
+
+
+def locate_node(root: Node, k: int,
+                cls: Optional[OpClass] = None) -> Tuple[Tuple[int, ...], Node]:
+    """The k-th node in preorder and its path, counting only nodes of class
+    cls, or every node when cls is None.
+
+    Walks down one path, skipping every subtree its summary shows to hold
+    fewer than the remaining count, so the cost is the depth of the node.
+    """
+    col = SUMMARY_SIZE if cls is None else cls
+    total = summary(root)[col]
+    if not 0 <= k < total:
+        what = "nodes" if cls is None else f"nodes of class {cls.name}"
+        raise LocatorError(f"node {k} requested from a tree with {total} {what}")
+    path: list[int] = []
+    node = root
+    while True:
+        if cls is None or OP_CLASS[node.kind] is cls:
+            if k == 0:
+                return tuple(path), node
+            k -= 1
+        for i, c in enumerate(node.children):
+            n = summary(c)[col]
+            if k < n:
+                break
+            k -= n
+        path.append(i)
+        node = c
 
 
 def min_features(tree: ExprTree) -> int:
     """Smallest feature count the tree can be evaluated against."""
     best = -1
     for _, node in iter_nodes(tree.root):
-        if node.kind is OpKind.SYMBOL:
+        if node.kind is _SYMBOL:
             best = max(best, int(node.payload))
     return best + 1
 
@@ -301,7 +454,7 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
             bad(path, f"{node.kind.name} expects {ARITY[node.kind]} children, has {len(node.children)}")
             return  # child phases are meaningless past an arity error
         # weight slots
-        if cls in (OpClass.BOOLEAN, OpClass.COMPARISON):
+        if cls is _BOOLEAN or cls is _COMPARISON:
             if soft and node.weight is None:
                 bad(path, f"missing weight on soft {node.kind.name}")
             if not soft and node.weight is not None:
@@ -311,29 +464,29 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
         if node.weight is not None and not (0.0 <= node.weight <= 1.0):
             bad(path, f"weight {node.weight} outside [0,1]")
         # coefficient slots
-        if node.kind in (OpKind.LIN2, OpKind.LIN3):
+        if node.kind is _LIN2 or node.kind is _LIN3:
             want = ARITY[node.kind]
             if node.coeffs is None or len(node.coeffs) != want:
                 bad(path, f"{node.kind.name} needs {want} coefficients")
         elif node.coeffs is not None:
             bad(path, f"coefficients on {node.kind.name}")
         # terms
-        if node.kind is OpKind.SYMBOL:
+        if node.kind is _SYMBOL:
             i = node.payload
             if not isinstance(i, int) or not (0 <= i < n_features):
                 bad(path, f"symbol index {i!r} outside [0, {n_features})")
-        if node.kind is OpKind.CONST and not isinstance(node.payload, float):
+        if node.kind is _CONST and not isinstance(node.payload, float):
             bad(path, f"constant payload {node.payload!r} is not a real")
 
         # layer-chain phases
         if phase == "bool":
-            if cls is OpClass.BOOLEAN:
+            if cls is _BOOLEAN:
                 if booleans + 1 > b.bool_max:
                     bad(path, f"boolean depth exceeds {b.bool_max}")
                 for i, c in enumerate(node.children):
                     walk(c, path + (i,), "bool", booleans + 1, 0)
                 return
-            if cls is OpClass.COMPARISON:
+            if cls is _COMPARISON:
                 if booleans < b.bool_min:
                     bad(path, f"boolean depth {booleans} below {b.bool_min}")
                 for i, c in enumerate(node.children):
@@ -341,19 +494,19 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
                 return
             bad(path, f"{node.kind.name} where a boolean or comparison operator is required")
         elif phase == "math":
-            if cls is OpClass.MATHEMATICAL:
+            if cls is _MATHEMATICAL:
                 if maths + 1 > b.math_max:
                     bad(path, f"math depth exceeds {b.math_max}")
                 for i, c in enumerate(node.children):
                     walk(c, path + (i,), "math", booleans, maths + 1)
                 return
-            if cls is OpClass.TERM:
+            if cls is _TERM:
                 if maths < b.math_min:
                     bad(path, f"math depth {maths} below {b.math_min}")
                 return
             bad(path, f"{node.kind.name} below a comparison operator")
 
-    if OP_CLASS[tree.root.kind] is not OpClass.BOOLEAN:
+    if OP_CLASS[tree.root.kind] is not _BOOLEAN:
         bad((), "root is not a boolean operator")
     walk(tree.root, (), "bool", 0, 0)
     return out
@@ -362,13 +515,6 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-# The kinds as module globals for the evaluator's dispatch chain: on
-# Python 3.11 reading an enum member off its class is a descriptor call,
-# about 100 ns, several times a global load.
-(_OR, _AND, _NOT, _OR3, _AND3, _GT, _LT, _ADD, _MUL, _NEG, _SIGM, _LIN2, _LIN3,
- _SYMBOL, _CONST) = OpKind
-
 
 def _sat(v):
     # Saturate a math-layer result to the largest finite magnitude so that
@@ -571,7 +717,7 @@ class _Gen:
     def math(self, level: int) -> Node:
         kind = self.math_ops[int(self.rng.integers(0, len(self.math_ops)))]
         coeffs = None
-        if kind in (OpKind.LIN2, OpKind.LIN3):
+        if kind is _LIN2 or kind is _LIN3:
             coeffs = tuple(float(self.rng.uniform(-1.0, 1.0)) for _ in range(ARITY[kind]))
         children = tuple(self.math_child(level) for _ in range(ARITY[kind]))
         return Node(kind, children, coeffs=coeffs)
@@ -617,20 +763,20 @@ def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features
     depth_budget caps how many levels of cls-typed operators the subtree may
     stack (relevant for boolean and mathematical subtrees planted mid-tree).
     """
-    if cls is OpClass.TERM:
+    if cls is _TERM:
         return _Gen(variant, bounds, n_features, const_range, rng).term()
-    if cls is OpClass.COMPARISON:
+    if cls is _COMPARISON:
         return _Gen(variant, bounds, n_features, const_range, rng).cmp()
     bool_max = bounds.bool_max
     math_max = bounds.math_max
-    if cls is OpClass.BOOLEAN:
+    if cls is _BOOLEAN:
         bool_max = max(1, min(bool_max, depth_budget))
     else:
         math_max = max(1, min(math_max, depth_budget))
     inner = GenBounds(bool_min=1, bool_max=bool_max,
                       math_min=min(max(bounds.math_min, 1), math_max), math_max=math_max)
     gen = _Gen(variant, inner, n_features, const_range, rng)
-    return gen.bool(1) if cls is OpClass.BOOLEAN else gen.math(1)
+    return gen.bool(1) if cls is _BOOLEAN else gen.math(1)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +793,35 @@ def collect_weights(tree: ExprTree) -> list[Tuple[WeightLocator, float]]:
             for i, c in enumerate(node.coeffs):
                 out.append((WeightLocator(path, i), c))
     return out
+
+
+def locate_weight(tree: ExprTree, k: int) -> Tuple[WeightLocator, float]:
+    """collect_weights(tree)[k], found by walking one path as locate_node
+    does."""
+    root = tree.root
+    total = summary(root)[SUMMARY_SLOTS]
+    if not 0 <= k < total:
+        raise LocatorError(f"weight slot {k} requested from a tree with {total} slots")
+    path: list[int] = []
+    node = root
+    while True:
+        w = node.weight
+        if w is not None:
+            if k == 0:
+                return WeightLocator(tuple(path)), w
+            k -= 1
+        coeffs = node.coeffs
+        if coeffs is not None:
+            if k < len(coeffs):
+                return WeightLocator(tuple(path), k), coeffs[k]
+            k -= len(coeffs)
+        for i, c in enumerate(node.children):
+            n = summary(c)[SUMMARY_SLOTS]
+            if k < n:
+                break
+            k -= n
+        path.append(i)
+        node = c
 
 
 def set_weight(tree: ExprTree, loc: WeightLocator, value: float) -> ExprTree:

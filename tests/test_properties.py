@@ -1,21 +1,44 @@
-"""Property tests: the evaluator against its saturating reference, and the
-model-file parser against arbitrary text."""
+"""Property tests: the evaluator against its saturating reference, the
+model-file parser against arbitrary text, and subtree summaries and the
+locators against from-scratch walks."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import softgp.tree as tree_mod
+from softgp.genetics import (
+    EvalContext,
+    Individual,
+    MutationWeights,
+    crossover,
+    extension_mutation,
+    mutate,
+)
 from softgp.sexpr import ParseError, format_model, parse_model
 from softgp.tree import (
     DEFAULT_BOUNDS,
     OP_CLASS,
     ExprTree,
+    LocatorError,
+    OpClass,
     Variant,
+    collect_weights,
     eval_batch,
+    iter_nodes,
+    locate_node,
+    locate_weight,
+    max_bool_depth,
+    max_math_chain,
+    min_features,
+    node_count,
     random_subtree,
     random_tree,
     replace_subtree,
+    set_weight,
+    summary,
+    validate,
 )
 
 N_FEATURES = 3
@@ -84,3 +107,124 @@ def test_parse_model_raises_only_parse_error(text):
         parse_model(text)
     except ParseError:
         pass
+
+
+def bool_depth(node):
+    if OP_CLASS[node.kind] is not OpClass.BOOLEAN:
+        return 0
+    return 1 + max((bool_depth(c) for c in node.children), default=0)
+
+
+def math_chain(node):
+    cls = OP_CLASS[node.kind]
+    if cls is OpClass.TERM:
+        return 0
+    best = max((math_chain(c) for c in node.children), default=0)
+    return best + 1 if cls is OpClass.MATHEMATICAL else best
+
+
+def recomputed(node):
+    """A subtree summary computed from scratch, reading no stored summary."""
+    nodes = [n for _, n in iter_nodes(node)]
+    counts = [sum(OP_CLASS[n.kind] is cls for n in nodes) for cls in OpClass]
+    slots = sum((n.weight is not None) + len(n.coeffs or ()) for n in nodes)
+    return (*counts, len(nodes), slots, bool_depth(node), math_chain(node))
+
+
+def assert_summaries_hold(root):
+    assert summary(root) == recomputed(root)
+    # every summary stored anywhere in the tree, shared subtrees included
+    for _, node in iter_nodes(root):
+        if node.summary is not None:
+            assert node.summary == recomputed(node)
+
+
+def small_context(rng):
+    x = rng.normal(size=(24, N_FEATURES))
+    return EvalContext(x, np.arange(24) % 2)
+
+
+@given(seeds, variants)
+def test_summaries_match_a_recomputation_through_every_edit(seed, variant):
+    rng = np.random.default_rng(seed)
+    crange = (-2.0, 2.0)
+    t1 = random_tree(variant, DEFAULT_BOUNDS, N_FEATURES, crange, rng)
+    t2 = random_tree(variant, DEFAULT_BOUNDS, N_FEATURES, crange, rng)
+    assert_summaries_hold(t1.root)
+
+    path, node = locate_node(t1.root, int(rng.integers(0, node_count(t1.root))))
+    fresh = random_subtree(OP_CLASS[node.kind], variant, DEFAULT_BOUNDS, N_FEATURES, crange,
+                           rng, depth_budget=2)
+    assert_summaries_hold(replace_subtree(t1.root, path, fresh))
+
+    if variant is Variant.SOFT:
+        loc, w = collect_weights(t1)[int(rng.integers(0, summary(t1.root)[tree_mod.SUMMARY_SLOTS]))]
+        assert_summaries_hold(set_weight(t1, loc, w + 0.25).root)
+
+    c1, c2 = crossover(t1, t2, rng)
+    assert_summaries_hold(c1.root)
+    assert_summaries_hold(c2.root)
+
+    mutant = mutate(Individual(c1), MutationWeights(), N_FEATURES, crange, rng)
+    assert_summaries_hold(mutant.tree.root)
+
+    if variant is Variant.SOFT:
+        ctx = small_context(rng)
+        ind = ctx.evaluate(Individual(c2))
+        extended = extension_mutation(ind, ctx, N_FEATURES, crange, rng)
+        assert_summaries_hold(extended.tree.root)
+
+    back, _ = parse_model(format_model(mutant.tree, N_FEATURES))
+    assert_summaries_hold(back.root)
+
+
+@given(seeds, variants)
+def test_locators_agree_with_the_walks(seed, variant):
+    rng = np.random.default_rng(seed)
+    t1 = random_tree(variant, DEFAULT_BOUNDS, N_FEATURES, (-2.0, 2.0), rng)
+    t2 = random_tree(variant, DEFAULT_BOUNDS, N_FEATURES, (-2.0, 2.0), rng)
+    # an edited tree mixes summarised shared subtrees with new path nodes
+    tree, _ = crossover(t1, t2, rng)
+    walked = list(iter_nodes(tree.root))
+    for cls in (None, *OpClass):
+        expected = [(p, n) for p, n in walked if cls is None or OP_CLASS[n.kind] is cls]
+        for k, (path, node) in enumerate(expected):
+            got_path, got_node = locate_node(tree.root, k, cls)
+            assert got_path == path and got_node is node
+        for k in (-1, len(expected)):
+            with pytest.raises(LocatorError):
+                locate_node(tree.root, k, cls)
+    slots = collect_weights(tree)
+    assert [locate_weight(tree, k) for k in range(len(slots))] == slots
+    for k in (-1, len(slots)):
+        with pytest.raises(LocatorError):
+            locate_weight(tree, k)
+
+
+@given(seeds, variants)
+def test_summary_takes_no_part_in_eq_hash_or_repr(seed, variant):
+    tree, _, _, _ = draw(seed, variant, 1.0)
+    bare, _ = parse_model(format_model(tree, N_FEATURES))
+    summary(tree.root)
+    assert tree.root.summary is not None and bare.root.summary is None
+    assert tree == bare
+    assert hash(tree) == hash(bare)
+    assert repr(tree) == repr(bare)
+
+
+@given(seeds, variants)
+def test_fresh_tree_readers_fill_no_summary(seed, variant):
+    tree, x, _, _ = draw(seed, variant, 1.0)
+    parsed, _ = parse_model(format_model(tree, N_FEATURES))
+    for t in (tree, parsed):
+        node_count(t.root)
+        max_bool_depth(t.root)
+        max_math_chain(t.root)
+        min_features(t)
+        validate(t, N_FEATURES)
+        eval_batch(t, x)
+        assert all(n.summary is None for _, n in iter_nodes(t.root))
+    # once filled, the readers return the stored values
+    s = summary(tree.root)
+    assert (node_count(tree.root), max_bool_depth(tree.root), max_math_chain(tree.root)) == \
+        (s[tree_mod.SUMMARY_SIZE], s[tree_mod.SUMMARY_BOOL_DEPTH], s[tree_mod.SUMMARY_MATH_CHAIN])

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from softgp.tree import (
     collect_weights,
     const,
     iter_nodes,
+    locate_node,
+    locate_weight,
     max_bool_depth,
     max_math_chain,
     min_features,
@@ -30,6 +35,7 @@ from softgp.tree import (
     replace_subtree,
     set_weight,
     subtree_at,
+    summary,
     symbol,
     validate,
 )
@@ -225,6 +231,30 @@ def test_node_count_and_depth_helpers():
     assert min_features(t) == 2
 
 
+def test_summary_of_the_sample_tree():
+    t = sample_tree()
+    # counts per class, then size, weight slots, boolean depth, math chain
+    assert summary(t.root) == (2, 2, 2, 6, 12, 6, 2, 1)
+    assert locate_node(t.root, 5) == ((0, 1), subtree_at(t.root, (0, 1)))
+    assert locate_node(t.root, 1, OpClass.MATHEMATICAL) == ((1, 0, 1), subtree_at(t.root, (1, 0, 1)))
+    assert locate_weight(t, 5) == (WeightLocator((1, 0, 1), 1), -0.5)
+
+
+def test_summary_follows_the_readers_on_a_malformed_tree():
+    # a boolean below a comparison and a term with a child: validate rejects
+    # both, but a summary still agrees with the fresh-tree walks
+    inner = op(OpKind.NOT, op(OpKind.GT, op(OpKind.NEG, symbol(0)), const(1.0)))
+    odd = op(OpKind.AND, op(OpKind.GT, inner, const(0.0)),
+             Node(OpKind.CONST, (op(OpKind.NEG, symbol(1)),), payload=1.0))
+    nodes = [n for _, n in iter_nodes(odd)]
+    expected = [node_count(n) for n in nodes], [max_bool_depth(n) for n in nodes], \
+        [max_math_chain(n) for n in nodes]
+    summary(odd)
+    assert expected == ([summary(n)[4] for n in nodes], [summary(n)[6] for n in nodes],
+                        [summary(n)[7] for n in nodes])
+    assert summary(odd)[6] == 1 and summary(odd.children[0])[6] == 0
+
+
 def test_min_features_without_symbols():
     t = ExprTree(Variant.HARD, op(OpKind.NOT, op(OpKind.GT, const(1.0), const(0.0))))
     assert min_features(t) == 0
@@ -252,6 +282,45 @@ def test_node_constructor_clamps_operator_weights():
     assert op(OpKind.OR, const(0.0), const(0.0), weight=1.7).weight == 1.0
     assert op(OpKind.OR, const(0.0), const(0.0), weight=-0.3).weight == 0.0
     assert op(OpKind.OR, const(0.0), const(0.0), weight=0.25).weight == 0.25
+
+
+def test_node_constructor_normalises_sequences_and_supports_replace():
+    n = Node(OpKind.LIN2, [symbol(0), const(1.0)], coeffs=[1, 2])
+    assert n.children == (symbol(0), const(1.0)) and type(n.children) is tuple
+    assert n.coeffs == (1.0, 2.0) and all(type(c) is float for c in n.coeffs)
+    summary(n)
+    m = dataclasses.replace(n, coeffs=(0.5, 0.25))
+    assert m.coeffs == (0.5, 0.25) and m.children is n.children and m.summary is None
+    assert pickle.loads(pickle.dumps(n)) == n
+
+
+def test_node_constructor_keeps_a_float_already_in_range():
+    for w in (0.25, 1.0, 5e-324, np.nextafter(1.0, 0.0).item()):
+        assert op(OpKind.OR, const(0.0), const(0.0), weight=w).weight is w
+
+
+@pytest.mark.parametrize("given, stored", [
+    (-0.0, 0.0),
+    (0.0, 0.0),
+    (float("nan"), 0.0),
+    (1.5, 1.0),
+    (-2.0, 0.0),
+    (float("inf"), 1.0),
+    (float("-inf"), 0.0),
+    (1, 1.0),
+    (0, 0.0),
+    (True, 1.0),
+    (np.float64(0.5), 0.5),
+    (np.float64(-0.0), 0.0),
+    (np.float32(0.25), 0.25),
+    (np.int64(1), 1.0),
+])
+def test_node_constructor_clamps_every_other_weight_to_a_python_float(given, stored):
+    w = op(OpKind.OR, const(0.0), const(0.0), weight=given).weight
+    assert type(w) is float
+    assert w == stored
+    # a stored zero is always +0.0, whatever the sign of the input
+    assert np.copysign(1.0, w) == 1.0
 
 
 # --- weight slots ---------------------------------------------------------------
