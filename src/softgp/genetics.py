@@ -14,7 +14,9 @@ fitness does not drop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +69,10 @@ class MutationWeights:
     comparison: float = 0.2
     mathematical: float = 0.3
     terms: float = 0.5
+    # per set of classes present in a tree (a bit mask over OpClass): the
+    # classes with a positive weight and their cumulative probabilities,
+    # or None when no present class can be picked
+    _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = (self.boolean, self.comparison, self.mathematical, self.terms)
@@ -74,9 +80,41 @@ class MutationWeights:
             raise ValueError("mutation weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("at least one mutation weight must be positive")
+        tables = []
+        for mask in range(1 << len(OpClass)):
+            present = tuple(c for c in OpClass if mask >> c & 1 and self.of(c) > 0)
+            w = np.array([self.of(c) for c in present], dtype=np.float64)
+            with np.errstate(over="ignore"):
+                total = w.sum()
+            # choice refuses an empty population, and p = w / inf is not a
+            # distribution
+            if not present or not math.isfinite(total):
+                tables.append(None)
+                continue
+            # the table Generator.choice builds from p = w / w.sum()
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            tables.append((present, cdf.tolist()))
+        object.__setattr__(self, "_tables", tuple(tables))
 
     def of(self, cls: OpClass) -> float:
         return (self.boolean, self.comparison, self.mathematical, self.terms)[cls]
+
+    def pick(self, counts: Sequence[int], rng: np.random.Generator) -> OpClass:
+        """Pick a class among those with a node (counts is indexed by class)
+        and a positive weight, with probability proportional to its weight.
+
+        Draws one random() and returns what rng.choice(len(present),
+        p=w / w.sum()) returns for it, leaving the generator in the same
+        state; raises ValueError, as choice does, when no class qualifies.
+        """
+        table = self._tables[(counts[0] > 0) | (counts[1] > 0) << 1
+                             | (counts[2] > 0) << 2 | (counts[3] > 0) << 3]
+        if table is None:
+            raise ValueError("the mutation weights of the classes present in the tree "
+                             "are all zero or sum past the largest float")
+        present, cdf = table
+        return present[bisect.bisect_right(cdf, rng.random())]
 
 
 class EvalContext:
@@ -201,9 +239,7 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
     """
     tree = ind.tree
     counts = summary(tree.root)
-    present = [c for c in OpClass if counts[c] > 0 and weights.of(c) > 0]
-    w = np.array([weights.of(c) for c in present], dtype=np.float64)
-    cls = present[int(rng.choice(len(present), p=w / w.sum()))]
+    cls = weights.pick(counts, rng)
     path, node = locate_node(tree.root, int(rng.integers(0, counts[cls])), cls)
 
     if cls is OpClass.TERM:

@@ -28,6 +28,14 @@ subtree keeps its summary. The readers of fresh trees (node_count,
 max_bool_depth, max_math_chain) use a summary that is present but never
 fill one: parsing and prediction read each tree once, and a fill costs
 more than a plain walk.
+
+Random generation (random_tree, random_subtree) makes its draws from the
+caller's Generator in a fixed order, and a seed reproduces a model only
+while that order holds; tests/test_golden.py pins it. Every uniform real
+is drawn as lo + (hi - lo) * random(): Generator.uniform computes exactly
+that from the same single double, so the numbers and the generator state
+are those of a uniform() call, at a third of its cost. Drawing in batches
+would be faster still, but it changes every tree a seed yields.
 """
 
 from __future__ import annotations
@@ -41,9 +49,12 @@ import numpy as np
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
-# Absolute structural caps. Generation and ordinary variation respect the
-# tighter GenBounds below; only root extension may grow boolean depth past
-# bool_max, and never past these.
+# Structural caps. Generation and ordinary variation respect the tighter
+# GenBounds below; only root extension may grow boolean depth past
+# bool_max. BOOL_DEPTH_CAP is absolute: crossover, mutation and extension
+# never exceed it, and validate() checks it. NODE_CAP is not: only
+# extension_mutation refuses to grow a tree past it, and crossover and
+# mutation may (enforcing it there changes the trees a seed evolves).
 BOOL_DEPTH_CAP = 6
 NODE_CAP = 200
 
@@ -111,6 +122,9 @@ OP_CLASS: Tuple[OpClass, ...] = tuple({
     OpKind.SYMBOL: OpClass.TERM, OpKind.CONST: OpClass.TERM,
 }[kind] for kind in OpKind)
 
+# ARITY as a tuple indexed by the kind, for the generator's per-node loop.
+_ARITY: Tuple[int, ...] = tuple(ARITY[kind] for kind in OpKind)
+
 # The classes and kinds as module globals for the per-node loops: on
 # Python 3.11 reading an enum member off its class is a descriptor call,
 # about 100 ns, several times a global load.
@@ -157,20 +171,27 @@ class Node:
                  payload: Union[int, float, None] = None):
         # Written out rather than generated: a generated __init__ would also
         # call a __post_init__, and the call saved pays for storing summary.
-        store = object.__setattr__
-        store(self, "kind", kind)
-        store(self, "children", children if isinstance(children, tuple) else tuple(children))
+        # The slots are written through their descriptors (bound below the
+        # class), which skips the frozen __setattr__ as object.__setattr__
+        # does, without its attribute-name lookup.
+        _set_kind(self, kind)
+        _set_children(self, children if isinstance(children, tuple) else tuple(children))
         # a float already in (0, 1] is stored as given; anything else (an
         # int, a numpy scalar, NaN, -0.0, a value out of range) is clamped
         # to a Python float, which stores -0.0 and NaN as 0.0
         if weight is not None and not (type(weight) is float and 0.0 < weight <= 1.0):
             weight = min(1.0, max(0.0, float(weight)))
-        store(self, "weight", weight)
+        _set_weight(self, weight)
         if coeffs is not None and not isinstance(coeffs, tuple):
             coeffs = tuple(float(c) for c in coeffs)
-        store(self, "coeffs", coeffs)
-        store(self, "payload", payload)
-        store(self, "summary", None)
+        _set_coeffs(self, coeffs)
+        _set_payload(self, payload)
+        _set_summary(self, None)
+
+
+_set_kind, _set_children, _set_weight, _set_coeffs, _set_payload, _set_summary = (
+    Node.__dict__[name].__set__
+    for name in ("kind", "children", "weight", "coeffs", "payload", "summary"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -385,7 +406,7 @@ def summary(node: Node) -> tuple:
         elif cls is _TERM:
             math_chain = 0
     s = (counts[0], counts[1], counts[2], counts[3], size, slots, bool_depth, math_chain)
-    object.__setattr__(node, "summary", s)
+    _set_summary(node, s)
     return s
 
 
@@ -679,67 +700,97 @@ class _Gen:
     At each level the path's stop rule redraws the target depth uniformly
     over what is still reachable and stops on equality, which makes the
     per-path depth uniform over the allowed range.
+
+    The draw methods are bound once. Uniform reals are drawn through
+    random(), as the module docstring explains: a constant is
+    lo + (hi - lo) * random(), a weight random() itself and a linear
+    coefficient -1.0 + 2.0 * random().
     """
 
-    __slots__ = ("bounds", "n_features", "lo", "hi", "rng", "soft",
-                 "bool_ops", "math_ops")
+    __slots__ = ("integers", "random", "soft", "n_features", "lo", "span",
+                 "bool_ops", "math_ops", "bool_min", "bool_end", "math_min", "math_end")
 
     def __init__(self, variant: Variant, bounds: GenBounds, n_features: int,
                  const_range: Tuple[float, float], rng: np.random.Generator):
         if n_features < 1:
             raise TreeError("need at least one feature")
-        lo, hi = const_range
+        lo, hi = map(float, const_range)
         if lo > hi:
             raise TreeError(f"bad constant range ({lo}, {hi})")
-        self.bounds = bounds
-        self.n_features = n_features
-        self.lo, self.hi = float(lo), float(hi)
-        self.rng = rng
+        span = hi - lo
+        # an infinite or NaN bound makes the width inf or NaN too
+        if not math.isfinite(span):
+            raise TreeError(f"constant range ({lo}, {hi}) does not have a finite width")
+        self.integers = rng.integers
+        self.random = rng.random
         self.soft = variant is Variant.SOFT
+        self.n_features = n_features
+        self.lo = lo
+        self.span = span
         self.bool_ops = _SOFT_BOOL_OPS if self.soft else _HARD_BOOL_OPS
         self.math_ops = _SOFT_MATH_OPS if self.soft else _HARD_MATH_OPS
-
-    def weight(self):
-        return float(self.rng.uniform(0.0, 1.0)) if self.soft else None
+        # the stop rules draw a target depth from [min, end)
+        self.bool_min = bounds.bool_min
+        self.bool_end = bounds.bool_max + 1
+        self.math_min = bounds.math_min
+        self.math_end = bounds.math_max + 1
 
     def term(self) -> Node:
-        if self.rng.integers(0, 2) == 0:
-            return symbol(int(self.rng.integers(0, self.n_features)))
-        return const(float(self.rng.uniform(self.lo, self.hi)))
+        integers = self.integers
+        if integers(0, 2):
+            return Node(_CONST, (), None, None, self.lo + self.span * self.random())
+        return Node(_SYMBOL, (), None, None, int(integers(0, self.n_features)))
 
     def math_child(self, level: int) -> Node:
-        b = self.bounds
-        target = int(self.rng.integers(max(level, b.math_min), b.math_max + 1))
-        if target == level:
-            return self.term()
-        return self.math(level + 1)
+        integers = self.integers
+        m = self.math_min
+        if integers(level if level > m else m, self.math_end) != level:
+            return self.math(level + 1)
+        # term(), written out: half of all nodes are terms drawn here
+        if integers(0, 2):
+            return Node(_CONST, (), None, None, self.lo + self.span * self.random())
+        return Node(_SYMBOL, (), None, None, int(integers(0, self.n_features)))
 
     def math(self, level: int) -> Node:
-        kind = self.math_ops[int(self.rng.integers(0, len(self.math_ops)))]
-        coeffs = None
+        ops = self.math_ops
+        kind = ops[self.integers(0, len(ops))]
+        child = self.math_child
+        n = _ARITY[kind]
         if kind is _LIN2 or kind is _LIN3:
-            coeffs = tuple(float(self.rng.uniform(-1.0, 1.0)) for _ in range(ARITY[kind]))
-        children = tuple(self.math_child(level) for _ in range(ARITY[kind]))
-        return Node(kind, children, coeffs=coeffs)
+            # coefficients are drawn before the children
+            r = self.random
+            if n == 2:
+                coeffs = (-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+                return Node(kind, (child(level), child(level)), None, coeffs)
+            coeffs = (-1.0 + 2.0 * r(), -1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+            return Node(kind, (child(level), child(level), child(level)), None, coeffs)
+        if n == 2:
+            return Node(kind, (child(level), child(level)))
+        return Node(kind, (child(level),))
 
     def cmp(self) -> Node:
-        kind = _CMP_OPS[int(self.rng.integers(0, 2))]
-        w = self.weight()
-        children = tuple(self.math_child(0) for _ in range(2))
-        return Node(kind, children, weight=w)
+        kind = _CMP_OPS[self.integers(0, 2)]
+        w = self.random() if self.soft else None
+        child = self.math_child
+        return Node(kind, (child(0), child(0)), w)
 
     def bool_child(self, level: int) -> Node:
-        b = self.bounds
-        target = int(self.rng.integers(max(level, b.bool_min), b.bool_max + 1))
-        if target == level:
+        m = self.bool_min
+        if self.integers(level if level > m else m, self.bool_end) == level:
             return self.cmp()
         return self.bool(level + 1)
 
     def bool(self, level: int) -> Node:
-        kind = self.bool_ops[int(self.rng.integers(0, len(self.bool_ops)))]
-        w = self.weight()
-        children = tuple(self.bool_child(level) for _ in range(ARITY[kind]))
-        return Node(kind, children, weight=w)
+        ops = self.bool_ops
+        kind = ops[self.integers(0, len(ops))]
+        w = self.random() if self.soft else None
+        child = self.bool_child
+        n = _ARITY[kind]
+        if n == 2:
+            return Node(kind, (child(level), child(level)), w)
+        if n == 1:
+            return Node(kind, (child(level),), w)
+        return Node(kind, (child(level), child(level), child(level)), w)
 
 
 def random_tree(variant: Variant, bounds: GenBounds, n_features: int,
@@ -747,7 +798,7 @@ def random_tree(variant: Variant, bounds: GenBounds, n_features: int,
     """Generate a random valid tree.
 
     Along every root-to-leaf path the boolean depth is uniform on
-    [bool_min, bool_max] and the math depth uniform on [max(math_min,1),
+    [bool_min, bool_max] and the math depth uniform on [math_min,
     math_max] (the comparison layer is always exactly one level). Weights
     are uniform on [0,1], linear coefficients on [-1,1], constants on
     const_range, symbols uniform over the features.

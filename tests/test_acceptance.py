@@ -46,6 +46,9 @@ from softgp.tree import (
     validate,
 )
 
+# the whole gate takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 REPORT = ARTIFACTS / "acceptance_report.txt"
 

@@ -228,3 +228,26 @@ def test_fresh_tree_readers_fill_no_summary(seed, variant):
     s = summary(tree.root)
     assert (node_count(tree.root), max_bool_depth(tree.root), max_math_chain(tree.root)) == \
         (s[tree_mod.SUMMARY_SIZE], s[tree_mod.SUMMARY_BOOL_DEPTH], s[tree_mod.SUMMARY_MATH_CHAIN])
+
+
+mutation_weights = st.tuples(*[st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1e308]),
+                                         st.floats(0.0, 1e308))] * 4).filter(any)
+
+
+@given(mutation_weights, st.lists(st.booleans(), min_size=4, max_size=4), seeds)
+def test_class_pick_matches_generator_choice(ws, flags, seed):
+    weights = MutationWeights(*ws)
+    counts = [3 * f for f in flags]
+    present = [c for c in OpClass if flags[c] and weights.of(c) > 0]
+    w = np.array([weights.of(c) for c in present], dtype=np.float64)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(40):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = present[theirs.choice(len(present), p=w / w.sum())]
+        except ValueError:
+            with pytest.raises(ValueError):
+                weights.pick(counts, ours)
+            break
+        assert weights.pick(counts, ours) is want
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -160,6 +160,22 @@ def test_generation_argument_errors():
         random_tree(Variant.HARD, DEFAULT_BOUNDS, 2, (1.0, -1.0), rng)
 
 
+@pytest.mark.parametrize("const_range", [(0.0, float("nan")), (-1e308, 1e308),
+                                         (float("-inf"), 0.0)])
+def test_generation_rejects_a_constant_range_without_a_finite_width(const_range):
+    # rejected up front, before any draw, so a draw of only symbols cannot
+    # let the range through
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TreeError, match="constant range"):
+        random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, const_range, rng)
+    for cls in OpClass:
+        with pytest.raises(TreeError, match="constant range"):
+            random_subtree(cls, Variant.SOFT, DEFAULT_BOUNDS, 2, const_range, rng,
+                           depth_budget=2)
+    assert rng.bit_generator.state == state
+
+
 def test_random_subtree_root_class_and_budget():
     rng = np.random.default_rng(14)
     for _ in range(200):
