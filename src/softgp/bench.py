@@ -24,7 +24,7 @@ import numpy as np
 from .data import DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split
 from .evolve import Algo, Classifier, EvolutionConfig, fit, score
 from .metrics import MetricsError
-from .tree import ExprTree, eval_batch
+from .tree import THRESHOLD, ExprTree, eval_batch
 
 # The twelve PMLB datasets of the quantitative comparison, by PMLB slug.
 PAPER_DATASETS = (
@@ -251,7 +251,7 @@ def strict_border_fraction(grid: BoundaryGrid) -> float:
     return float(np.mean((a > 0.01) & (a < 0.99)))
 
 
-def write_boundary_csv(grid: BoundaryGrid, path, threshold: float = 0.5) -> None:
+def write_boundary_csv(grid: BoundaryGrid, path) -> None:
     xs = np.linspace(grid.x_range[0], grid.x_range[1], grid.resolution)
     ys = np.linspace(grid.y_range[0], grid.y_range[1], grid.resolution)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -262,5 +262,5 @@ def write_boundary_csv(grid: BoundaryGrid, path, threshold: float = 0.5) -> None
             for x in xs:
                 a = float(grid.activations[i])
                 writer.writerow([repr(float(x)), repr(float(y)), repr(a),
-                                 int(a >= threshold)])
+                                 int(a >= THRESHOLD)])
                 i += 1

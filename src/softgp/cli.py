@@ -30,7 +30,7 @@ from .data import DataError, fetch_pmlb, gen_synthetic, load_table, read_matrix,
 from .evolve import Algo, EvolutionConfig, EvolveError, fit, load_config
 from .metrics import MetricsError
 from .sexpr import ParseError, load_model, save_model
-from .tree import TreeError, eval_batch, validate
+from .tree import THRESHOLD, TreeError, eval_batch, validate
 
 _FAULTS = (DataError, MetricsError, ParseError, TreeError, EvolveError, OSError)
 
@@ -108,7 +108,7 @@ def cmd_predict(args) -> int:
     if x.shape[1] != n_features:
         raise DataError(f"{args.data} has {x.shape[1]} features, "
                         f"model expects {n_features}")
-    labels = (eval_batch(model, x) >= 0.5).astype(int)
+    labels = (eval_batch(model, x) >= THRESHOLD).astype(int)
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)

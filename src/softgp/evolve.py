@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from .genetics import (
     weight_adjustment,
 )
 from .metrics import balanced_accuracy, confusion
-from .tree import ExprTree, GenBounds, Variant, eval_batch, random_tree
+from .tree import DEFAULT_BOUNDS, THRESHOLD, ExprTree, Variant, eval_batch, random_tree
 
 
 class EvolveError(ValueError):
@@ -61,7 +61,6 @@ class EvolutionConfig:
     max_tries_mutation: int = 10
     max_tries_weight: int = 10
     seed: int = 0
-    bounds: GenBounds = field(default_factory=GenBounds)
 
     def __post_init__(self):
         if self.max_generation < 0:
@@ -90,8 +89,7 @@ def parse_config(text: str, base: Optional[EvolutionConfig] = None) -> Evolution
     """Parse flat `key = value` config text over a base config.
 
     Keys are EvolutionConfig field names; unknown keys are errors. Blank
-    lines and lines starting with # are skipped. The structured `bounds`
-    field is not expressible in this format.
+    lines and lines starting with # are skipped.
     """
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,8 +100,6 @@ def parse_config(text: str, base: Optional[EvolutionConfig] = None) -> Evolution
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise EvolveError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key == "bounds":
-            raise EvolveError(f"config line {lineno}: 'bounds' is not settable from a config file")
         if key in _CONFIG_INT_KEYS:
             convert = int
         elif key in _CONFIG_FLOAT_KEYS:
@@ -169,7 +165,7 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     const_range = _const_range(ctx.x)
     weights = MutationWeights()
 
-    pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, cfg.bounds, n, const_range, rng)))
+    pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)))
            for _ in range(cfg.population_size)]
     best_ever = _best(pop)
     gen = 0
@@ -177,18 +173,18 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
         pop = rank_select(pop, rng)
         for i in range(0, len(pop) - 1, 2):
             if rng.random() < cfg.cx_prob:
-                c1, c2 = crossover(pop[i].tree, pop[i + 1].tree, rng, cfg.bounds)
+                c1, c2 = crossover(pop[i].tree, pop[i + 1].tree, rng)
                 pop[i], pop[i + 1] = Individual(c1), Individual(c2)
         for i in range(len(pop)):
             if rng.random() < cfg.mut_prob:
-                pop[i] = mutate(pop[i], weights, n, const_range, rng, cfg.bounds)
+                pop[i] = mutate(pop[i], weights, n, const_range, rng)
         for ind in pop:
             ctx.evaluate(ind)
         gen += 1
         cur = _best(pop)
         if cur.fitness > best_ever.fitness:
             best_ever = cur
-    return Classifier(Algo.GP, best_ever.tree, 0.5, best_ever.fitness, gen, cfg, n)
+    return Classifier(Algo.GP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
 
 
 def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
@@ -203,7 +199,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     pops: List[List[Individual]] = []
     for i in range(num):
         pops.append([ctx.evaluate(Individual(
-            random_tree(Variant.SOFT, cfg.bounds, n, const_range, rngs[i])))
+            random_tree(Variant.SOFT, DEFAULT_BOUNDS, n, const_range, rngs[i])))
             for _ in range(cfg.population_size)])
     bests = [_best(p) for p in pops]
     best_ever = _best(bests)
@@ -214,17 +210,16 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
             pop = rank_select(pops[i], rng)
             for j in range(0, len(pop) - 1, 2):
                 if rng.random() < cfg.cx_prob:
-                    pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng,
-                                                            cfg.bounds)
+                    pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng)
             for j in range(len(pop)):
                 if rng.random() < cfg.mut_prob:
                     pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx, weights,
-                                               n, const_range, rng, cfg.bounds)
+                                               n, const_range, rng)
             for j in range(len(pop)):
                 pop[j] = weight_adjustment(pop[j], cfg.max_tries_weight, ctx, rng)
             for j in range(len(pop)):
                 if rng.random() < cfg.ext_prob:
-                    pop[j] = extension_mutation(pop[j], ctx, n, const_range, rng, cfg.bounds)
+                    pop[j] = extension_mutation(pop[j], ctx, n, const_range, rng)
             pops[i] = pop
             bests[i] = _best(pop)
         if gen % cfg.migration_period == 0:
@@ -237,7 +232,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
             bests[i] = _best(pops[i])
             if bests[i].fitness > best_ever.fitness:
                 best_ever = bests[i]
-    return Classifier(Algo.SGP, best_ever.tree, 0.5, best_ever.fitness, gen, cfg, n)
+    return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
 
 
 def fit(train: Dataset, algo: Algo, cfg: EvolutionConfig) -> Classifier:
@@ -250,8 +245,7 @@ def predict_batch(cls: Classifier, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != cls.n_features:
         raise EvolveError(f"expected {cls.n_features} features, got shape {x.shape}")
     acts = eval_batch(cls.model, x)
-    # hard activations are exactly 0/1, so one threshold rule serves both
-    # variants; activations equal to the threshold count as positive.
+    # activations equal to the threshold count as positive
     return (acts >= cls.threshold).astype(np.int64)
 
 

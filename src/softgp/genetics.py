@@ -27,8 +27,8 @@ from .tree import (
     DEFAULT_BOUNDS,
     NODE_CAP,
     OP_CLASS,
+    THRESHOLD,
     ExprTree,
-    GenBounds,
     Node,
     OpClass,
     OpKind,
@@ -42,7 +42,6 @@ from .tree import (
     eval_batch,
     locate_node,
     locate_weight,
-    max_bool_depth,
     random_subtree,
     random_tree,
     replace_subtree,
@@ -76,6 +75,9 @@ class MutationWeights:
 
     def __post_init__(self):
         vals = (self.boolean, self.comparison, self.mathematical, self.terms)
+        for name, v in zip(("boolean", "comparison", "mathematical", "terms"), vals):
+            if not math.isfinite(v):
+                raise ValueError(f"mutation weight {name} must be finite, got {v!r}")
         if any(v < 0 for v in vals):
             raise ValueError("mutation weights must be nonnegative")
         if all(v == 0 for v in vals):
@@ -120,13 +122,13 @@ class MutationWeights:
 class EvalContext:
     """Binds one training split and scores trees on it.
 
-    Fitness is the balanced accuracy of thresholded activations (>= 0.5
-    maps to label 1; hard activations are already exactly 0/1). The counts
+    Fitness is the balanced accuracy of thresholded activations (>=
+    THRESHOLD maps to label 1, as in prediction). The counts
     feed the same balanced_accuracy formula the metrics module exposes, so
     both routes agree bit for bit.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, threshold: float = 0.5):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
         if self.x.ndim != 2 or y.ndim != 1 or self.x.shape[0] != y.shape[0]:
@@ -134,7 +136,6 @@ class EvalContext:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary")
         self.y = y.astype(np.int64)
-        self.threshold = float(threshold)
         self._pos = self.y == 1
         self._neg = ~self._pos
         self.n_pos = int(self._pos.sum())
@@ -149,7 +150,7 @@ class EvalContext:
     def fitness_of(self, tree: ExprTree, memo: Optional[dict] = None,
                    fill_memo: bool = False) -> float:
         acts = eval_batch(tree, self.x, memo=memo, fill_memo=fill_memo)
-        pred = acts >= self.threshold
+        pred = acts >= THRESHOLD
         tp = int(np.count_nonzero(pred & self._pos))
         fp = int(np.count_nonzero(pred & self._neg))
         cm = ConfusionMatrix(tp=tp, tn=self.n_neg - fp, fp=fp, fn=self.n_pos - tp)
@@ -189,15 +190,16 @@ def rank_select(pop: Sequence[Individual], rng: np.random.Generator) -> List[Ind
     return out
 
 
-def _bool_limit(bounds: GenBounds, *roots: Node) -> int:
-    # Fresh trees stay inside bounds.bool_max; trees already grown past it
-    # by extension keep their status quo but never exceed the absolute cap.
-    depth = max((max_bool_depth(r) for r in roots), default=0)
-    return min(BOOL_DEPTH_CAP, max(bounds.bool_max, depth))
+def _bool_limit(*roots: Node) -> int:
+    # The boolean depth variation may reach: DEFAULT_BOUNDS.bool_max, or
+    # the deepest of the roots when extension has grown one past it, never
+    # more than BOOL_DEPTH_CAP. Both callers have filled the root summaries.
+    depth = max(summary(r)[SUMMARY_BOOL_DEPTH] for r in roots)
+    return min(BOOL_DEPTH_CAP, max(DEFAULT_BOUNDS.bool_max, depth))
 
 
-def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
-              bounds: GenBounds = DEFAULT_BOUNDS) -> Tuple[ExprTree, ExprTree]:
+def crossover(t1: ExprTree, t2: ExprTree,
+              rng: np.random.Generator) -> Tuple[ExprTree, ExprTree]:
     """Swap class-matched random subtrees between two trees.
 
     The crossover point p1 is uniform over t1's nodes; p2 is uniform over
@@ -212,8 +214,8 @@ def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
     n_candidates = summary(t2.root)[cls]
     if not n_candidates:
         return t1, t2
-    bool_max = _bool_limit(bounds, t1.root, t2.root)
-    math_max = bounds.math_max
+    bool_max = _bool_limit(t1.root, t2.root)
+    math_max = DEFAULT_BOUNDS.math_max
     for _ in range(20):
         path2, node2 = locate_node(t2.root, int(rng.integers(0, n_candidates)), cls)
         c1 = replace_subtree(t1.root, path1, node2)
@@ -228,8 +230,7 @@ def crossover(t1: ExprTree, t2: ExprTree, rng: np.random.Generator,
 
 
 def mutate(ind: Individual, weights: MutationWeights, n_features: int,
-           const_range: Tuple[float, float], rng: np.random.Generator,
-           bounds: GenBounds = DEFAULT_BOUNDS) -> Individual:
+           const_range: Tuple[float, float], rng: np.random.Generator) -> Individual:
     """Mutate one node picked by the per-class probability table.
 
     Boolean/comparison/mathematical targets are replaced by fresh random
@@ -248,12 +249,12 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
         else:
             new = const(float(node.payload) + float(rng.standard_normal()))
     elif cls is OpClass.COMPARISON:
-        new = random_subtree(cls, tree.variant, bounds, n_features, const_range, rng,
-                             depth_budget=bounds.math_max)
+        new = random_subtree(cls, tree.variant, DEFAULT_BOUNDS, n_features, const_range, rng,
+                             depth_budget=DEFAULT_BOUNDS.math_max)
     else:
         if cls is OpClass.BOOLEAN:
             # every ancestor of a boolean node is boolean
-            budget = _bool_limit(bounds, tree.root) - len(path)
+            budget = _bool_limit(tree.root) - len(path)
         else:
             maths_above = 0
             cursor = tree.root
@@ -261,19 +262,18 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
                 if OP_CLASS[cursor.kind] is OpClass.MATHEMATICAL:
                     maths_above += 1
                 cursor = cursor.children[i]
-            budget = bounds.math_max - maths_above
-        new = random_subtree(cls, tree.variant, bounds, n_features, const_range, rng,
+            budget = DEFAULT_BOUNDS.math_max - maths_above
+        new = random_subtree(cls, tree.variant, DEFAULT_BOUNDS, n_features, const_range, rng,
                              depth_budget=max(1, budget))
     return Individual(ExprTree(tree.variant, replace_subtree(tree.root, path, new)))
 
 
 def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
-                       rng: np.random.Generator,
-                       bounds: GenBounds = DEFAULT_BOUNDS) -> Tuple[Individual, Individual]:
+                       rng: np.random.Generator) -> Tuple[Individual, Individual]:
     """Crossover that never loses ground: returns the two fittest of
     {parents, children}, preferring children on ties for diversity."""
     _require_evaluated((ind1, ind2))
-    c1, c2 = crossover(ind1.tree, ind2.tree, rng, bounds)
+    c1, c2 = crossover(ind1.tree, ind2.tree, rng)
     # children come first and the sort is stable, so they win fitness ties
     pool = [ctx.evaluate(Individual(c1)), ctx.evaluate(Individual(c2)), ind1, ind2]
     pool.sort(key=lambda ind: -ind.fitness)
@@ -282,8 +282,8 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
 
 def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
                       weights: MutationWeights, n_features: int,
-                      const_range: Tuple[float, float], rng: np.random.Generator,
-                      bounds: GenBounds = DEFAULT_BOUNDS) -> Individual:
+                      const_range: Tuple[float, float],
+                      rng: np.random.Generator) -> Individual:
     """Return the first of up to max_tries mutants that strictly improves
     fitness, else the original."""
     _require_evaluated((ind,))
@@ -296,7 +296,7 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
     memo: dict = {}
     ctx.fitness_of(ind.tree, memo=memo, fill_memo=True)
     for _ in range(max_tries):
-        mutant = mutate(ind, weights, n_features, const_range, rng, bounds)
+        mutant = mutate(ind, weights, n_features, const_range, rng)
         mutant.fitness = ctx.fitness_of(mutant.tree, memo=memo)
         if mutant.fitness > ind.fitness:
             return mutant
@@ -333,8 +333,8 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
 
 
 def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
-                       const_range: Tuple[float, float], rng: np.random.Generator,
-                       bounds: GenBounds = DEFAULT_BOUNDS) -> Individual:
+                       const_range: Tuple[float, float],
+                       rng: np.random.Generator) -> Individual:
     """Graft a new OR root joining the tree with a fresh random subtree.
 
     The new root's weight is 1.0 so the old behavior is preserved wherever
@@ -344,8 +344,8 @@ def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("extension mutation requires a soft tree")
-    fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, bounds, n_features,
-                           const_range, rng, depth_budget=bounds.bool_max)
+    fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, n_features,
+                           const_range, rng, depth_budget=DEFAULT_BOUNDS.bool_max)
     root = Node(OpKind.OR, (ind.tree.root, fresh), weight=1.0)
     s = summary(root)
     if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:

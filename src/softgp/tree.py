@@ -50,13 +50,17 @@ import numpy as np
 FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Structural caps. Generation and ordinary variation respect the tighter
-# GenBounds below; only root extension may grow boolean depth past
+# DEFAULT_BOUNDS below; only root extension may grow boolean depth past
 # bool_max. BOOL_DEPTH_CAP is absolute: crossover, mutation and extension
 # never exceed it, and validate() checks it. NODE_CAP is not: only
 # extension_mutation refuses to grow a tree past it, and crossover and
 # mutation may (enforcing it there changes the trees a seed evolves).
 BOOL_DEPTH_CAP = 6
 NODE_CAP = 200
+
+# An activation at or above THRESHOLD is label 1. Hard activations are
+# exactly 0 or 1, so the one rule serves both variants.
+THRESHOLD = 0.5
 
 
 class TreeError(ValueError):
@@ -202,14 +206,13 @@ class ExprTree:
 
 @dataclass(frozen=True)
 class GenBounds:
-    """Per-path operator-type chain bounds used by the random generator."""
+    """Per-path boolean and math chain bounds used by the random generator
+    (every path has exactly one comparison and one term)."""
 
     bool_min: int = 1
     bool_max: int = 3
-    cmp_exact: int = 1
     math_min: int = 1
     math_max: int = 4
-    term_exact: int = 1
 
     def __post_init__(self):
         if not (1 <= self.bool_min <= self.bool_max):
@@ -218,6 +221,8 @@ class GenBounds:
             raise TreeError(f"bad math bounds [{self.math_min}, {self.math_max}]")
 
 
+# The tree shape evolution uses: every fit generates and varies trees
+# under these bounds.
 DEFAULT_BOUNDS = GenBounds()
 
 # Bounds accepted by validate(): math chains may be empty (a comparison
@@ -437,15 +442,6 @@ def locate_node(root: Node, k: int,
             k -= n
         path.append(i)
         node = c
-
-
-def min_features(tree: ExprTree) -> int:
-    """Smallest feature count the tree can be evaluated against."""
-    best = -1
-    for _, node in iter_nodes(tree.root):
-        if node.kind is _SYMBOL:
-            best = max(best, int(node.payload))
-    return best + 1
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_hard_model_has_zero_border_fraction():
 def test_write_boundary_csv(tmp_path):
     grid = boundary_grid(le_model(), 3, (-1.0, 1.0), (-1.0, 1.0))
     p = tmp_path / "boundary.csv"
-    write_boundary_csv(grid, p, threshold=0.5)
+    write_boundary_csv(grid, p)
     with open(p, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "activation", "label"]
@@ -275,3 +275,13 @@ def test_write_boundary_csv(tmp_path):
     assert (float(first[0]), float(first[1])) == (-1.0, -1.0)
     for x, y, act, label in rows[1:]:
         assert int(label) == (1 if float(act) >= 0.5 else 0)
+
+
+def test_write_boundary_csv_labels_a_tie_positive(tmp_path):
+    grid = BoundaryGrid(2, (0.0, 1.0), (0.0, 1.0), np.array([0.0, 0.5, 0.4999999999999999, 1.0]))
+    p = tmp_path / "boundary.csv"
+    write_boundary_csv(grid, p)
+    with open(p, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [(float(act), int(label)) for _, _, act, label in rows[1:]] == \
+        [(0.0, 0), (0.5, 1), (0.4999999999999999, 0), (1.0, 1)]

@@ -2,13 +2,15 @@ import csv
 import gzip
 import os
 
+import numpy as np
 import pytest
 
 import softgp.data
 from softgp.cli import main
 from softgp.data import load_table
+from softgp.evolve import Algo, Classifier, EvolutionConfig, predict_batch
 from softgp.sexpr import load_model, save_model
-from softgp.tree import ExprTree, OpKind, Variant, const, op, symbol
+from softgp.tree import THRESHOLD, ExprTree, OpKind, Variant, const, op, symbol
 
 
 def run(argv):
@@ -94,6 +96,22 @@ def test_predict_to_stdout(tmp_path, capsys):
     assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["label", "1", "0"]
+
+
+def test_predict_labels_an_activation_of_one_half_positive(tmp_path, capsys):
+    # activation 0.5 * (1 - [x0 < 0]): exactly 0.5 wherever x0 >= 0
+    tree = ExprTree(Variant.SOFT, op(OpKind.NOT,
+                                     op(OpKind.LT, symbol(0), const(0.0), weight=1.0),
+                                     weight=0.5))
+    model = tmp_path / "m.sgp"
+    save_model(model, tree, 1)
+    data = tmp_path / "d.csv"
+    data.write_text("x0\n2\n0\n-2\n")
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
+    labels = [int(v) for v in capsys.readouterr().out.splitlines()[1:]]
+    cls = Classifier(Algo.SGP, tree, THRESHOLD, 1.0, 0, EvolutionConfig(), 1)
+    expected = predict_batch(cls, np.array([[2.0], [0.0], [-2.0]])).tolist()
+    assert labels == expected == [1, 1, 0]
 
 
 def test_predict_ignores_a_target_column(tmp_path, capsys):

@@ -67,7 +67,7 @@ def test_parse_config_errors():
         parse_config("max_generation = many")
     with pytest.raises(EvolveError, match="expected 'key = value'"):
         parse_config("max_generation")
-    with pytest.raises(EvolveError, match="not settable"):
+    with pytest.raises(EvolveError, match="unknown key 'bounds'"):
         parse_config("bounds = 3")
     # invalid combinations still go through EvolutionConfig validation
     with pytest.raises(EvolveError, match="cx_prob"):

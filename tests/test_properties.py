@@ -31,7 +31,6 @@ from softgp.tree import (
     locate_weight,
     max_bool_depth,
     max_math_chain,
-    min_features,
     node_count,
     random_subtree,
     random_tree,
@@ -220,7 +219,6 @@ def test_fresh_tree_readers_fill_no_summary(seed, variant):
         node_count(t.root)
         max_bool_depth(t.root)
         max_math_chain(t.root)
-        min_features(t)
         validate(t, N_FEATURES)
         eval_batch(t, x)
         assert all(n.summary is None for _, n in iter_nodes(t.root))

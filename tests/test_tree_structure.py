@@ -27,7 +27,6 @@ from softgp.tree import (
     locate_weight,
     max_bool_depth,
     max_math_chain,
-    min_features,
     node_count,
     op,
     random_subtree,
@@ -244,7 +243,6 @@ def test_node_count_and_depth_helpers():
     assert node_count(t.root) == 12
     assert max_bool_depth(t.root) == 2
     assert max_math_chain(t.root) == 1
-    assert min_features(t) == 2
 
 
 def test_summary_of_the_sample_tree():
@@ -269,11 +267,6 @@ def test_summary_follows_the_readers_on_a_malformed_tree():
     assert expected == ([summary(n)[4] for n in nodes], [summary(n)[6] for n in nodes],
                         [summary(n)[7] for n in nodes])
     assert summary(odd)[6] == 1 and summary(odd.children[0])[6] == 0
-
-
-def test_min_features_without_symbols():
-    t = ExprTree(Variant.HARD, op(OpKind.NOT, op(OpKind.GT, const(1.0), const(0.0))))
-    assert min_features(t) == 0
 
 
 def test_subtree_at_and_replace_errors():
