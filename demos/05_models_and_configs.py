@@ -11,8 +11,6 @@ from softgp.data import gen_synthetic
 from softgp.evolve import Algo, EvolutionConfig, fit, parse_config
 from softgp.sexpr import format_model, load_model, save_model
 
-workdir = tempfile.mkdtemp(prefix="softgp-demo-")
-
 # Configs are flat key = value text with EvolutionConfig field names.
 cfg_text = """
 # quick demo settings
@@ -29,14 +27,15 @@ print(f"\ntrain balanced accuracy {cls.train_fitness:.4f}")
 
 # Model files are a one-line header plus the s-expression. repr() floats
 # make the round trip exact, which is what keeps reruns byte-identical.
-path = os.path.join(workdir, "moons.sgp")
-save_model(path, cls.model, cls.n_features)
-print(f"\nsaved {path}:")
-with open(path) as fh:
-    print(fh.read().rstrip())
+with tempfile.TemporaryDirectory(prefix="softgp-demo-") as workdir:
+    path = os.path.join(workdir, "moons.sgp")
+    save_model(path, cls.model, cls.n_features)
+    print(f"\nsaved {path}:")
+    with open(path) as fh:
+        print(fh.read().rstrip())
 
-tree, n_features = load_model(path)
-assert format_model(tree, n_features) == format_model(cls.model, cls.n_features)
+    tree, n_features = load_model(path)
+    assert format_model(tree, n_features) == format_model(cls.model, cls.n_features)
 print("\nround trip ok")
 
 print("\nCLI equivalents:")

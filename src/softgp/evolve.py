@@ -207,19 +207,21 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
         for i in range(num):
             rng = rngs[i]
-            pop = rank_select(pops[i], rng)
-            for j in range(0, len(pop) - 1, 2):
-                if rng.random() < cfg.cx_prob:
-                    pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng)
-            for j in range(len(pop)):
-                if rng.random() < cfg.mut_prob:
-                    pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx, weights,
-                                               n, const_range, rng)
-            for j in range(len(pop)):
-                pop[j] = weight_adjustment(pop[j], cfg.max_tries_weight, ctx, rng)
-            for j in range(len(pop)):
-                if rng.random() < cfg.ext_prob:
-                    pop[j] = extension_mutation(pop[j], ctx, n, const_range, rng)
+            # the operators share activations within one island's generation
+            with ctx.generation():
+                pop = rank_select(pops[i], rng)
+                for j in range(0, len(pop) - 1, 2):
+                    if rng.random() < cfg.cx_prob:
+                        pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng)
+                for j in range(len(pop)):
+                    if rng.random() < cfg.mut_prob:
+                        pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx,
+                                                   weights, n, const_range, rng)
+                for j in range(len(pop)):
+                    pop[j] = weight_adjustment(pop[j], cfg.max_tries_weight, ctx, rng)
+                for j in range(len(pop)):
+                    if rng.random() < cfg.ext_prob:
+                        pop[j] = extension_mutation(pop[j], ctx, n, const_range, rng)
             pops[i] = pop
             bests[i] = _best(pop)
         if gen % cfg.migration_period == 0:

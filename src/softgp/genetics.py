@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import ConfusionMatrix, MetricsError, balanced_accuracy
+from .metrics import MetricsError
 from .tree import (
     BOOL_DEPTH_CAP,
     DEFAULT_BOUNDS,
@@ -123,9 +124,21 @@ class EvalContext:
     """Binds one training split and scores trees on it.
 
     Fitness is the balanced accuracy of thresholded activations (>=
-    THRESHOLD maps to label 1, as in prediction). The counts
-    feed the same balanced_accuracy formula the metrics module exposes, so
-    both routes agree bit for bit.
+    THRESHOLD maps to label 1, as in prediction). The counts feed the
+    formula of metrics.balanced_accuracy, so both routes agree bit for
+    bit. Trees are evaluated on the rows reordered positives first, which
+    makes the counts two slices; x is checked for non-finite cells once.
+
+    While a generation() block is open the context keeps an activation
+    cache: id(node) -> the node's activation array on the training rows,
+    for every operator node of each tree filled (fill) or admitted
+    (admit) since the block opened. fitness_of reads it, so a tree that
+    shares subtrees with cached trees evaluates only its new nodes. The
+    root of every cached tree is held until the block closes, so no id
+    key can be reused by a new node. The block empties the cache when it
+    opens and when it closes; it holds at most one array of 8 bytes per
+    training row for each operator node of the trees cached within it.
+    Outside a block nothing is cached.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -136,25 +149,56 @@ class EvalContext:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary")
         self.y = y.astype(np.int64)
-        self._pos = self.y == 1
-        self._neg = ~self._pos
-        self.n_pos = int(self._pos.sum())
-        self.n_neg = int(self._neg.sum())
+        pos = self.y == 1
+        self.n_pos = int(pos.sum())
+        self.n_neg = len(pos) - self.n_pos
         if self.n_pos == 0 or self.n_neg == 0:
             raise MetricsError("degenerate labels: training split contains a single class")
+        # activations are elementwise per row, so reordering the rows
+        # reorders them and changes no count
+        self._rows = np.concatenate((self.x[pos], self.x[~pos]))
+        self._finite = bool(np.isfinite(self._rows).all())
+        self._cache: Optional[dict] = None
+        self._pinned: List[Node] = []
 
     @property
     def n_features(self) -> int:
         return self.x.shape[1]
 
-    def fitness_of(self, tree: ExprTree, memo: Optional[dict] = None,
-                   fill_memo: bool = False) -> float:
-        acts = eval_batch(tree, self.x, memo=memo, fill_memo=fill_memo)
+    @contextmanager
+    def generation(self):
+        """Cache activations for the duration of the block (one island's
+        generation); the cache is empty when the block opens and closes."""
+        self._cache = {}
+        try:
+            yield
+        finally:
+            self._cache = None
+            self._pinned = []
+
+    def fitness_of(self, tree: ExprTree, fresh: Optional[dict] = None) -> float:
+        """The tree's fitness, reading the cache; the arrays computed for
+        it go to fresh when given, for admit to cache."""
+        acts = eval_batch(tree, self._rows, memo=self._cache, store=fresh, finite=self._finite)
         pred = acts >= THRESHOLD
-        tp = int(np.count_nonzero(pred & self._pos))
-        fp = int(np.count_nonzero(pred & self._neg))
-        cm = ConfusionMatrix(tp=tp, tn=self.n_neg - fp, fp=fp, fn=self.n_pos - tp)
-        return balanced_accuracy(cm)
+        tp = int(np.count_nonzero(pred[:self.n_pos]))
+        tn = self.n_neg - int(np.count_nonzero(pred[self.n_pos:]))
+        return 0.5 * (tp / self.n_pos + tn / self.n_neg)
+
+    def admit(self, tree: ExprTree, fresh: dict) -> None:
+        """Cache what fitness_of(tree, fresh) computed, the tree having
+        entered the population."""
+        if self._cache is not None:
+            self._pinned.append(tree.root)
+            self._cache.update(fresh)
+
+    def fill(self, tree: ExprTree) -> None:
+        """Cache the activations of a tree of the population, unless its
+        root is cached already."""
+        cache = self._cache
+        if cache is not None and id(tree.root) not in cache:
+            self._pinned.append(tree.root)
+            eval_batch(tree, self._rows, memo=cache, store=cache, finite=self._finite)
 
     def evaluate(self, ind: Individual) -> Individual:
         if ind.fitness is None:
@@ -229,16 +273,11 @@ def crossover(t1: ExprTree, t2: ExprTree,
     return t1, t2
 
 
-def mutate(ind: Individual, weights: MutationWeights, n_features: int,
-           const_range: Tuple[float, float], rng: np.random.Generator) -> Individual:
-    """Mutate one node picked by the per-class probability table.
-
-    Boolean/comparison/mathematical targets are replaced by fresh random
-    subtrees of the same class sized to respect the path depth limits.
-    Term targets mutate in place: a symbol re-draws its feature index, a
-    constant c becomes c + r with r standard normal.
-    """
-    tree = ind.tree
+def _draw_mutation(tree: ExprTree, weights: MutationWeights, n_features: int,
+                   const_range: Tuple[float, float],
+                   rng: np.random.Generator) -> Tuple[Tuple[int, ...], Node, Node]:
+    # mutate's draws: the path to the node it replaces, that node and its
+    # replacement
     counts = summary(tree.root)
     cls = weights.pick(counts, rng)
     path, node = locate_node(tree.root, int(rng.integers(0, counts[cls])), cls)
@@ -265,18 +304,44 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
             budget = DEFAULT_BOUNDS.math_max - maths_above
         new = random_subtree(cls, tree.variant, DEFAULT_BOUNDS, n_features, const_range, rng,
                              depth_budget=max(1, budget))
+    return path, node, new
+
+
+def mutate(ind: Individual, weights: MutationWeights, n_features: int,
+           const_range: Tuple[float, float], rng: np.random.Generator) -> Individual:
+    """Mutate one node picked by the per-class probability table.
+
+    Boolean/comparison/mathematical targets are replaced by fresh random
+    subtrees of the same class sized to respect the path depth limits.
+    Term targets mutate in place: a symbol re-draws its feature index, a
+    constant c becomes c + r with r standard normal.
+    """
+    tree = ind.tree
+    path, _, new = _draw_mutation(tree, weights, n_features, const_range, rng)
     return Individual(ExprTree(tree.variant, replace_subtree(tree.root, path, new)))
 
 
 def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
                        rng: np.random.Generator) -> Tuple[Individual, Individual]:
     """Crossover that never loses ground: returns the two fittest of
-    {parents, children}, preferring children on ties for diversity."""
+    {parents, children}, preferring children on ties for diversity.
+
+    The parents are cached first, so each child evaluates only the path
+    crossover rebuilt; a child is cached only when it is kept."""
     _require_evaluated((ind1, ind2))
+    ctx.fill(ind1.tree)
+    ctx.fill(ind2.tree)
     c1, c2 = crossover(ind1.tree, ind2.tree, rng)
+    fresh1: dict = {}
+    fresh2: dict = {}
+    k1 = Individual(c1, ctx.fitness_of(c1, fresh1))
+    k2 = Individual(c2, ctx.fitness_of(c2, fresh2))
     # children come first and the sort is stable, so they win fitness ties
-    pool = [ctx.evaluate(Individual(c1)), ctx.evaluate(Individual(c2)), ind1, ind2]
+    pool = [k1, k2, ind1, ind2]
     pool.sort(key=lambda ind: -ind.fitness)
+    for kid, fresh in ((k1, fresh1), (k2, fresh2)):
+        if kid is pool[0] or kid is pool[1]:
+            ctx.admit(kid.tree, fresh)
     return pool[0], pool[1]
 
 
@@ -284,22 +349,28 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
                       weights: MutationWeights, n_features: int,
                       const_range: Tuple[float, float],
                       rng: np.random.Generator) -> Individual:
-    """Return the first of up to max_tries mutants that strictly improves
-    fitness, else the original."""
+    """Return the first of up to max_tries mutants (drawn as mutate draws
+    them) that strictly improves fitness, else the original."""
     _require_evaluated((ind,))
     if ind.fitness >= 1.0 or max_tries <= 0:
         # nothing can strictly improve; returning early is observationally
         # identical to trying and rejecting every mutant
         return ind
     # mutants share every untouched subtree with the original, so their
-    # evaluation reuses the original's per-node activations
-    memo: dict = {}
-    ctx.fitness_of(ind.tree, memo=memo, fill_memo=True)
+    # evaluation reuses the original's cached activations
+    tree = ind.tree
+    ctx.fill(tree)
     for _ in range(max_tries):
-        mutant = mutate(ind, weights, n_features, const_range, rng)
-        mutant.fitness = ctx.fitness_of(mutant.tree, memo=memo)
-        if mutant.fitness > ind.fitness:
-            return mutant
+        path, old, new = _draw_mutation(tree, weights, n_features, const_range, rng)
+        if new == old:
+            # the mutant equals the original, so it can only tie
+            continue
+        mutant = ExprTree(tree.variant, replace_subtree(tree.root, path, new))
+        fresh: dict = {}
+        f = ctx.fitness_of(mutant, fresh)
+        if f > ind.fitness:
+            ctx.admit(mutant, fresh)
+            return Individual(mutant, f)
     return ind
 
 
@@ -310,8 +381,8 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     Each try perturbs one uniformly chosen weight of the original tree by
     Normal(0, 0.1) (operator weights clamp to [0,1]) and accepts the first
     strict fitness improvement. Candidates share all untouched subtrees
-    with the original, so their evaluation reuses the original's per-node
-    activations via the memo.
+    with the original, so their evaluation reuses the original's cached
+    activations.
     """
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
@@ -321,13 +392,14 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     n_slots = summary(ind.tree.root)[SUMMARY_SLOTS]
     if not n_slots:
         return ind
-    memo: dict = {}
-    ctx.fitness_of(ind.tree, memo=memo, fill_memo=True)
+    ctx.fill(ind.tree)
     for _ in range(max_tries):
         loc, w = locate_weight(ind.tree, int(rng.integers(0, n_slots)))
         candidate = set_weight(ind.tree, loc, w + float(rng.normal(0.0, 0.1)))
-        f = ctx.fitness_of(candidate, memo=memo)
+        fresh: dict = {}
+        f = ctx.fitness_of(candidate, fresh)
         if f > ind.fitness:
+            ctx.admit(candidate, fresh)
             return Individual(candidate, f)
     return ind
 
@@ -351,7 +423,9 @@ def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
     if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:
         return ind
     extended = ExprTree(Variant.SOFT, root)
-    f = ctx.fitness_of(extended)
+    fresh: dict = {}
+    f = ctx.fitness_of(extended, fresh)
     if f >= ind.fitness:
+        ctx.admit(extended, fresh)
         return Individual(extended, f)
     return ind

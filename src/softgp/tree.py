@@ -558,19 +558,20 @@ def _sat_scalar(v):
     return v
 
 
-def _walk(root: Node, x: np.ndarray, memo: Optional[dict], fill_memo: bool,
+def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
           trap: bool) -> np.ndarray:
     """One recursive evaluation pass; eval_batch documents the two modes.
 
     With trap=True the caller has made overflow and invalid operations
     raise, array results are left unclamped, and a non-finite constant or
     coefficient raises FloatingPointError as well, since inf operands
-    yield inf without raising. Only array results are memoised: scalars
-    are cheap to recompute, and keeping them out of the memo means every
-    literal passes the trap before it reaches an array.
+    yield inf without raising. Only operator results that are arrays are
+    looked up and stored: a symbol's column of x is a view, cheaper to
+    take again than to look up, and scalars are cheap to recompute;
+    keeping them out of the memo means every literal passes the trap
+    before it reaches an array.
     """
     sat = _sat_scalar if trap else _sat
-    store = memo if fill_memo else None
     isfinite = math.isfinite
 
     def ev(node: Node):
@@ -580,16 +581,15 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], fill_memo: bool,
             if trap and not isfinite(r):
                 raise FloatingPointError(f"non-finite constant {r!r}")
             return r
+        if k is _SYMBOL:
+            return x[:, node.payload]
         if memo is not None:
             hit = memo.get(id(node))
             if hit is not None:
                 return hit
         ch = node.children
-        # ordered by frequency: terms are about half of all nodes, the
-        # math layer most of the rest
-        if k is _SYMBOL:
-            r = x[:, node.payload]
-        elif k is _ADD:
+        # ordered by frequency: the math layer is most of the operators
+        if k is _ADD:
             r = sat(ev(ch[0]) + ev(ch[1]))
         elif k is _MUL:
             r = sat(ev(ch[0]) * ev(ch[1]))
@@ -630,22 +630,28 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], fill_memo: bool,
             store[id(node)] = r
         return r
 
-    out = np.asarray(ev(root), dtype=np.float64)
+    try:
+        out = np.asarray(ev(root), dtype=np.float64)
+    finally:
+        # ev refers to itself through its closure; breaking that cycle here
+        # frees memo, store and their arrays now rather than at the next
+        # cyclic garbage collection
+        del ev
     if out.ndim == 0:
         out = np.full(x.shape[0], float(out))
     return out
 
 
 def _eval_saturating(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-                     fill_memo: bool = False) -> np.ndarray:
+                     store: Optional[dict] = None) -> np.ndarray:
     # The reference semantics: every math-node result is clamped. eval_batch
     # falls back to it, and the tests compare eval_batch against it.
     with np.errstate(over="ignore"):
-        return _walk(tree.root, x, memo, fill_memo, trap=False)
+        return _walk(tree.root, x, memo, store, trap=False)
 
 
 def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-               fill_memo: bool = False) -> np.ndarray:
+               store: Optional[dict] = None, finite: Optional[bool] = None) -> np.ndarray:
     """Evaluate the tree on a (rows, n_features) matrix; returns (rows,).
 
     Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
@@ -656,26 +662,34 @@ def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
     operation overflows or is invalid, a constant or coefficient is not
     finite, or x has a non-finite cell, the saturating pass (which clamps
     every math-node result) computes the result instead; either way the
-    bits are those of the saturating pass.
+    bits are those of the saturating pass. finite says whether every cell
+    of x is finite, for a caller that evaluates many trees on one matrix
+    and has checked it once; None checks here.
 
-    When memo is given, per-node activations are looked up by object
-    identity, which makes re-evaluating a slightly edited copy of a tree
-    cheap (unchanged subtrees are shared). Pass fill_memo=True on the
-    evaluation whose nodes should populate the memo; the caller must keep
-    every contributing tree alive for as long as the memo is reused, and
-    must not mutate returned arrays. Entries are exact whichever pass
-    wrote them, so the fallback reuses those a trapped pass wrote.
+    memo and store make re-evaluating a slightly edited copy of a tree
+    cheap, since unchanged subtrees are shared: each operator node's
+    activation array is looked up in memo by the node's id() before it is
+    computed, and every array computed is put in store (which may be memo
+    itself). Symbols and constants are never looked up or stored. Every
+    node whose id is a key of memo must stay alive while memo is in use,
+    or a new node could reuse the id, and returned arrays must not be
+    mutated. Entries are exact whichever pass wrote them, so when store is
+    memo the fallback reuses those the trapped pass wrote. An entry holds
+    8 bytes per row of x; the caller owns both dicts and decides how long
+    they live (genetics.EvalContext keeps one for an island generation).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
-    if np.isfinite(x).all():
+    if finite is None:
+        finite = bool(np.isfinite(x).all())
+    if finite:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return _walk(tree.root, x, memo, fill_memo, trap=True)
+                return _walk(tree.root, x, memo, store, trap=True)
         except FloatingPointError:
             pass
-    return _eval_saturating(tree, x, memo, fill_memo)
+    return _eval_saturating(tree, x, memo, store)
 
 
 def eval_row(tree: ExprTree, row: Sequence[float]) -> float:
@@ -695,7 +709,9 @@ class _Gen:
 
     At each level the path's stop rule redraws the target depth uniformly
     over what is still reachable and stops on equality, which makes the
-    per-path depth uniform over the allowed range.
+    per-path depth uniform over the allowed range. When only one depth is
+    reachable the rule takes it without a draw: integers(a, a + 1)
+    returns a and leaves the generator state as it was.
 
     The draw methods are bound once. Uniform reals are drawn through
     random(), as the module docstring explains: a constant is
@@ -740,7 +756,9 @@ class _Gen:
     def math_child(self, level: int) -> Node:
         integers = self.integers
         m = self.math_min
-        if integers(level if level > m else m, self.math_end) != level:
+        lo = level if level > m else m
+        end = self.math_end
+        if (lo if lo + 1 == end else integers(lo, end)) != level:
             return self.math(level + 1)
         # term(), written out: half of all nodes are terms drawn here
         if integers(0, 2):
@@ -772,7 +790,9 @@ class _Gen:
 
     def bool_child(self, level: int) -> Node:
         m = self.bool_min
-        if self.integers(level if level > m else m, self.bool_end) == level:
+        lo = level if level > m else m
+        end = self.bool_end
+        if (lo if lo + 1 == end else self.integers(lo, end)) == level:
             return self.cmp()
         return self.bool(level + 1)
 

@@ -38,3 +38,4 @@ def test_demo_runs_and_leaves_the_checkout_unchanged(demo, tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert git_status() == before
+    assert not list(tmp_path.glob("softgp-demo-*")), "the demo left its temporary directory"

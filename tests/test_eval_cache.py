@@ -1,0 +1,262 @@
+"""The activation cache EvalContext keeps for one island generation.
+
+Every evaluation served partly from the cache must give the bytes of an
+uncached evaluation; only trees that enter the population may fill it;
+it holds nothing between island generations; and no id key may outlive
+its node.
+"""
+
+import gc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import softgp.evolve as evolve_mod
+import softgp.genetics as genetics_mod
+import softgp.tree as tree_mod
+from softgp.data import gen_synthetic
+from softgp.evolve import EvolutionConfig, fit_sgp
+from softgp.genetics import (
+    EvalContext,
+    Individual,
+    MutationWeights,
+    extension_mutation,
+    mutate,
+    positive_crossover,
+    positive_mutation,
+    weight_adjustment,
+)
+from softgp.metrics import balanced_accuracy, confusion
+from softgp.tree import (
+    DEFAULT_BOUNDS,
+    SUMMARY_SLOTS,
+    THRESHOLD,
+    ExprTree,
+    OpKind,
+    Variant,
+    eval_batch,
+    iter_nodes,
+    locate_weight,
+    op,
+    random_tree,
+    set_weight,
+    summary,
+    symbol,
+)
+
+WEIGHTS = MutationWeights()
+SMALL = EvolutionConfig(max_generation=3, population_size=12, population_num=2,
+                        migration_period=2)
+
+
+def moons(scale=1.0):
+    ds = gen_synthetic("moons", 90, 0.3, seed=4)
+    return replace(ds, x=ds.x * scale)
+
+
+def node_ids(*roots):
+    return {id(n) for r in roots for _, n in iter_nodes(r)}
+
+
+class Recording(EvalContext):
+    """An EvalContext that remembers every instance a fit creates."""
+
+    made = []
+
+    def __init__(self, x, y):
+        super().__init__(x, y)
+        Recording.made.append(self)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    Recording.made = []
+    monkeypatch.setattr(evolve_mod, "EvalContext", Recording)
+    return Recording.made
+
+
+# --- whole fits -----------------------------------------------------------------
+
+@pytest.mark.parametrize("scale, seed", [(1.0, 0), (1.0, 5), (1e200, 1), (1e200, 8)])
+def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
+    # at 1e200 products overflow, so many evaluations take the saturating
+    # fallback with a cache in use
+    real = eval_batch
+    seen = {"hits": 0, "fallbacks": 0}
+
+    def checked(tree, x, memo=None, store=None, finite=None):
+        got = real(tree, x, memo=memo, store=store, finite=finite)
+        assert got.tobytes() == real(tree, x).tobytes()
+        if memo:
+            seen["hits"] += any(id(n) in memo for _, n in iter_nodes(tree.root))
+        return got
+
+    monkeypatch.setattr(genetics_mod, "eval_batch", checked)
+    real_pass = tree_mod._eval_saturating
+
+    def counting(*args, **kwargs):
+        seen["fallbacks"] += 1
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_eval_saturating", counting)
+    fit_sgp(moons(scale), replace(SMALL, seed=seed))
+    assert seen["hits"] > 0
+    if scale > 1.0:
+        assert seen["fallbacks"] > 0
+
+
+def test_the_cache_is_empty_between_island_generations(recorded, monkeypatch):
+    sizes = []
+
+    def check_empty():
+        ctx = recorded[0]
+        assert ctx._cache is None and ctx._pinned == []
+
+    real_best = evolve_mod._best
+
+    def best(pop):
+        # called after each island's generation and around migration
+        check_empty()
+        return real_best(pop)
+
+    real_select = evolve_mod.rank_select
+
+    def select(pop, rng):
+        # the first call of an island's generation
+        ctx = recorded[0]
+        assert ctx._cache == {} and ctx._pinned == []
+        return real_select(pop, rng)
+
+    real_weights = evolve_mod.weight_adjustment
+
+    def weights(ind, tries, ctx, rng):
+        out = real_weights(ind, tries, ctx, rng)
+        sizes.append(len(ctx._cache))
+        return out
+
+    monkeypatch.setattr(evolve_mod, "_best", best)
+    monkeypatch.setattr(evolve_mod, "rank_select", select)
+    monkeypatch.setattr(evolve_mod, "weight_adjustment", weights)
+    fit_sgp(moons(), SMALL)
+    check_empty()
+    assert max(sizes) > 0
+
+
+# --- operators one at a time ------------------------------------------------------
+
+@pytest.fixture
+def ctx():
+    ds = moons()
+    return EvalContext(ds.x, ds.y)
+
+
+def population(ctx, rng, n=16):
+    return [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0),
+                                                rng)))
+            for _ in range(n)]
+
+
+def test_rejected_candidates_never_enter_the_cache(ctx, monkeypatch):
+    rng = np.random.default_rng(12)
+    pop = population(ctx, rng)
+    scored = []  # every candidate tree fitness_of scored, kept alive
+    real = EvalContext.fitness_of
+
+    def recording(self, tree, fresh=None):
+        scored.append(tree)
+        return real(self, tree, fresh)
+
+    monkeypatch.setattr(EvalContext, "fitness_of", recording)
+    operators = [
+        lambda i: positive_crossover(pop[i], pop[(i + 1) % len(pop)], ctx, rng),
+        lambda i: (positive_mutation(pop[i], 10, ctx, WEIGHTS, 2, (-2.0, 2.0), rng),),
+        lambda i: (weight_adjustment(pop[i], 10, ctx, rng),),
+        lambda i: (extension_mutation(pop[i], ctx, 2, (-2.0, 2.0), rng),),
+    ]
+    rejected = kept = 0
+    with ctx.generation():
+        for step in range(120):
+            i = step % len(pop)
+            before = len(scored)
+            out = operators[step % 4](i)
+            for ind in out:
+                pop[i] = ind
+            outputs = {id(ind.tree) for ind in out}
+            pinned = node_ids(*ctx._pinned)
+            assert set(ctx._cache) <= pinned
+            for cand in scored[before:]:
+                if id(cand) in outputs:
+                    kept += 1
+                    continue
+                rejected += 1
+                own = node_ids(cand.root) - pinned
+                assert all(cand.root is not root for root in ctx._pinned)
+                assert not own & set(ctx._cache)
+    assert rejected > 50 and kept > 5
+
+
+def test_no_stale_id_hit_after_many_dropped_candidates(ctx):
+    rng = np.random.default_rng(3)
+    x = ctx._rows
+    uncached = lambda t: eval_batch(t, x).tobytes()  # noqa: E731
+    with ctx.generation():
+        for _ in range(60):
+            # admitted trees are held only by the cache's pins
+            t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
+            fresh = {}
+            ctx.fitness_of(t, fresh)
+            if rng.random() < 0.5:
+                ctx.admit(t, fresh)
+            else:
+                ctx.fill(t)
+            # edits of it, scored and dropped, as rejected candidates are
+            for _ in range(5):
+                loc, w = locate_weight(t, int(rng.integers(0, summary(t.root)[SUMMARY_SLOTS])))
+                cand = set_weight(t, loc, w + 0.3)
+                fresh = {}
+                ctx.fitness_of(cand, fresh)
+                assert fresh[id(cand.root)].tobytes() == uncached(cand)
+            del t, cand, fresh
+            gc.collect()
+            # new trees reuse the freed memory, and so the ids
+            for _ in range(5):
+                new = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
+                acts = eval_batch(new, x, memo=ctx._cache, finite=True)
+                assert acts.tobytes() == uncached(new)
+        for root in ctx._pinned:
+            t = ExprTree(Variant.SOFT, root)
+            assert eval_batch(t, x, memo=ctx._cache).tobytes() == uncached(t)
+
+
+# --- the smaller parts ------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_fitness_matches_the_metrics_module_on_non_finite_rows():
+    x = np.array([[np.inf, 1.0], [0.5, -np.inf], [2.0, 0.0], [-np.inf, 3.0], [1.0, 1.0]])
+    y = np.array([1, 0, 1, 0, 0])
+    ctx = EvalContext(x, y)
+    assert not ctx._finite
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
+        preds = (eval_batch(t, x) >= THRESHOLD).astype(np.int64)
+        assert ctx.fitness_of(t) == balanced_accuracy(confusion(y, preds))
+
+
+def test_a_mutant_equal_to_its_parent_is_not_scored(ctx, monkeypatch):
+    # one feature and terms only: every mutant redraws symbol 0 as symbol 0
+    weights = MutationWeights(boolean=0.0, comparison=0.0, mathematical=0.0, terms=1.0)
+    root = op(OpKind.GT, op(OpKind.ADD, symbol(0), symbol(0)), symbol(0), weight=0.8)
+    ind = ctx.evaluate(Individual(ExprTree(Variant.SOFT, op(OpKind.NOT, root, weight=0.9))))
+    scored = []
+    monkeypatch.setattr(EvalContext, "fitness_of",
+                        lambda self, tree, fresh=None: scored.append(tree) or 0.0)
+    rng = np.random.default_rng(8)
+    assert positive_mutation(ind, 10, ctx, weights, 1, (-2.0, 2.0), rng) is ind
+    assert scored == []
+    # it drew exactly what ten calls of mutate draw
+    twin = np.random.default_rng(8)
+    for _ in range(10):
+        assert mutate(ind, weights, 1, (-2.0, 2.0), twin).tree == ind.tree
+    assert twin.bit_generator.state == rng.bit_generator.state

@@ -88,3 +88,14 @@ def test_a_seed_generates_the_pinned_trees(key):
     variant, bounds, const_range = key
     text = generation_transcript(Variant(variant), GEN_BOUNDS[bounds], CONST_RANGES[const_range])
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATION[key]
+
+
+@pytest.mark.parametrize("low", [0, 1, 4, 6])
+def test_a_draw_from_a_single_value_leaves_the_generator_as_it_was(low):
+    # random generation skips integers(low, low + 1) where a stop rule has
+    # one depth left; the pins above hold only while numpy returns low
+    # without advancing the generator
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert rng.integers(low, low + 1) == low
+    assert rng.bit_generator.state == before

@@ -67,7 +67,7 @@ def reference(tree, x):
 def test_eval_batch_matches_the_saturating_pass(seed, variant, exponent):
     tree, x, rng, scale = draw(seed, variant, exponent)
     memo = {}
-    assert eval_batch(tree, x, memo=memo, fill_memo=True).tobytes() == reference(tree, x)
+    assert eval_batch(tree, x, memo=memo, store=memo).tobytes() == reference(tree, x)
     # an edited copy served partly from that memo, as the gated operators do
     child = tree.root.children[0]
     fresh = random_subtree(OP_CLASS[child.kind], variant, DEFAULT_BOUNDS, N_FEATURES,

@@ -341,7 +341,7 @@ def test_memo_never_carries_a_non_finite_literal_past_the_trap():
     x = col(1.0, 2.0)
     memo = {}
     first = soft(op(OpKind.GT, neg_inf, x0, weight=1.0))  # alive while the memo is used
-    eval_batch(first, x, memo=memo, fill_memo=True)
+    eval_batch(first, x, memo=memo, store=memo)
     # a memoised -inf would reach MUL as an operand and leave it unclamped
     t = soft(op(OpKind.LT, op(OpKind.MUL, x0, neg_inf), const(-FLOAT_MAX), weight=1.0))
     assert same_bits(t, x, memo=memo).tolist() == [0.0, 0.0]
@@ -351,7 +351,7 @@ def test_memo_from_a_fallback_serves_a_trapping_pass(fallbacks):
     shared = op(OpKind.MUL, x0, x0)  # overflows at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
     memo = {}
-    eval_batch(first, BIG, memo=memo, fill_memo=True)
+    eval_batch(first, BIG, memo=memo, store=memo)
     assert len(fallbacks) == 1
     assert memo[id(shared)][0] == FLOAT_MAX
     second = soft(op(OpKind.LT, shared, const(5.0), weight=0.25))
@@ -363,7 +363,7 @@ def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
     shared = op(OpKind.ADD, x0, x0)  # finite at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
     memo = {}
-    eval_batch(first, BIG, memo=memo, fill_memo=True)
+    eval_batch(first, BIG, memo=memo, store=memo)
     assert fallbacks == []
     # shared is served from first's trapping pass; MUL then overflows and
     # the fallback must reuse that entry rather than recompute it
@@ -371,7 +371,7 @@ def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
                      op(OpKind.GT, op(OpKind.MUL, shared, x0), const(0.0), weight=1.0),
                      weight=1.0))
     memo2 = dict(memo)
-    got = eval_batch(second, BIG, memo=memo2, fill_memo=True)
+    got = eval_batch(second, BIG, memo=memo2, store=memo2)
     assert len(fallbacks) == 1
     assert got.tobytes() == saturating(second, BIG).tobytes()
     assert memo2[id(shared)] is memo[id(shared)]
@@ -392,7 +392,7 @@ def test_memo_reuse_matches_fresh_evaluation():
     for _ in range(40):
         tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-2.0, 2.0), rng)
         memo = {}
-        base = eval_batch(tree, x, memo=memo, fill_memo=True)
+        base = eval_batch(tree, x, memo=memo, store=memo)
         # edit one leaf; shared subtrees should be served from the memo
         edited = ExprTree(tree.variant,
                           replace_subtree(tree.root, (0,),
