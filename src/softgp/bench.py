@@ -17,12 +17,12 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .data import DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split
-from .evolve import Algo, Classifier, EvolutionConfig, fit, score
+from .evolve import Algo, EvolutionConfig, fit, score
 from .metrics import MetricsError
 from .tree import THRESHOLD, ExprTree, eval_batch
 

@@ -44,7 +44,6 @@ from .tree import (
     locate_node,
     locate_weight,
     random_subtree,
-    random_tree,
     replace_subtree,
     set_weight,
     summary,

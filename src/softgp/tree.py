@@ -34,8 +34,14 @@ caller's Generator in a fixed order, and a seed reproduces a model only
 while that order holds; tests/test_golden.py pins it. Every uniform real
 is drawn as lo + (hi - lo) * random(): Generator.uniform computes exactly
 that from the same single double, so the numbers and the generator state
-are those of a uniform() call, at a third of its cost. Drawing in batches
-would be faster still, but it changes every tree a seed yields.
+are those of a uniform() call, at a third of its cost. Over a plain PCG64
+bit generator (what default_rng makes) the draws come from a word stream:
+raw 64-bit words pulled in blocks, turned into the numbers integers() and
+random() would return, with the generator handed back in the state those
+calls would have left (tests/test_draw_stream.py holds it to numpy).
+Generator.integers spends most of each call on fixed overhead, which the
+stream skips; batching the draws in any way that changed the numbers
+would change every tree a seed yields.
 """
 
 from __future__ import annotations
@@ -704,6 +710,82 @@ def eval_row(tree: ExprTree, row: Sequence[float]) -> float:
 # Random generation
 # ---------------------------------------------------------------------------
 
+_BLOCK = 64  # raw words a _PCG64Stream pulls per random_raw call
+
+
+class _PCG64Stream:
+    """Generator.integers(lo, hi) and Generator.random() over a plain PCG64,
+    computed in Python from raw 64-bit words pulled in blocks.
+
+    Each value is the one numpy's method returns from the same state, and
+    close() leaves the bit generator in the state numpy's calls would have
+    left, so the caller cannot tell the two apart. integers() reproduces
+    the default int64 dtype for hi - lo <= 2**32: a single value costs no
+    draw, and any other span runs Lemire's multiply-and-reject on one
+    32-bit half word at a time. A 32-bit draw returns the buffered high
+    half of the previous word when PCG64 holds one, otherwise the low half
+    of a new word, buffering its high half; a spent half stays in uinteger
+    as numpy leaves it. random() is (word >> 11) * 2**-53 and leaves the
+    half-word buffer alone.
+    """
+
+    __slots__ = ("bg", "start", "words", "pos", "pulled", "has_half", "half")
+
+    def __init__(self, bg: np.random.PCG64):
+        self.bg = bg
+        self.start = start = bg.state
+        self.has_half = start["has_uint32"]
+        self.half = start["uinteger"]
+        self.words: list[int] = []
+        self.pos = 0
+        self.pulled = 0
+
+    def word(self) -> int:
+        pos = self.pos
+        if pos == len(self.words):
+            self.words = self.bg.random_raw(_BLOCK).tolist()
+            self.pulled += _BLOCK
+            pos = 0
+        self.pos = pos + 1
+        return self.words[pos]
+
+    def uint32(self) -> int:
+        if self.has_half:
+            self.has_half = 0
+            return self.half
+        w = self.word()
+        self.has_half = 1
+        self.half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if n == 1:
+            return lo
+        m = self.uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            floor = (0x100000000 - n) % n
+            while (m & 0xFFFFFFFF) < floor:
+                m = self.uint32() * n
+        return lo + (m >> 32)
+
+    def random(self) -> float:
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def close(self) -> None:
+        """Hand the bit generator back: reset it to its opening state with
+        the half-word buffer as drawn, then replay the words used."""
+        start = self.start
+        if not self.pulled and self.has_half == start["has_uint32"]:
+            return
+        start["has_uint32"] = self.has_half
+        start["uinteger"] = self.half
+        self.bg.state = start
+        used = self.pulled - len(self.words) + self.pos
+        if used:
+            self.bg.random_raw(used)
+
+
 class _Gen:
     """Shared machinery for random node generation.
 
@@ -713,13 +795,17 @@ class _Gen:
     reachable the rule takes it without a draw: integers(a, a + 1)
     returns a and leaves the generator state as it was.
 
-    The draw methods are bound once. Uniform reals are drawn through
-    random(), as the module docstring explains: a constant is
-    lo + (hi - lo) * random(), a weight random() itself and a linear
-    coefficient -1.0 + 2.0 * random().
+    The draw methods are bound once: those of a _PCG64Stream when the
+    generator's bit generator is exactly PCG64 (and every span fits the
+    stream's 32-bit path), otherwise the Generator's own. Both give the
+    same numbers and leave the same state; the stream skips numpy's cost
+    per call. A _Gen is a context manager, and leaving it hands the
+    stream's generator back. Uniform reals are drawn through random(), as
+    the module docstring explains: a constant is lo + (hi - lo) * random(),
+    a weight random() itself and a linear coefficient -1.0 + 2.0 * random().
     """
 
-    __slots__ = ("integers", "random", "soft", "n_features", "lo", "span",
+    __slots__ = ("stream", "integers", "random", "soft", "n_features", "lo", "span",
                  "bool_ops", "math_ops", "bool_min", "bool_end", "math_min", "math_end")
 
     def __init__(self, variant: Variant, bounds: GenBounds, n_features: int,
@@ -733,8 +819,15 @@ class _Gen:
         # an infinite or NaN bound makes the width inf or NaN too
         if not math.isfinite(span):
             raise TreeError(f"constant range ({lo}, {hi}) does not have a finite width")
-        self.integers = rng.integers
-        self.random = rng.random
+        bg = rng.bit_generator
+        if type(bg) is np.random.PCG64 and n_features <= 1 << 32:
+            self.stream = stream = _PCG64Stream(bg)
+            self.integers = stream.integers
+            self.random = stream.random
+        else:
+            self.stream = None
+            self.integers = rng.integers
+            self.random = rng.random
         self.soft = variant is Variant.SOFT
         self.n_features = n_features
         self.lo = lo
@@ -746,6 +839,13 @@ class _Gen:
         self.bool_end = bounds.bool_max + 1
         self.math_min = bounds.math_min
         self.math_end = bounds.math_max + 1
+
+    def __enter__(self) -> "_Gen":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.stream is not None:
+            self.stream.close()
 
     def term(self) -> Node:
         integers = self.integers
@@ -819,7 +919,8 @@ def random_tree(variant: Variant, bounds: GenBounds, n_features: int,
     are uniform on [0,1], linear coefficients on [-1,1], constants on
     const_range, symbols uniform over the features.
     """
-    return ExprTree(variant, _Gen(variant, bounds, n_features, const_range, rng).bool(1))
+    with _Gen(variant, bounds, n_features, const_range, rng) as gen:
+        return ExprTree(variant, gen.bool(1))
 
 
 def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features: int,
@@ -830,10 +931,9 @@ def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features
     depth_budget caps how many levels of cls-typed operators the subtree may
     stack (relevant for boolean and mathematical subtrees planted mid-tree).
     """
-    if cls is _TERM:
-        return _Gen(variant, bounds, n_features, const_range, rng).term()
-    if cls is _COMPARISON:
-        return _Gen(variant, bounds, n_features, const_range, rng).cmp()
+    if cls is _TERM or cls is _COMPARISON:
+        with _Gen(variant, bounds, n_features, const_range, rng) as gen:
+            return gen.term() if cls is _TERM else gen.cmp()
     bool_max = bounds.bool_max
     math_max = bounds.math_max
     if cls is _BOOLEAN:
@@ -842,8 +942,8 @@ def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features
         math_max = max(1, min(math_max, depth_budget))
     inner = GenBounds(bool_min=1, bool_max=bool_max,
                       math_min=min(max(bounds.math_min, 1), math_max), math_max=math_max)
-    gen = _Gen(variant, inner, n_features, const_range, rng)
-    return gen.bool(1) if cls is _BOOLEAN else gen.math(1)
+    with _Gen(variant, inner, n_features, const_range, rng) as gen:
+        return gen.bool(1) if cls is _BOOLEAN else gen.math(1)
 
 
 # ---------------------------------------------------------------------------
