@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -231,7 +232,9 @@ def boundary_grid(model: ExprTree, resolution: int,
                   x_range: Tuple[float, float], y_range: Tuple[float, float]) -> BoundaryGrid:
     """Evaluate a 2-feature model on a resolution x resolution lattice."""
     if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+        raise DataError(f"resolution must be >= 2, got {resolution}")
+    if not all(math.isfinite(v) for v in (*x_range, *y_range)):
+        raise DataError(f"grid bounds must be finite, got x {x_range} and y {y_range}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     gx, gy = np.meshgrid(xs, ys)

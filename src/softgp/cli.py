@@ -99,11 +99,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    model, n_features = load_model(args.model)
+def _load_valid_model(path, features: Optional[int] = None):
+    """Load a model file and check it with validate(); with features, the
+    model must also take exactly that many features."""
+    model, n_features = load_model(path)
+    if features is not None and n_features != features:
+        raise DataError(f"need a {features}-feature model; {path} has {n_features}")
     problems = validate(model, n_features)
     if problems:
-        raise TreeError(f"invalid model {args.model}: {problems[0]}")
+        raise TreeError(f"invalid model {path}: {problems[0]}")
+    return model, n_features
+
+
+def cmd_predict(args) -> int:
+    model, n_features = _load_valid_model(args.model)
     _, x, _ = read_matrix(args.data, args.delimiter, drop_column=args.target)
     if x.shape[1] != n_features:
         raise DataError(f"{args.data} has {x.shape[1]} features, "
@@ -155,10 +164,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    model, n_features = load_model(args.model)
-    if n_features != 2:
-        raise DataError(f"boundary grids need a 2-feature model; "
-                        f"{args.model} has {n_features}")
+    model, _ = _load_valid_model(args.model, features=2)
     grid = boundary_grid(model, args.resolution, (args.xmin, args.xmax),
                          (args.ymin, args.ymax))
     write_boundary_csv(grid, args.out)

@@ -239,8 +239,8 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
     """
     if n < 4:
         raise DataError(f"need n >= 4, got {n}")
-    if noise < 0:
-        raise DataError(f"noise must be >= 0, got {noise}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise DataError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     n1 = (n + 1) // 2
     n0 = n - n1

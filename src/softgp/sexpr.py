@@ -16,6 +16,12 @@ n_features=<n>" followed by one tree. Reals are rendered with repr(), whose
 shortest round-trip form re-parses to the identical float, so serialization
 preserves evaluation exactly.
 
+A token is "(", ")" or a run of other non-whitespace characters, where
+whitespace is what str.isspace() accepts. The tokens are plain strings; a
+line and column are worked out only when a ParseError is raised. Columns
+count code points from the start of the line, and only a line feed starts
+a new line.
+
 The parser checks token shape, arity and nesting depth only; layer-chain
 legality is validate()'s job.
 """
@@ -23,15 +29,18 @@ legality is validate()'s job.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import Optional, Tuple
 
 from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, Variant
 
 # Indices and counts are capped at 9 digits: int() refuses strings past
 # 4300 digits with a ValueError, and no real model comes near the cap.
-_SYMBOL_RE = re.compile(r"^x(\d{1,9})$")
-_HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=(\d{1,9})\s*$")
+_SYMBOL_RE = re.compile(r"^x([0-9]{1,9})$")
+_HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=([0-9]{1,9})\s*$")
+
+# For str patterns \s matches exactly the characters str.isspace() accepts.
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 _KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)}
 
@@ -48,86 +57,63 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line: int) -> List[_Token]:
-    out: List[_Token] = []
-    col = 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            out.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
-
-
 class _Parser:
-    def __init__(self, tokens: List[_Token], soft: bool, end_line: int):
-        self.tokens = tokens
+    def __init__(self, text: str, soft: bool, first_line: int):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
         self.soft = soft
         self.pos = 0
-        self.end_line = end_line
+        self.first_line = first_line
 
-    def peek(self) -> Optional[_Token]:
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i, or at column 1 of the text's last line
+        when i is past the last token."""
+        text = self.text
+        if i >= len(self.tokens):
+            return ParseError(message, self.first_line + text.count("\n"), 1)
+        off = next(islice(_TOKEN_RE.finditer(text), i, None)).start()
+        return ParseError(message, self.first_line + text.count("\n", 0, off),
+                          off - text.rfind("\n", 0, off))
+
+    def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, what: str) -> _Token:
+    def take(self, what: str) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError(f"unexpected end of input, expected {what}", self.end_line, 1)
+            raise self.error(f"unexpected end of input, expected {what}", self.pos)
         self.pos += 1
         return tok
 
     def real(self, what: str) -> float:
         tok = self.take(what)
         try:
-            return float(tok.text)
+            return float(tok)
         except ValueError:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
+            raise self.error(f"expected {what}, got {tok!r}", self.pos - 1) from None
 
     def node(self, depth: int) -> Node:
         tok = self.take("a term or '('")
-        if tok.text == "(":
+        if tok == "(":
             if depth >= MAX_DEPTH:
-                raise ParseError(f"operators nested deeper than {MAX_DEPTH} levels",
-                                 tok.line, tok.col)
+                raise self.error(f"operators nested deeper than {MAX_DEPTH} levels",
+                                 self.pos - 1)
             return self.operator(depth + 1)
-        if tok.text == ")":
-            raise ParseError("expected a term or '('", tok.line, tok.col)
-        m = _SYMBOL_RE.match(tok.text)
+        if tok == ")":
+            raise self.error("expected a term or '('", self.pos - 1)
+        m = _SYMBOL_RE.match(tok)
         if m:
             return Node(OpKind.SYMBOL, payload=int(m.group(1)))
         try:
-            return Node(OpKind.CONST, payload=float(tok.text))
+            return Node(OpKind.CONST, payload=float(tok))
         except ValueError:
-            raise ParseError(f"expected a term, got {tok.text!r}", tok.line, tok.col) from None
+            raise self.error(f"expected a term, got {tok!r}", self.pos - 1) from None
 
     def operator(self, depth: int) -> Node:
         tok = self.take("an operator name")
-        kind = _KIND_BY_NAME.get(tok.text)
+        kind = _KIND_BY_NAME.get(tok)
         if kind is None:
-            raise ParseError(f"unknown operator {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unknown operator {tok!r}", self.pos - 1)
         weight = None
         if self.soft and OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON):
             weight = self.real(f"a weight for {kind.name}")
@@ -137,28 +123,25 @@ class _Parser:
                            for _ in range(ARITY[kind]))
         children = []
         for _ in range(ARITY[kind]):
-            nxt = self.peek()
-            if nxt is None or nxt.text == ")":
-                where = nxt or _Token(")", self.end_line, 1)
-                raise ParseError(
+            if self.peek() in (None, ")"):
+                raise self.error(
                     f"{kind.name} expects {ARITY[kind]} children, got {len(children)}",
-                    where.line, where.col)
+                    self.pos)
             children.append(self.node(depth))
         closer = self.take("')'")
-        if closer.text != ")":
-            raise ParseError(f"{kind.name} expects {ARITY[kind]} children; "
-                             f"unexpected {closer.text!r}", closer.line, closer.col)
+        if closer != ")":
+            raise self.error(f"{kind.name} expects {ARITY[kind]} children; "
+                             f"unexpected {closer!r}", self.pos - 1)
         return Node(kind, tuple(children), weight=weight, coeffs=coeffs)
 
 
 def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
     # text holds exactly one tree and starts on line first_line
-    p = _Parser(_tokenize(text, first_line), variant is Variant.SOFT,
-                first_line + text.count("\n"))
+    p = _Parser(text, variant is Variant.SOFT, first_line)
     root = p.node(0)
     rest = p.peek()
     if rest is not None:
-        raise ParseError(f"unexpected trailing input {rest.text!r}", rest.line, rest.col)
+        raise p.error(f"unexpected trailing input {rest!r}", p.pos)
     return ExprTree(variant, root)
 
 

@@ -111,17 +111,18 @@ class OpKind(enum.IntEnum):
     CONST = 14
 
 
-ARITY = {
+# The arity and the operator class of every kind, as tuples indexed by the
+# kind: the tree walks and the generator look them up per node, and a tuple
+# index skips the enum hashing a dict lookup pays. Building either fails if
+# a kind is missing.
+ARITY: Tuple[int, ...] = tuple({
     OpKind.OR: 2, OpKind.AND: 2, OpKind.NOT: 1, OpKind.OR3: 3, OpKind.AND3: 3,
     OpKind.GT: 2, OpKind.LT: 2,
     OpKind.ADD: 2, OpKind.MUL: 2, OpKind.NEG: 1, OpKind.SIGM: 1,
     OpKind.LIN2: 2, OpKind.LIN3: 3,
     OpKind.SYMBOL: 0, OpKind.CONST: 0,
-}
+}[kind] for kind in OpKind)
 
-# The operator class of every kind, as a tuple indexed by the kind: the
-# tree walks look a class up per node, and a tuple index skips the enum
-# hashing a dict lookup pays. Building it fails if a kind is missing.
 OP_CLASS: Tuple[OpClass, ...] = tuple({
     OpKind.OR: OpClass.BOOLEAN, OpKind.AND: OpClass.BOOLEAN, OpKind.NOT: OpClass.BOOLEAN,
     OpKind.OR3: OpClass.BOOLEAN, OpKind.AND3: OpClass.BOOLEAN,
@@ -131,9 +132,6 @@ OP_CLASS: Tuple[OpClass, ...] = tuple({
     OpKind.LIN2: OpClass.MATHEMATICAL, OpKind.LIN3: OpClass.MATHEMATICAL,
     OpKind.SYMBOL: OpClass.TERM, OpKind.CONST: OpClass.TERM,
 }[kind] for kind in OpKind)
-
-# ARITY as a tuple indexed by the kind, for the generator's per-node loop.
-_ARITY: Tuple[int, ...] = tuple(ARITY[kind] for kind in OpKind)
 
 # The classes and kinds as module globals for the per-node loops: on
 # Python 3.11 reading an enum member off its class is a descriptor call,
@@ -869,7 +867,7 @@ class _Gen:
         ops = self.math_ops
         kind = ops[self.integers(0, len(ops))]
         child = self.math_child
-        n = _ARITY[kind]
+        n = ARITY[kind]
         if kind is _LIN2 or kind is _LIN3:
             # coefficients are drawn before the children
             r = self.random
@@ -901,7 +899,7 @@ class _Gen:
         kind = ops[self.integers(0, len(ops))]
         w = self.random() if self.soft else None
         child = self.bool_child
-        n = _ARITY[kind]
+        n = ARITY[kind]
         if n == 2:
             return Node(kind, (child(level), child(level)), w)
         if n == 1:

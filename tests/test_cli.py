@@ -271,6 +271,42 @@ def test_boundary_requires_two_features(tmp_path, capsys):
     assert "2-feature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", ["(GT 1.0 x7 0.5)",
+                                  "(NOT 1.0 (GT 1.0 x7 0.5))",
+                                  "(ADD x0 x1)"])
+def test_boundary_invalid_model_exits_2(tmp_path, capsys, body):
+    model = tmp_path / "bad.sgp"
+    model.write_text("#sgp-tree v1 variant=soft n_features=2\n" + body + "\n")
+    out = tmp_path / "b.csv"
+    assert run(["boundary", "--model", str(model), "--out", str(out)]) == 2
+    assert "invalid model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--resolution", "1"], ["--resolution=-3"],
+                                   ["--xmin", "nan"], ["--xmax", "inf"],
+                                   ["--ymin=-inf"], ["--ymax", "nan"]])
+def test_boundary_bad_grid_exits_2(tmp_path, capsys, flags):
+    model = tmp_path / "m.sgp"
+    save_model(model, ExprTree(Variant.SOFT,
+                               op(OpKind.NOT, op(OpKind.GT, symbol(0), symbol(1), weight=1.0),
+                                  weight=0.7)), 2)
+    out = tmp_path / "b.csv"
+    assert run(["boundary", "--model", str(model), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "softgp boundary: error:" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_non_finite_noise_exits_2(tmp_path, capsys, noise):
+    out = tmp_path / "s.csv"
+    assert run(["synth", "--kind", "moons", "--noise", noise, "--out", str(out)]) == 2
+    assert "noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_re_renders_summaries(tmp_path, capsys):
     out = tmp_path / "bench"
     run(["bench", "synth:linsep:40", "--algos", "gp", "--runs", "1",

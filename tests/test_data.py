@@ -320,8 +320,9 @@ def test_synthetic_input_errors():
         gen_synthetic("spiral", 10, 0.1, seed=0)
     with pytest.raises(DataError, match="n >= 4"):
         gen_synthetic("linsep", 3, 0.1, seed=0)
-    with pytest.raises(DataError, match="noise"):
-        gen_synthetic("linsep", 10, -0.1, seed=0)
+    for noise in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="noise"):
+            gen_synthetic("linsep", 10, noise, seed=0)
 
 
 # --- save_csv -----------------------------------------------------------------------

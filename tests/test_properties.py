@@ -16,7 +16,7 @@ from softgp.genetics import (
     extension_mutation,
     mutate,
 )
-from softgp.sexpr import ParseError, format_model, parse_model
+from softgp.sexpr import ParseError, format_model, format_tree, parse_model
 from softgp.tree import (
     DEFAULT_BOUNDS,
     OP_CLASS,
@@ -83,6 +83,23 @@ def test_model_round_trip_reproduces_evaluation_bytes(seed, variant, exponent):
     assert n_features == N_FEATURES
     assert back == tree
     assert eval_batch(back, x).tobytes() == eval_batch(tree, x).tobytes()
+
+
+_SEPARATORS = st.lists(st.sampled_from(["\t", "\r\n", "\x0b", "\x85", " "]), min_size=1,
+                       max_size=3).map("".join)
+
+
+@given(seeds, variants, st.data())
+def test_any_whitespace_between_tokens_parses_to_the_same_tree(seed, variant, data):
+    tree, _, _, _ = draw(seed, variant, 1.0, rows=1)
+    tokens = format_tree(tree).replace("(", "( ").replace(")", " )").split(" ")
+    seps = data.draw(st.lists(_SEPARATORS, min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    body = seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+    header = f"#sgp-tree v1 variant={variant.value} n_features={N_FEATURES}\n"
+    back, n_features = parse_model(header + body)
+    assert n_features == N_FEATURES
+    assert back == tree
 
 
 _HEADERS = ["", "#sgp-tree v1 variant=soft n_features=2\n",

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from softgp.sexpr import (
+    _TOKEN_RE,
     MAX_DEPTH,
     ParseError,
     format_model,
@@ -101,13 +104,56 @@ def test_missing_weight_in_soft_text():
         parse_tree("(GT (ADD x0 x1) 0.5)", Variant.SOFT)
 
 
+_HARD_HEADER = "#sgp-tree v1 variant=hard n_features=2\n"
+
+# (variant, text, message, line, column); variant None parses a model file.
+# Only a line feed starts a new line; every other whitespace character,
+# "\r" and "\x85" included, is one column.
+_POSITIONED_ERRORS = [
+    (Variant.SOFT, "(AND 1.0\n  (GT 1.0 x0 0.5)\n  (WAT 1.0 x1 x0))",
+     "unknown operator 'WAT'", 3, 4),
+    (Variant.SOFT, "(NOT 1.0\n\t(GT heavy x0 x1))",
+     "expected a weight for GT, got 'heavy'", 2, 6),
+    (Variant.SOFT, "(GT 0.5 (LIN2 0.1 zz x0 x1)\x0b x0)",
+     "expected a coefficient for LIN2, got 'zz'", 1, 19),
+    (Variant.SOFT, "(AND 1.0 (GT 1.0 x0 x1)\r\n  )",
+     "AND expects 2 children, got 1", 2, 3),
+    (Variant.SOFT, "(AND 1.0 (GT 1.0 x0 x1)\n\n",
+     "AND expects 2 children, got 1", 3, 1),
+    (Variant.SOFT, "(NOT 1.0 (GT 1.0 x0 x1)\u2028",
+     "unexpected end of input, expected ')'", 1, 1),
+    (Variant.SOFT, "(NOT 1.0 (GT 1.0 x0 x1))\n  x3",
+     "unexpected trailing input 'x3'", 2, 3),
+    (Variant.SOFT, "(GT 1.0 x0\u2003?)", "expected a term, got '?'", 1, 12),
+    (Variant.SOFT, "\x85)", "expected a term or '('", 1, 2),
+    (None, _HARD_HEADER + "(OR (GT x0 x1)\n (LT 1.0 x0 x1))",
+     "LT expects 2 children; unexpected 'x1'", 3, 13),
+    (None, _HARD_HEADER + "(OR (GT x0 x1)\n (LT x0 x1)) extra\n",
+     "unexpected trailing input 'extra'", 3, 14),
+]
+
+
 def test_error_reports_line_and_column():
-    text = "(AND 1.0\n  (GT 1.0 x0 0.5)\n  (WAT 1.0 x1 x0))"
-    with pytest.raises(ParseError) as err:
-        parse_tree(text, Variant.SOFT)
-    assert err.value.line == 3
-    assert err.value.col == 4
-    assert "line 3, column 4" in str(err.value)
+    for variant, text, message, line, col in _POSITIONED_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_model(text) if variant is None else parse_tree(text, variant)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"line {line}, column {col}: {message}", line, col), text
+
+
+def test_token_whitespace_is_exactly_str_isspace():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    kept = "".join(_TOKEN_RE.findall(every))
+    assert kept == "".join(c for c in every if not c.isspace())
+
+
+def test_numbers_are_ascii_digits_only():
+    # format_model would write these back as x2 and 3, so accepting them
+    # would break the round trip
+    with pytest.raises(ParseError, match="expected a term, got 'x\u0662'"):
+        parse_tree("(GT 1.0 x\u0662 x0)", Variant.SOFT)
+    with pytest.raises(ParseError, match="header"):
+        parse_model("#sgp-tree v1 variant=soft n_features=\u0663\n(GT 1.0 x0 x1)\n")
 
 
 def test_trailing_input_rejected():

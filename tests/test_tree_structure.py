@@ -219,12 +219,16 @@ def sample_tree():
 
 def test_op_class_has_exactly_one_entry_per_kind():
     assert len(OP_CLASS) == len(OpKind) == len(ARITY)
-    assert set(ARITY) == set(OpKind)
     expected = {}
     for kinds, cls in ((BOOL_KINDS, OpClass.BOOLEAN), (CMP_KINDS, OpClass.COMPARISON),
                        (MATH_KINDS, OpClass.MATHEMATICAL), (TERM_KINDS, OpClass.TERM)):
         expected.update(dict.fromkeys(kinds, cls))
-    assert {k: OP_CLASS[k] for k in ARITY} == expected
+    assert {k: OP_CLASS[k] for k in OpKind} == expected
+    arity = {OpKind.OR: 2, OpKind.AND: 2, OpKind.NOT: 1, OpKind.OR3: 3, OpKind.AND3: 3,
+             OpKind.GT: 2, OpKind.LT: 2, OpKind.ADD: 2, OpKind.MUL: 2, OpKind.NEG: 1,
+             OpKind.SIGM: 1, OpKind.LIN2: 2, OpKind.LIN3: 3, OpKind.SYMBOL: 0,
+             OpKind.CONST: 0}
+    assert {k: ARITY[k] for k in OpKind} == arity
 
 
 def test_iter_nodes_is_preorder_with_paths():
