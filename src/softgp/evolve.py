@@ -27,7 +27,6 @@ from .data import Dataset
 from .genetics import (
     EvalContext,
     Individual,
-    MutationWeights,
     crossover,
     extension_mutation,
     mutate,
@@ -163,7 +162,6 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     rng = np.random.default_rng(cfg.seed ^ 0)
     n = ctx.n_features
     const_range = _const_range(ctx.x)
-    weights = MutationWeights()
 
     pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)))
            for _ in range(cfg.population_size)]
@@ -177,7 +175,7 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                 pop[i], pop[i + 1] = Individual(c1), Individual(c2)
         for i in range(len(pop)):
             if rng.random() < cfg.mut_prob:
-                pop[i] = mutate(pop[i], weights, n, const_range, rng)
+                pop[i] = mutate(pop[i], n, const_range, rng)
         for ind in pop:
             ctx.evaluate(ind)
         gen += 1
@@ -192,7 +190,6 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     ctx = EvalContext(train.x, train.y)
     n = ctx.n_features
     const_range = _const_range(ctx.x)
-    weights = MutationWeights()
     num = cfg.population_num
     rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(num)]
 
@@ -216,12 +213,12 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                 for j in range(len(pop)):
                     if rng.random() < cfg.mut_prob:
                         pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx,
-                                                   weights, n, const_range, rng)
+                                                   const_range, rng)
                 for j in range(len(pop)):
                     pop[j] = weight_adjustment(pop[j], cfg.max_tries_weight, ctx, rng)
                 for j in range(len(pop)):
                     if rng.random() < cfg.ext_prob:
-                        pop[j] = extension_mutation(pop[j], ctx, n, const_range, rng)
+                        pop[j] = extension_mutation(pop[j], ctx, const_range, rng)
             pops[i] = pop
             bests[i] = _best(pop)
         if gen % cfg.migration_period == 0:

@@ -1,9 +1,9 @@
 """Selection and variation operators.
 
 Classical side: rank selection with elitism, class-matched subtree
-crossover, and mutation driven by the per-class probability table
-(boolean 0.1, comparison 0.2, mathematical 0.3, terms 0.5 - treated as
-categorical weights and normalized over the classes present in the tree).
+crossover, and mutation of a node whose class is drawn from the fixed
+table MUTATION_WEIGHTS (boolean 0.1, comparison 0.2, mathematical 0.3,
+terms 0.5), normalised over the classes present in the tree.
 
 Soft side: the fitness-gated operators - positive crossover (keep the
 top two of parents plus children), positive mutation (first strict
@@ -15,9 +15,8 @@ fitness does not drop).
 from __future__ import annotations
 
 import bisect
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,61 +61,36 @@ class Individual:
     fitness: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class MutationWeights:
-    boolean: float = 0.1
-    comparison: float = 0.2
-    mathematical: float = 0.3
-    terms: float = 0.5
-    # per set of classes present in a tree (a bit mask over OpClass): the
-    # classes with a positive weight and their cumulative probabilities,
-    # or None when no present class can be picked
-    _tables: tuple = field(init=False, repr=False, compare=False)
+# The weights mutation gives the class of the node it replaces, indexed
+# by OpClass: boolean 0.1, comparison 0.2, mathematical 0.3, terms 0.5.
+MUTATION_WEIGHTS = (0.1, 0.2, 0.3, 0.5)
 
-    def __post_init__(self):
-        vals = (self.boolean, self.comparison, self.mathematical, self.terms)
-        for name, v in zip(("boolean", "comparison", "mathematical", "terms"), vals):
-            if not math.isfinite(v):
-                raise ValueError(f"mutation weight {name} must be finite, got {v!r}")
-        if any(v < 0 for v in vals):
-            raise ValueError("mutation weights must be nonnegative")
-        if all(v == 0 for v in vals):
-            raise ValueError("at least one mutation weight must be positive")
-        tables = []
-        for mask in range(1 << len(OpClass)):
-            present = tuple(c for c in OpClass if mask >> c & 1 and self.of(c) > 0)
-            w = np.array([self.of(c) for c in present], dtype=np.float64)
-            with np.errstate(over="ignore"):
-                total = w.sum()
-            # choice refuses an empty population, and p = w / inf is not a
-            # distribution
-            if not present or not math.isfinite(total):
-                tables.append(None)
-                continue
-            # the table Generator.choice builds from p = w / w.sum()
-            cdf = (w / total).cumsum()
-            cdf /= cdf[-1]
-            tables.append((present, cdf.tolist()))
-        object.__setattr__(self, "_tables", tuple(tables))
 
-    def of(self, cls: OpClass) -> float:
-        return (self.boolean, self.comparison, self.mathematical, self.terms)[cls]
+def _pick_table(mask: int) -> Tuple[Tuple[OpClass, ...], List[float]]:
+    # the classes in mask (a bit mask over OpClass) and the cumulative
+    # table Generator.choice builds from p = w / w.sum() for them
+    present = tuple(c for c in OpClass if mask >> c & 1)
+    w = np.array([MUTATION_WEIGHTS[c] for c in present], dtype=np.float64)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return present, cdf.tolist()
 
-    def pick(self, counts: Sequence[int], rng: np.random.Generator) -> OpClass:
-        """Pick a class among those with a node (counts is indexed by class)
-        and a positive weight, with probability proportional to its weight.
 
-        Draws one random() and returns what rng.choice(len(present),
-        p=w / w.sum()) returns for it, leaving the generator in the same
-        state; raises ValueError, as choice does, when no class qualifies.
-        """
-        table = self._tables[(counts[0] > 0) | (counts[1] > 0) << 1
-                             | (counts[2] > 0) << 2 | (counts[3] > 0) << 3]
-        if table is None:
-            raise ValueError("the mutation weights of the classes present in the tree "
-                             "are all zero or sum past the largest float")
-        present, cdf = table
-        return present[bisect.bisect_right(cdf, rng.random())]
+# entry mask - 1 serves the trees whose classes are mask; every tree has a
+# node, so mask 0 never occurs
+_PICK_TABLES = tuple(_pick_table(mask) for mask in range(1, 1 << len(OpClass)))
+
+
+def _pick_class(counts: Sequence[int], rng: np.random.Generator) -> OpClass:
+    """Pick a class among those with a node (counts is indexed by class),
+    with probability proportional to its MUTATION_WEIGHTS entry.
+
+    Draws one random() and returns what rng.choice(len(present),
+    p=w / w.sum()) returns for it, leaving the generator in the same state.
+    """
+    present, cdf = _PICK_TABLES[((counts[0] > 0) | (counts[1] > 0) << 1
+                                 | (counts[2] > 0) << 2 | (counts[3] > 0) << 3) - 1]
+    return present[bisect.bisect_right(cdf, rng.random())]
 
 
 class EvalContext:
@@ -272,13 +246,12 @@ def crossover(t1: ExprTree, t2: ExprTree,
     return t1, t2
 
 
-def _draw_mutation(tree: ExprTree, weights: MutationWeights, n_features: int,
-                   const_range: Tuple[float, float],
+def _draw_mutation(tree: ExprTree, n_features: int, const_range: Tuple[float, float],
                    rng: np.random.Generator) -> Tuple[Tuple[int, ...], Node, Node]:
     # mutate's draws: the path to the node it replaces, that node and its
     # replacement
     counts = summary(tree.root)
-    cls = weights.pick(counts, rng)
+    cls = _pick_class(counts, rng)
     path, node = locate_node(tree.root, int(rng.integers(0, counts[cls])), cls)
 
     if cls is OpClass.TERM:
@@ -306,9 +279,9 @@ def _draw_mutation(tree: ExprTree, weights: MutationWeights, n_features: int,
     return path, node, new
 
 
-def mutate(ind: Individual, weights: MutationWeights, n_features: int,
-           const_range: Tuple[float, float], rng: np.random.Generator) -> Individual:
-    """Mutate one node picked by the per-class probability table.
+def mutate(ind: Individual, n_features: int, const_range: Tuple[float, float],
+           rng: np.random.Generator) -> Individual:
+    """Mutate one node of a class picked by MUTATION_WEIGHTS.
 
     Boolean/comparison/mathematical targets are replaced by fresh random
     subtrees of the same class sized to respect the path depth limits.
@@ -316,7 +289,7 @@ def mutate(ind: Individual, weights: MutationWeights, n_features: int,
     constant c becomes c + r with r standard normal.
     """
     tree = ind.tree
-    path, _, new = _draw_mutation(tree, weights, n_features, const_range, rng)
+    path, _, new = _draw_mutation(tree, n_features, const_range, rng)
     return Individual(ExprTree(tree.variant, replace_subtree(tree.root, path, new)))
 
 
@@ -345,11 +318,11 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
 
 
 def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
-                      weights: MutationWeights, n_features: int,
                       const_range: Tuple[float, float],
                       rng: np.random.Generator) -> Individual:
     """Return the first of up to max_tries mutants (drawn as mutate draws
-    them) that strictly improves fitness, else the original."""
+    them over ctx's features) that strictly improves fitness, else the
+    original."""
     _require_evaluated((ind,))
     if ind.fitness >= 1.0 or max_tries <= 0:
         # nothing can strictly improve; returning early is observationally
@@ -360,7 +333,7 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
     tree = ind.tree
     ctx.fill(tree)
     for _ in range(max_tries):
-        path, old, new = _draw_mutation(tree, weights, n_features, const_range, rng)
+        path, old, new = _draw_mutation(tree, ctx.n_features, const_range, rng)
         if new == old:
             # the mutant equals the original, so it can only tie
             continue
@@ -403,10 +376,11 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     return ind
 
 
-def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
+def extension_mutation(ind: Individual, ctx: EvalContext,
                        const_range: Tuple[float, float],
                        rng: np.random.Generator) -> Individual:
-    """Graft a new OR root joining the tree with a fresh random subtree.
+    """Graft a new OR root joining the tree with a fresh random subtree
+    over ctx's features.
 
     The new root's weight is 1.0 so the old behavior is preserved wherever
     the old branch dominates. The result is kept only if fitness does not
@@ -415,7 +389,7 @@ def extension_mutation(ind: Individual, ctx: EvalContext, n_features: int,
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("extension mutation requires a soft tree")
-    fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, n_features,
+    fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
                            const_range, rng, depth_budget=DEFAULT_BOUNDS.bool_max)
     root = Node(OpKind.OR, (ind.tree.root, fresh), weight=1.0)
     s = summary(root)

@@ -24,7 +24,6 @@ from softgp.evolve import Algo, EvolutionConfig, fit, score
 from softgp.genetics import (
     EvalContext,
     Individual,
-    MutationWeights,
     crossover,
     extension_mutation,
     mutate,
@@ -183,15 +182,14 @@ def test_3_positive_operators_never_decrease_fitness():
     ds = gen_synthetic("circles", 120, 0.1, seed=7)
     ctx = EvalContext(ds.x, ds.y)
     rng = np.random.default_rng(102)
-    mweights = MutationWeights()
     violations = 0
     prev = None
     for _ in range(1000):
         ind = ctx.evaluate(Individual(
             random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)))
         adjusted = weight_adjustment(ind, 10, ctx, rng)
-        mutated = positive_mutation(adjusted, 10, ctx, mweights, 2, (-2.0, 2.0), rng)
-        extended = extension_mutation(mutated, ctx, 2, (-2.0, 2.0), rng)
+        mutated = positive_mutation(adjusted, 10, ctx, (-2.0, 2.0), rng)
+        extended = extension_mutation(mutated, ctx, (-2.0, 2.0), rng)
         if not (ind.fitness <= adjusted.fitness <= mutated.fitness <= extended.fitness):
             violations += 1
         if prev is not None:
@@ -208,7 +206,6 @@ def test_3_positive_operators_never_decrease_fitness():
 
 def test_4_structural_validity_and_mutation_frequencies():
     rng = np.random.default_rng(103)
-    mweights = MutationWeights()
     invalid = 0
     for variant in (Variant.HARD, Variant.SOFT):
         trees = [random_tree(variant, DEFAULT_BOUNDS, 3, (-2.0, 2.0), rng)
@@ -218,7 +215,7 @@ def test_4_structural_validity_and_mutation_frequencies():
             c1, c2 = crossover(trees[i], trees[i + 1], rng)
             invalid += bool(validate(c1, 3)) + bool(validate(c2, 3))
         for t in trees:
-            mut = mutate(Individual(t), mweights, 3, (-2.0, 2.0), rng)
+            mut = mutate(Individual(t), 3, (-2.0, 2.0), rng)
             invalid += bool(validate(mut.tree, 3))
 
     expected = {"boolean": 1 / 11, "comparison": 2 / 11,
@@ -227,7 +224,7 @@ def test_4_structural_validity_and_mutation_frequencies():
     draws = 10_000
     seen = {k: 0 for k in expected}
     for _ in range(draws):
-        mut = mutate(Individual(original), mweights, 2, (-1.0, 1.0), rng)
+        mut = mutate(Individual(original), 2, (-1.0, 1.0), rng)
         invalid += bool(validate(mut.tree, 2))
         seen[replaced_class(original, mut.tree)] += 1
 

@@ -20,9 +20,8 @@ from softgp.evolve import EvolutionConfig, fit_sgp
 from softgp.genetics import (
     EvalContext,
     Individual,
-    MutationWeights,
+    _draw_mutation,
     extension_mutation,
-    mutate,
     positive_crossover,
     positive_mutation,
     weight_adjustment,
@@ -31,8 +30,10 @@ from softgp.metrics import balanced_accuracy, confusion
 from softgp.tree import (
     DEFAULT_BOUNDS,
     SUMMARY_SLOTS,
+    OP_CLASS,
     THRESHOLD,
     ExprTree,
+    OpClass,
     OpKind,
     Variant,
     eval_batch,
@@ -40,12 +41,12 @@ from softgp.tree import (
     locate_weight,
     op,
     random_tree,
+    replace_subtree,
     set_weight,
     summary,
     symbol,
 )
 
-WEIGHTS = MutationWeights()
 SMALL = EvolutionConfig(max_generation=3, population_size=12, population_num=2,
                         migration_period=2)
 
@@ -170,9 +171,9 @@ def test_rejected_candidates_never_enter_the_cache(ctx, monkeypatch):
     monkeypatch.setattr(EvalContext, "fitness_of", recording)
     operators = [
         lambda i: positive_crossover(pop[i], pop[(i + 1) % len(pop)], ctx, rng),
-        lambda i: (positive_mutation(pop[i], 10, ctx, WEIGHTS, 2, (-2.0, 2.0), rng),),
+        lambda i: (positive_mutation(pop[i], 10, ctx, (-2.0, 2.0), rng),),
         lambda i: (weight_adjustment(pop[i], 10, ctx, rng),),
-        lambda i: (extension_mutation(pop[i], ctx, 2, (-2.0, 2.0), rng),),
+        lambda i: (extension_mutation(pop[i], ctx, (-2.0, 2.0), rng),),
     ]
     rejected = kept = 0
     with ctx.generation():
@@ -245,18 +246,27 @@ def test_fitness_matches_the_metrics_module_on_non_finite_rows():
 
 
 def test_a_mutant_equal_to_its_parent_is_not_scored(ctx, monkeypatch):
-    # one feature and terms only: every mutant redraws symbol 0 as symbol 0
-    weights = MutationWeights(boolean=0.0, comparison=0.0, mathematical=0.0, terms=1.0)
+    # one feature: every term mutation redraws symbol 0 as symbol 0
+    ctx = EvalContext(ctx.x[:, :1], ctx.y)
     root = op(OpKind.GT, op(OpKind.ADD, symbol(0), symbol(0)), symbol(0), weight=0.8)
     ind = ctx.evaluate(Individual(ExprTree(Variant.SOFT, op(OpKind.NOT, root, weight=0.9))))
     scored = []
     monkeypatch.setattr(EvalContext, "fitness_of",
                         lambda self, tree, fresh=None: scored.append(tree) or 0.0)
     rng = np.random.default_rng(8)
-    assert positive_mutation(ind, 10, ctx, weights, 1, (-2.0, 2.0), rng) is ind
-    assert scored == []
-    # it drew exactly what ten calls of mutate draw
+    assert positive_mutation(ind, 10, ctx, (-2.0, 2.0), rng) is ind
+    # it drew exactly what ten calls of mutate draw, and scored only the
+    # mutants whose target was not a term
     twin = np.random.default_rng(8)
+    want = []
+    terms = 0
     for _ in range(10):
-        assert mutate(ind, weights, 1, (-2.0, 2.0), twin).tree == ind.tree
+        path, old, new = _draw_mutation(ind.tree, 1, (-2.0, 2.0), twin)
+        if OP_CLASS[old.kind] is OpClass.TERM:
+            terms += 1
+            assert new == old
+        else:
+            want.append(ExprTree(Variant.SOFT, replace_subtree(ind.tree.root, path, new)))
+    assert terms > 0
+    assert scored == want
     assert twin.bit_generator.state == rng.bit_generator.state

@@ -4,7 +4,7 @@ import pytest
 from softgp.genetics import (
     EvalContext,
     Individual,
-    MutationWeights,
+    _draw_mutation,
     crossover,
     mutate,
     rank_select,
@@ -14,7 +14,9 @@ from softgp.sexpr import format_tree
 from softgp.tree import (
     DEFAULT_BOUNDS,
     ExprTree,
+    OP_CLASS,
     GenBounds,
+    OpClass,
     OpKind,
     TreeError,
     Variant,
@@ -25,6 +27,7 @@ from softgp.tree import (
     node_count,
     op,
     random_tree,
+    replace_subtree,
     symbol,
     validate,
 )
@@ -248,27 +251,12 @@ def test_crossover_is_deterministic():
 
 # --- mutation ----------------------------------------------------------------------
 
-def test_mutation_weights_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        MutationWeights(boolean=-0.1)
-    with pytest.raises(ValueError, match="positive"):
-        MutationWeights(0.0, 0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("name", ["boolean", "comparison", "mathematical", "terms"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_mutation_weights_reject_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"mutation weight {name} must be finite"):
-        MutationWeights(**{name: value})
-
-
 def test_mutants_stay_valid():
     rng = np.random.default_rng(51)
-    weights = MutationWeights()
     for variant in (Variant.HARD, Variant.SOFT):
         for _ in range(300):
             ind = Individual(random_tree(variant, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng))
-            mut = mutate(ind, weights, 3, (-1.0, 1.0), rng)
+            mut = mutate(ind, 3, (-1.0, 1.0), rng)
             assert validate(mut.tree, 3) == [], format_tree(mut.tree)
             assert mut.fitness is None
             assert max_bool_depth(mut.tree.root) <= DEFAULT_BOUNDS.bool_max
@@ -280,39 +268,27 @@ def test_mutation_class_frequencies_match_the_table():
     expected = {"boolean": 1 / 11, "comparison": 2 / 11,
                 "mathematical": 3 / 11, "terms": 5 / 11}
     rng = np.random.default_rng(52)
-    weights = MutationWeights()
     original = attribution_tree()
     ind = Individual(original)
     n = 10_000
     seen = {k: 0 for k in expected}
     for _ in range(n):
-        mut = mutate(ind, weights, 2, (-1.0, 1.0), rng)
+        mut = mutate(ind, 2, (-1.0, 1.0), rng)
         seen[replaced_class(original, mut.tree)] += 1
     for cls, want in expected.items():
         assert seen[cls] / n == pytest.approx(want, abs=0.02), cls
-
-
-def test_mutation_skips_zero_weight_classes():
-    rng = np.random.default_rng(53)
-    weights = MutationWeights(boolean=0.0, comparison=0.0, mathematical=0.0, terms=1.0)
-    original = attribution_tree()
-    for _ in range(200):
-        mut = mutate(Individual(original), weights, 2, (-1.0, 1.0), rng)
-        assert replaced_class(original, mut.tree) == "terms"
 
 
 def test_symbol_mutation_redraws_the_feature_index():
     tree = ExprTree(Variant.SOFT, op(OpKind.NOT,
                                      op(OpKind.GT, symbol(3), const(0.5), weight=1.0),
                                      weight=1.0))
-    weights = MutationWeights(0.0, 0.0, 0.0, 1.0)
     rng = np.random.default_rng(54)
     counts = np.zeros(7, dtype=int)
-    for _ in range(6000):
-        mut = mutate(Individual(tree), weights, 7, (-1.0, 1.0), rng)
-        cmp_node = mut.tree.root.children[0]
-        if cmp_node.children[1].payload == 0.5:  # the constant was not the target
-            counts[cmp_node.children[0].payload] += 1
+    for _ in range(8000):
+        _, old, new = _draw_mutation(tree, 7, (-1.0, 1.0), rng)
+        if old.kind is OpKind.SYMBOL:  # a term mutation that targets the symbol
+            counts[new.payload] += 1
     total = counts.sum()
     assert total > 2000
     for i in range(7):
@@ -323,16 +299,20 @@ def test_const_mutation_adds_standard_normal_noise():
     tree = ExprTree(Variant.SOFT, op(OpKind.NOT,
                                      op(OpKind.GT, const(10.0), const(10.0), weight=1.0),
                                      weight=1.0))
-    weights = MutationWeights(0.0, 0.0, 0.0, 1.0)
     rng = np.random.default_rng(55)
     deltas = []
-    for _ in range(3000):
-        mut = mutate(Individual(tree), weights, 2, (-1.0, 1.0), rng)
-        for child in mut.tree.root.children[0].children:
+    terms = 0
+    while terms < 3000:
+        path, old, new = _draw_mutation(tree, 2, (-1.0, 1.0), rng)
+        if OP_CLASS[old.kind] is not OpClass.TERM:
+            continue
+        terms += 1
+        mut = replace_subtree(tree.root, path, new)
+        for child in mut.children[0].children:
             if child.payload != 10.0:
                 deltas.append(child.payload - 10.0)
     deltas = np.asarray(deltas)
-    assert len(deltas) == 3000  # exactly one constant changes per mutation
+    assert len(deltas) == 3000  # exactly one constant changes per term mutation
     assert deltas.mean() == pytest.approx(0.0, abs=0.08)
     assert deltas.std() == pytest.approx(1.0, abs=0.08)
 
@@ -347,7 +327,6 @@ def test_mutation_never_exceeds_math_budget_mid_chain():
                                      op(OpKind.GT, chain, const(0.0), weight=1.0),
                                      weight=1.0))
     rng = np.random.default_rng(56)
-    weights = MutationWeights()
     for _ in range(400):
-        mut = mutate(Individual(tree), weights, 2, (-1.0, 1.0), rng)
+        mut = mutate(Individual(tree), 2, (-1.0, 1.0), rng)
         assert max_math_chain(mut.tree.root) <= DEFAULT_BOUNDS.math_max

@@ -5,7 +5,6 @@ from softgp.data import gen_synthetic
 from softgp.genetics import (
     EvalContext,
     Individual,
-    MutationWeights,
     crossover,
     extension_mutation,
     positive_crossover,
@@ -23,6 +22,7 @@ from softgp.tree import (
     Variant,
     collect_weights,
     const,
+    iter_nodes,
     max_bool_depth,
     node_count,
     op,
@@ -31,7 +31,6 @@ from softgp.tree import (
     validate,
 )
 
-WEIGHTS = MutationWeights()
 CONST_RANGE = (-2.0, 2.0)
 
 
@@ -92,7 +91,7 @@ def test_positive_mutation_only_improves_or_returns_the_original(ctx):
     rng = np.random.default_rng(64)
     for _ in range(150):
         ind = soft_ind(ctx, rng)
-        out = positive_mutation(ind, 10, ctx, WEIGHTS, 2, CONST_RANGE, rng)
+        out = positive_mutation(ind, 10, ctx, CONST_RANGE, rng)
         if out is ind:
             continue
         assert out.fitness > ind.fitness
@@ -104,7 +103,7 @@ def test_positive_mutation_zero_tries_is_identity(ctx):
     rng = np.random.default_rng(65)
     ind = soft_ind(ctx, rng)
     state = rng.bit_generator.state
-    assert positive_mutation(ind, 0, ctx, WEIGHTS, 2, CONST_RANGE, rng) is ind
+    assert positive_mutation(ind, 0, ctx, CONST_RANGE, rng) is ind
     assert rng.bit_generator.state == state  # no draws consumed
 
 
@@ -113,7 +112,7 @@ def test_positive_mutation_skips_perfect_individuals(ctx):
     ind = soft_ind(ctx, rng)
     ind.fitness = 1.0
     state = rng.bit_generator.state
-    assert positive_mutation(ind, 10, ctx, WEIGHTS, 2, CONST_RANGE, rng) is ind
+    assert positive_mutation(ind, 10, ctx, CONST_RANGE, rng) is ind
     assert rng.bit_generator.state == state
 
 
@@ -184,7 +183,7 @@ def test_extension_mutation_grafts_an_or_root(ctx):
     extended = 0
     for _ in range(150):
         ind = soft_ind(ctx, rng)
-        out = extension_mutation(ind, ctx, 2, CONST_RANGE, rng)
+        out = extension_mutation(ind, ctx, CONST_RANGE, rng)
         assert out.fitness >= ind.fitness
         if out is ind:
             continue
@@ -205,7 +204,7 @@ def test_extension_mutation_accepts_fitness_ties(ctx):
     tied = 0
     for _ in range(200):
         ind = soft_ind(ctx, rng)
-        out = extension_mutation(ind, ctx, 2, CONST_RANGE, rng)
+        out = extension_mutation(ind, ctx, CONST_RANGE, rng)
         if out is not ind and out.fitness == ind.fitness:
             tied += 1
     assert tied > 0
@@ -219,7 +218,7 @@ def test_extension_mutation_respects_caps(ctx):
         node = op(OpKind.NOT, node, weight=1.0)
     deep = ctx.evaluate(Individual(ExprTree(Variant.SOFT, node)))
     for _ in range(30):
-        assert extension_mutation(deep, ctx, 2, CONST_RANGE, rng) is deep
+        assert extension_mutation(deep, ctx, CONST_RANGE, rng) is deep
 
     # shallow but node-heavy tree: any graft would cross NODE_CAP while the
     # boolean depth stays well under the depth cap
@@ -233,7 +232,7 @@ def test_extension_mutation_respects_caps(ctx):
     assert max_bool_depth(wide) + 1 <= BOOL_DEPTH_CAP
     fat = ctx.evaluate(Individual(ExprTree(Variant.SOFT, wide)))
     for _ in range(30):
-        assert extension_mutation(fat, ctx, 2, CONST_RANGE, rng) is fat
+        assert extension_mutation(fat, ctx, CONST_RANGE, rng) is fat
 
 
 def test_extension_mutation_rejects_hard_trees(ctx):
@@ -241,4 +240,29 @@ def test_extension_mutation_rejects_hard_trees(ctx):
     ind = ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, 2,
                                               CONST_RANGE, rng)))
     with pytest.raises(TreeError, match="soft"):
-        extension_mutation(ind, ctx, 2, CONST_RANGE, rng)
+        extension_mutation(ind, ctx, CONST_RANGE, rng)
+
+
+def test_gated_operators_draw_symbols_below_the_context_feature_count(ctx, monkeypatch):
+    # the trees start on feature 0 alone, so features 1 and 2 come from the
+    # operators' draws, which must cover the context's three and no more
+    wide = EvalContext(np.column_stack((ctx.x, ctx.x[:, 0] * ctx.x[:, 1])), ctx.y)
+    rng = np.random.default_rng(75)
+    seen = set()
+    real = EvalContext.fitness_of
+
+    def recording(self, tree, fresh=None):
+        seen.update(n.payload for _, n in iter_nodes(tree.root) if n.kind is OpKind.SYMBOL)
+        return real(self, tree, fresh)
+
+    monkeypatch.setattr(EvalContext, "fitness_of", recording)
+    operators = {
+        "positive_mutation": lambda ind: positive_mutation(ind, 10, wide, CONST_RANGE, rng),
+        "extension_mutation": lambda ind: extension_mutation(ind, wide, CONST_RANGE, rng),
+    }
+    for name, step in operators.items():
+        seen.clear()
+        for _ in range(60):
+            step(wide.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 1,
+                                                      CONST_RANGE, rng))))
+        assert seen == {0, 1, 2}, name

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import softgp.tree as tree_mod
 from softgp.genetics import (
+    MUTATION_WEIGHTS,
     EvalContext,
     Individual,
-    MutationWeights,
+    _pick_class,
     crossover,
     extension_mutation,
     mutate,
@@ -181,13 +182,13 @@ def test_summaries_match_a_recomputation_through_every_edit(seed, variant):
     assert_summaries_hold(c1.root)
     assert_summaries_hold(c2.root)
 
-    mutant = mutate(Individual(c1), MutationWeights(), N_FEATURES, crange, rng)
+    mutant = mutate(Individual(c1), N_FEATURES, crange, rng)
     assert_summaries_hold(mutant.tree.root)
 
     if variant is Variant.SOFT:
         ctx = small_context(rng)
         ind = ctx.evaluate(Individual(c2))
-        extended = extension_mutation(ind, ctx, N_FEATURES, crange, rng)
+        extended = extension_mutation(ind, ctx, crange, rng)
         assert_summaries_hold(extended.tree.root)
 
     back, _ = parse_model(format_model(mutant.tree, N_FEATURES))
@@ -245,24 +246,14 @@ def test_fresh_tree_readers_fill_no_summary(seed, variant):
         (s[tree_mod.SUMMARY_SIZE], s[tree_mod.SUMMARY_BOOL_DEPTH], s[tree_mod.SUMMARY_MATH_CHAIN])
 
 
-mutation_weights = st.tuples(*[st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1e308]),
-                                         st.floats(0.0, 1e308))] * 4).filter(any)
-
-
-@given(mutation_weights, st.lists(st.booleans(), min_size=4, max_size=4), seeds)
-def test_class_pick_matches_generator_choice(ws, flags, seed):
-    weights = MutationWeights(*ws)
-    counts = [3 * f for f in flags]
-    present = [c for c in OpClass if flags[c] and weights.of(c) > 0]
-    w = np.array([weights.of(c) for c in present], dtype=np.float64)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(40):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = present[theirs.choice(len(present), p=w / w.sum())]
-        except ValueError:
-            with pytest.raises(ValueError):
-                weights.pick(counts, ours)
-            break
-        assert weights.pick(counts, ours) is want
-    assert ours.bit_generator.state == theirs.bit_generator.state
+def test_class_pick_matches_generator_choice():
+    # every set of classes a tree can hold, in counts of 1 to 4 nodes
+    for mask in range(1, 1 << len(OpClass)):
+        counts = [(c + 1) * (mask >> c & 1) for c in OpClass]
+        present = [c for c in OpClass if counts[c]]
+        w = np.array([MUTATION_WEIGHTS[c] for c in present], dtype=np.float64)
+        ours, theirs = np.random.default_rng(mask), np.random.default_rng(mask)
+        for _ in range(2000):
+            want = present[theirs.choice(len(present), p=w / w.sum())]
+            assert _pick_class(counts, ours) is want
+        assert ours.bit_generator.state == theirs.bit_generator.state
