@@ -198,8 +198,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
         pops.append([ctx.evaluate(Individual(
             random_tree(Variant.SOFT, DEFAULT_BOUNDS, n, const_range, rngs[i])))
             for _ in range(cfg.population_size)])
-    bests = [_best(p) for p in pops]
-    best_ever = _best(bests)
+    best_ever = _best([_best(p) for p in pops])
     gen = 0
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
         for i in range(num):
@@ -220,17 +219,16 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                     if rng.random() < cfg.ext_prob:
                         pop[j] = extension_mutation(pop[j], ctx, const_range, rng)
             pops[i] = pop
-            bests[i] = _best(pop)
         if gen % cfg.migration_period == 0:
-            migrants = [Individual(b.tree, b.fitness) for b in bests]
+            migrants = [Individual(b.tree, b.fitness) for b in map(_best, pops)]
             for i in range(num):
                 target = pops[(i + 1) % num]
                 target[_worst_index(target)] = migrants[i]
         gen += 1
-        for i in range(num):
-            bests[i] = _best(pops[i])
-            if bests[i].fitness > best_ever.fitness:
-                best_ever = bests[i]
+        for pop in pops:
+            cur = _best(pop)
+            if cur.fitness > best_ever.fitness:
+                best_ever = cur
     return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
 
 

@@ -23,10 +23,6 @@ class ConfusionMatrix:
     fp: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 def confusion(truth, pred) -> ConfusionMatrix:
     """Count a 2x2 confusion matrix. Positive class is label 1.
