@@ -9,9 +9,9 @@ ring every migration_period generations, displacing the target island's
 worst. Both loops stop once the best fitness reaches 1 or the generation
 budget is spent, and return the best individual ever seen.
 
-Per-island RNG streams are seeded with seed XOR island-index, so island
-loops are independent and the whole fit is reproducible from (dataset,
-config, seed).
+Island i draws from the i-th child of np.random.SeedSequence(seed), so
+island loops are independent, no two seeds share an island stream, and
+the whole fit is reproducible from (dataset, config, seed).
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _worst_index(pop: Sequence[Individual]) -> int:
 def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     """Evolve a hard-variant classifier on the training split."""
     ctx = EvalContext(train.x, train.y)
-    rng = np.random.default_rng(cfg.seed ^ 0)
+    rng = np.random.default_rng(cfg.seed)
     n = ctx.n_features
     const_range = _const_range(ctx.x)
 
@@ -191,7 +191,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     n = ctx.n_features
     const_range = _const_range(ctx.x)
     num = cfg.population_num
-    rngs = [np.random.default_rng(cfg.seed ^ i) for i in range(num)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(num)]
 
     pops: List[List[Individual]] = []
     for i in range(num):

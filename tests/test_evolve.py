@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,14 @@ def test_different_seeds_usually_differ(circles):
     a = fit_sgp(circles, TINY)
     b = fit_sgp(circles, EvolutionConfig(max_generation=5, population_size=20, seed=2))
     assert format_model(a.model, 2) != format_model(b.model, 2)
+
+
+def test_sgp_seeds_0_to_3_give_four_distinct_models(circles):
+    # islands seeded with seed ^ i made seed 2 run seed 0's four generators
+    # rotated two places round the migration ring, and seed 3 seed 1's
+    models = {format_model(fit_sgp(circles, replace(TINY, max_generation=2, seed=s)).model, 2)
+              for s in range(4)}
+    assert len(models) == 4
 
 
 def test_zero_generations_returns_the_initial_best(circles):

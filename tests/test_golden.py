@@ -33,7 +33,7 @@ GOLDEN = {
     Algo.GP: (EvolutionConfig(seed=1, max_generation=15, population_size=40),
               "37eadf6f7e831954905ed2aff1f28db060f8c5852dbc27feff1922132dd7cd3a"),
     Algo.SGP: (EvolutionConfig(seed=2, max_generation=4, population_size=20, population_num=2),
-               "8b07999315f03ad14f0ba2a357f676e31c2b2cb9b3104e09ca3d46e18162d0bf"),
+               "c83b11d45780481d3f38d5e9b891abdee3007003777b592cfda63462cd920185"),
 }
 
 
