@@ -22,8 +22,12 @@ line and column are worked out only when a ParseError is raised. Columns
 count code points from the start of the line, and only a line feed starts
 a new line.
 
-The parser checks token shape, arity and nesting depth only; layer-chain
-legality is validate()'s job.
+A REAL is an ASCII token that float() accepts without "_" separators,
+so inf, nan and 1e999 (which is inf) are reals. A weight must lie in
+[0, 1]; NaN is refused.
+
+The parser checks token shape, arity, weight range and nesting depth
+only; layer-chain legality is validate()'s job.
 """
 
 from __future__ import annotations
@@ -48,6 +52,14 @@ _KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CO
 # about 12 levels deep; the limit keeps hostile input far from Python's
 # recursion limit.
 MAX_DEPTH = 64
+
+
+def _float(tok: str) -> float:
+    # float() also reads "_" separators and non-ASCII digits, which
+    # format_model would write back as other text; refuse them
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(tok)
+    return float(tok)
 
 
 class ParseError(ValueError):
@@ -88,7 +100,7 @@ class _Parser:
     def real(self, what: str) -> float:
         tok = self.take(what)
         try:
-            return float(tok)
+            return _float(tok)
         except ValueError:
             raise self.error(f"expected {what}, got {tok!r}", self.pos - 1) from None
 
@@ -105,7 +117,7 @@ class _Parser:
         if m:
             return Node(OpKind.SYMBOL, payload=int(m.group(1)))
         try:
-            return Node(OpKind.CONST, payload=float(tok))
+            return Node(OpKind.CONST, payload=_float(tok))
         except ValueError:
             raise self.error(f"expected a term, got {tok!r}", self.pos - 1) from None
 
@@ -117,6 +129,10 @@ class _Parser:
         weight = None
         if self.soft and OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON):
             weight = self.real(f"a weight for {kind.name}")
+            # Node would clamp it, loading a value the file does not hold
+            if not 0.0 <= weight <= 1.0:
+                raise self.error(f"expected a weight for {kind.name} in [0, 1], "
+                                 f"got {self.tokens[self.pos - 1]!r}", self.pos - 1)
         coeffs = None
         if kind in (OpKind.LIN2, OpKind.LIN3):
             coeffs = tuple(self.real(f"a coefficient for {kind.name}")

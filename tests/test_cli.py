@@ -155,6 +155,17 @@ def test_predict_deeply_nested_model_exits_2(tmp_path, capsys):
     assert "line 2, column " in err and "nested deeper than" in err
 
 
+@pytest.mark.parametrize("body", ["(NOT 1.0 (GT 5.0 x0 x1))", "(NOT nan (GT 1.0 x0 x1))",
+                                  "(NOT 1.0 (GT 1.0 x0 1_0))", "(NOT 1.0 (GT 1.0 x0 \u0663))"])
+def test_predict_model_with_a_refused_real_exits_2(tmp_path, capsys, body):
+    model = tmp_path / "m.sgp"
+    model.write_text("#sgp-tree v1 variant=soft n_features=2\n" + body + "\n", encoding="utf-8")
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1\n1,2\n")
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == 2
+    assert "line 2, column " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_train_on_non_finite_cells_exits_2(tmp_path, capsys, cell):
     data = tmp_path / "d.csv"
