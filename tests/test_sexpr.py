@@ -130,6 +130,23 @@ _POSITIONED_ERRORS = [
      "LT expects 2 children; unexpected 'x1'", 3, 13),
     (None, _HARD_HEADER + "(OR (GT x0 x1)\n (LT x0 x1)) extra\n",
      "unexpected trailing input 'extra'", 3, 14),
+    # reals that float() reads as a value the file does not spell, and
+    # weights that Node would clamp
+    (Variant.SOFT, "(GT 1.0 x0 1_0)", "expected a term, got '1_0'", 1, 12),
+    (Variant.SOFT, "(GT 1.0 x0 \u0663)", "expected a term, got '\u0663'", 1, 12),
+    (Variant.SOFT, "(GT 1.0 x0 \uff11)", "expected a term, got '\uff11'", 1, 12),
+    (Variant.SOFT, "(GT 0_5 x0 x1)", "expected a weight for GT, got '0_5'", 1, 5),
+    (Variant.SOFT, "(GT \u0661.0 x0 x1)", "expected a weight for GT, got '\u0661.0'", 1, 5),
+    (Variant.SOFT, "(GT 0.5 (LIN2 0.1 \u0660.5 x0 x1) x0)",
+     "expected a coefficient for LIN2, got '\u0660.5'", 1, 19),
+    (Variant.SOFT, "(GT 5.0 x0 x1)", "expected a weight for GT in [0, 1], got '5.0'", 1, 5),
+    (Variant.SOFT, "(NOT -3 (GT 1.0 x0 x1))",
+     "expected a weight for NOT in [0, 1], got '-3'", 1, 6),
+    (Variant.SOFT, "(AND nan (GT 1.0 x0 x1) (GT 1.0 x1 x0))",
+     "expected a weight for AND in [0, 1], got 'nan'", 1, 6),
+    (Variant.SOFT, "(OR 1.0\n  (GT inf x0 x1)\n  (GT 1.0 x1 x0))",
+     "expected a weight for GT in [0, 1], got 'inf'", 2, 7),
+    (None, _HARD_HEADER + "(NOT\n (GT x0 1_000))", "expected a term, got '1_000'", 3, 9),
 ]
 
 
@@ -154,35 +171,6 @@ def test_numbers_are_ascii_digits_only():
         parse_tree("(GT 1.0 x\u0662 x0)", Variant.SOFT)
     with pytest.raises(ParseError, match="header"):
         parse_model("#sgp-tree v1 variant=soft n_features=\u0663\n(GT 1.0 x0 x1)\n")
-
-
-# (variant, text, message, line, column) for reals that float() reads as
-# a value the file does not spell, and weights that Node would clamp
-_REFUSED_REALS = [
-    (Variant.SOFT, "(GT 1.0 x0 1_0)", "expected a term, got '1_0'", 1, 12),
-    (Variant.SOFT, "(GT 1.0 x0 \u0663)", "expected a term, got '\u0663'", 1, 12),
-    (Variant.SOFT, "(GT 1.0 x0 \uff11)", "expected a term, got '\uff11'", 1, 12),
-    (Variant.SOFT, "(GT 0_5 x0 x1)", "expected a weight for GT, got '0_5'", 1, 5),
-    (Variant.SOFT, "(GT \u0661.0 x0 x1)", "expected a weight for GT, got '\u0661.0'", 1, 5),
-    (Variant.SOFT, "(GT 0.5 (LIN2 0.1 \u0660.5 x0 x1) x0)",
-     "expected a coefficient for LIN2, got '\u0660.5'", 1, 19),
-    (Variant.SOFT, "(GT 5.0 x0 x1)", "expected a weight for GT in [0, 1], got '5.0'", 1, 5),
-    (Variant.SOFT, "(NOT -3 (GT 1.0 x0 x1))",
-     "expected a weight for NOT in [0, 1], got '-3'", 1, 6),
-    (Variant.SOFT, "(AND nan (GT 1.0 x0 x1) (GT 1.0 x1 x0))",
-     "expected a weight for AND in [0, 1], got 'nan'", 1, 6),
-    (Variant.SOFT, "(OR 1.0\n  (GT inf x0 x1)\n  (GT 1.0 x1 x0))",
-     "expected a weight for GT in [0, 1], got 'inf'", 2, 7),
-    (None, _HARD_HEADER + "(NOT\n (GT x0 1_000))", "expected a term, got '1_000'", 3, 9),
-]
-
-
-def test_reals_load_as_written_or_not_at_all():
-    for variant, text, message, line, col in _REFUSED_REALS:
-        with pytest.raises(ParseError) as err:
-            parse_model(text) if variant is None else parse_tree(text, variant)
-        assert (str(err.value), err.value.line, err.value.col) == (
-            f"line {line}, column {col}: {message}", line, col), text
 
 
 def test_non_finite_constants_and_weight_bounds_still_parse():
