@@ -61,8 +61,8 @@ class Individual:
     fitness: Optional[float] = None
 
 
-# The weights mutation gives the class of the node it replaces, indexed
-# by OpClass: boolean 0.1, comparison 0.2, mathematical 0.3, terms 0.5.
+# Mutation picks the class of the node it replaces with these weights,
+# indexed by OpClass and normalised over the classes the tree holds.
 MUTATION_WEIGHTS = (0.1, 0.2, 0.3, 0.5)
 
 
