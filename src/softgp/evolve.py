@@ -12,14 +12,31 @@ budget is spent, and return the best individual ever seen.
 Island i draws from the i-th child of np.random.SeedSequence(seed), so
 island loops are independent, no two seeds share an island stream, and
 the whole fit is reproducible from (dataset, config, seed).
+
+fit_sgp runs its islands on W processes: this one, which owns the
+islands i = 0, W, 2W, ..., and W-1 workers forked for the length of the
+fit, worker k owning the islands i = k (mod W). W is population_num or the
+number of CPUs this process may run on, whichever is smaller, so
+`taskset -c 0` makes a fit sequential. W is 1, and no process is started,
+for a single island, where the fork start method does not exist, and
+inside a daemonic process or one running other threads. Islands meet only
+between generations, where this process keeps the early-stop test and the
+best ever seen, in island order, and routes each island's migrant to the
+owner of the next island; the model a seed yields therefore does not
+depend on W.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import multiprocessing
+import os
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,27 +202,33 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     return Classifier(Algo.GP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
 
 
-def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
-    """Evolve a soft-variant classifier with the island model."""
-    ctx = EvalContext(train.x, train.y)
-    n = ctx.n_features
-    const_range = _const_range(ctx.x)
-    num = cfg.population_num
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(num)]
+class _Islands:
+    """The islands of one SGP fit that one process evolves: i = k, k + w,
+    k + 2w, ... below population_num. Each method returns the best
+    individual of each of them, keyed by island."""
 
-    pops: List[List[Individual]] = []
-    for i in range(num):
-        pops.append([ctx.evaluate(Individual(
-            random_tree(Variant.SOFT, DEFAULT_BOUNDS, n, const_range, rngs[i])))
-            for _ in range(cfg.population_size)])
-    best_ever = _best([_best(p) for p in pops])
-    gen = 0
-    while best_ever.fitness < 1.0 and gen < cfg.max_generation:
-        for i in range(num):
-            rng = rngs[i]
+    def __init__(self, ctx: EvalContext, const_range: Tuple[float, float],
+                 cfg: EvolutionConfig, k: int, w: int):
+        self.ctx, self.const_range, self.cfg = ctx, const_range, cfg
+        seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.population_num)
+        self.rngs = {i: np.random.default_rng(seeds[i])
+                     for i in range(k, cfg.population_num, w)}
+        self.pops: Dict[int, List[Individual]] = {
+            i: [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
+                                                    const_range, rng)))
+                for _ in range(cfg.population_size)]
+            for i, rng in self.rngs.items()}
+
+    def bests(self) -> Dict[int, Individual]:
+        return {i: _best(pop) for i, pop in self.pops.items()}
+
+    def evolve(self) -> Dict[int, Individual]:
+        """Run one generation on each island."""
+        ctx, cfg, const_range = self.ctx, self.cfg, self.const_range
+        for i, rng in self.rngs.items():
             # the operators share activations within one island's generation
             with ctx.generation():
-                pop = rank_select(pops[i], rng)
+                pop = rank_select(self.pops[i], rng)
                 for j in range(0, len(pop) - 1, 2):
                     if rng.random() < cfg.cx_prob:
                         pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng)
@@ -218,18 +241,161 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                 for j in range(len(pop)):
                     if rng.random() < cfg.ext_prob:
                         pop[j] = extension_mutation(pop[j], ctx, const_range, rng)
-            pops[i] = pop
-        if gen % cfg.migration_period == 0:
-            migrants = [Individual(b.tree, b.fitness) for b in map(_best, pops)]
+            self.pops[i] = pop
+        return self.bests()
+
+    def migrate(self, migrants: Dict[int, Individual]) -> Dict[int, Individual]:
+        """Put each migrant in place of the worst of the island it is keyed by."""
+        for i, migrant in migrants.items():
+            pop = self.pops[i]
+            pop[_worst_index(pop)] = migrant
+        return self.bests()
+
+
+def _worker_count(population_num: int) -> int:
+    """W, the number of processes that evolve a fit's islands, this one
+    included: one per island up to the CPUs this process may run on. A
+    daemonic process may not start children, and a process running other
+    threads is not forked, since a lock one of them holds stays locked in
+    the child."""
+    if (population_num < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(population_num, cpus)
+
+
+_JOIN_S = 5.0  # how long close() waits for a worker before terminating it
+
+
+def _serve(conn, parent_ends, ctx: EvalContext, const_range: Tuple[float, float],
+           cfg: EvolutionConfig, k: int, w: int) -> None:
+    """Worker k's loop: build its islands, then run each (method, args)
+    request on them and send back (True, result) or (False, exception).
+    Returns at end of file, which comes when the parent closes its pipe end
+    or dies, since this process closes every parent end it inherited."""
+    for end in parent_ends:
+        end.close()
+    # Ctrl-C reaches the whole process group; the parent handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        islands, failure = _Islands(ctx, const_range, cfg, k, w), None
+    except Exception as exc:
+        islands, failure = None, exc
+    while True:
+        try:
+            name, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            if failure is not None:
+                raise failure
+            reply = (True, getattr(islands, name)(*args))
+        except Exception as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                exc.add_note(f"raised in island worker {k}:\n{traceback.format_exc()}")
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent has gone
+            return
+
+
+class _Owners:
+    """Every island of one SGP fit and the processes that evolve them.
+
+    This process owns the islands i = 0 (mod w) and forked worker k the
+    islands i = k (mod w), 0 < k < w; w = 1 starts no process. call() runs
+    one _Islands method on every owner, the workers' alongside this
+    process's. close() ends the workers.
+    """
+
+    def __init__(self, ctx: EvalContext, const_range: Tuple[float, float],
+                 cfg: EvolutionConfig, w: int):
+        self.w = w
+        self.conns: list = []
+        self.procs: list = []
+        try:
+            if w > 1:
+                # fork flushes stdio first and the child leaves by os._exit,
+                # so nothing the parent buffered is written twice
+                mp = multiprocessing.get_context("fork")
+                for k in range(1, w):
+                    parent_end, child_end = mp.Pipe()
+                    self.conns.append(parent_end)
+                    proc = mp.Process(target=_serve, name=f"softgp-islands-{k}", daemon=True,
+                                      args=(child_end, tuple(self.conns), ctx, const_range,
+                                            cfg, k, w))
+                    proc.start()
+                    self.procs.append(proc)
+                    # later workers must not inherit it, so a worker's death
+                    # is end of file here
+                    child_end.close()
+            self.local = _Islands(ctx, const_range, cfg, 0, w)
+        except BaseException:
+            self.close()
+            raise
+
+    def call(self, name: str, routed: Optional[Dict[int, Individual]] = None
+             ) -> Dict[int, Individual]:
+        """Run _Islands.<name> on every owner and merge what they return.
+        routed, when given, maps islands to migrants; each owner is passed
+        the part for its own islands."""
+        w = self.w
+        if routed is None:
+            args = [()] * w
+        else:
+            args = [({i: m for i, m in routed.items() if i % w == k},) for k in range(w)]
+        for conn, a in zip(self.conns, args[1:]):
+            conn.send((name, a))
+        bests = getattr(self.local, name)(*args[0])
+        for k, conn in enumerate(self.conns, start=1):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                raise RuntimeError(f"island worker {k} exited unexpectedly") from None
+            if not ok:
+                raise value
+            bests.update(value)
+        return bests
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join(_JOIN_S)
+            if proc.exitcode is None:
+                proc.terminate()
+                proc.join()
+
+
+def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
+    """Evolve a soft-variant classifier with the island model."""
+    ctx = EvalContext(train.x, train.y)
+    const_range = _const_range(ctx.x)
+    num = cfg.population_num
+    islands = _Owners(ctx, const_range, cfg, _worker_count(num))
+    try:
+        bests = islands.call("bests")
+        best_ever = _best([bests[i] for i in range(num)])
+        gen = 0
+        while best_ever.fitness < 1.0 and gen < cfg.max_generation:
+            bests = islands.call("evolve")
+            if gen % cfg.migration_period == 0:
+                # island i's best displaces the worst of island i + 1
+                migrants = {(i + 1) % num: Individual(b.tree, b.fitness) for i, b in bests.items()}
+                bests = islands.call("migrate", migrants)
+            gen += 1
             for i in range(num):
-                target = pops[(i + 1) % num]
-                target[_worst_index(target)] = migrants[i]
-        gen += 1
-        for pop in pops:
-            cur = _best(pop)
-            if cur.fitness > best_ever.fitness:
-                best_ever = cur
-    return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
+                if bests[i].fitness > best_ever.fitness:
+                    best_ever = bests[i]
+    finally:
+        islands.close()
+    return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg,
+                      ctx.n_features)
 
 
 def fit(train: Dataset, algo: Algo, cfg: EvolutionConfig) -> Classifier:

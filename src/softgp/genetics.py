@@ -40,6 +40,7 @@ from .tree import (
     Variant,
     const,
     eval_batch,
+    eval_trapped,
     locate_node,
     locate_weight,
     random_subtree,
@@ -111,7 +112,9 @@ class EvalContext:
     key can be reused by a new node. The block empties the cache when it
     opens and when it closes; it holds at most one array of 8 bytes per
     training row for each operator node of the trees cached within it.
-    Outside a block nothing is cached.
+    Outside a block nothing is cached. Inside one, overflow and invalid
+    floating-point operations raise (the state eval_batch's trapping pass
+    runs under), entered once for the block rather than once per tree.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -133,6 +136,7 @@ class EvalContext:
         self._finite = bool(np.isfinite(self._rows).all())
         self._cache: Optional[dict] = None
         self._pinned: List[Node] = []
+        self._invalid = "warn"  # np.geterr()["invalid"] when the block opened
 
     @property
     def n_features(self) -> int:
@@ -143,8 +147,10 @@ class EvalContext:
         """Cache activations for the duration of the block (one island's
         generation); the cache is empty when the block opens and closes."""
         self._cache = {}
+        self._invalid = np.geterr()["invalid"]
         try:
-            yield
+            with np.errstate(over="raise", invalid="raise"):
+                yield
         finally:
             self._cache = None
             self._pinned = []
@@ -152,7 +158,10 @@ class EvalContext:
     def fitness_of(self, tree: ExprTree, fresh: Optional[dict] = None) -> float:
         """The tree's fitness, reading the cache; the arrays computed for
         it go to fresh when given, for admit to cache."""
-        acts = eval_batch(tree, self._rows, memo=self._cache, store=fresh, finite=self._finite)
+        if self._cache is None:
+            acts = eval_batch(tree, self._rows, store=fresh, finite=self._finite)
+        else:
+            acts = eval_trapped(tree, self._rows, self._cache, fresh, self._finite, self._invalid)
         pred = acts >= THRESHOLD
         tp = int(np.count_nonzero(pred[:self.n_pos]))
         tn = self.n_neg - int(np.count_nonzero(pred[self.n_pos:]))
@@ -171,7 +180,7 @@ class EvalContext:
         cache = self._cache
         if cache is not None and id(tree.root) not in cache:
             self._pinned.append(tree.root)
-            eval_batch(tree, self._rows, memo=cache, store=cache, finite=self._finite)
+            eval_trapped(tree, self._rows, cache, cache, self._finite, self._invalid)
 
     def evaluate(self, ind: Individual) -> Individual:
         if ind.fitness is None:

@@ -647,10 +647,11 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict]
 
 
 def _eval_saturating(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-                     store: Optional[dict] = None) -> np.ndarray:
+                     store: Optional[dict] = None, invalid: Optional[str] = None) -> np.ndarray:
     # The reference semantics: every math-node result is clamped. eval_batch
-    # falls back to it, and the tests compare eval_batch against it.
-    with np.errstate(over="ignore"):
+    # falls back to it, and the tests compare eval_batch against it. invalid
+    # None keeps the caller's setting for invalid operations.
+    with np.errstate(over="ignore", invalid=invalid):
         return _walk(tree.root, x, memo, store, trap=False)
 
 
@@ -694,6 +695,23 @@ def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
         except FloatingPointError:
             pass
     return _eval_saturating(tree, x, memo, store)
+
+
+def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
+                 finite: bool, invalid: str) -> np.ndarray:
+    """eval_batch for a caller that has already entered
+    np.errstate(over="raise", invalid="raise") and checked x: a float64
+    (rows, n_features) matrix, finite saying whether every cell is. invalid
+    is the invalid setting np.geterr() gave before that state was entered;
+    the saturating fallback runs under it, so it warns as eval_batch's
+    does. Saves entering np.errstate on each of many calls.
+    """
+    if finite:
+        try:
+            return _walk(tree.root, x, memo, store, trap=True)
+        except FloatingPointError:
+            pass
+    return _eval_saturating(tree, x, memo, store, invalid)
 
 
 def eval_row(tree: ExprTree, row: Sequence[float]) -> float:

@@ -1,3 +1,6 @@
+import multiprocessing
+
+import pytest
 from hypothesis import settings
 
 # Property tests run the same examples on every run and keep no example
@@ -7,3 +10,16 @@ from hypothesis import settings
 settings.register_profile("softgp", derandomize=True, deadline=None, max_examples=60,
                           database=None)
 settings.load_profile("softgp")
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    """Fail the test after which a child process (an island worker, say) is
+    still running, and end it so that the next test starts clean."""
+    yield
+    leaked = multiprocessing.active_children()
+    for proc in leaked:
+        proc.terminate()
+        proc.join()
+    if leaked:
+        pytest.fail(f"processes left running: {leaked}")

@@ -7,6 +7,7 @@ its node.
 """
 
 import gc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -83,17 +84,27 @@ def recorded(monkeypatch):
 def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
     # at 1e200 products overflow, so many evaluations take the saturating
     # fallback with a cache in use
-    real = eval_batch
+    real, real_trapped = eval_batch, tree_mod.eval_trapped
     seen = {"hits": 0, "fallbacks": 0}
 
-    def checked(tree, x, memo=None, store=None, finite=None):
-        got = real(tree, x, memo=memo, store=store, finite=finite)
+    def check(tree, x, memo, got):
         assert got.tobytes() == real(tree, x).tobytes()
         if memo:
             seen["hits"] += any(id(n) in memo for _, n in iter_nodes(tree.root))
         return got
 
+    def checked(tree, x, memo=None, store=None, finite=None):
+        return check(tree, x, memo, real(tree, x, memo=memo, store=store, finite=finite))
+
+    def checked_trapped(tree, x, memo, store, finite, invalid):
+        # inside a generation block: the uncached reference runs with the
+        # invalid setting the block was opened under (eval_batch sets over)
+        got = real_trapped(tree, x, memo, store, finite, invalid)
+        with np.errstate(invalid=invalid):
+            return check(tree, x, memo, got)
+
     monkeypatch.setattr(genetics_mod, "eval_batch", checked)
+    monkeypatch.setattr(genetics_mod, "eval_trapped", checked_trapped)
     real_pass = tree_mod._eval_saturating
 
     def counting(*args, **kwargs):
@@ -243,6 +254,46 @@ def test_fitness_matches_the_metrics_module_on_non_finite_rows():
         t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
         preds = (eval_batch(t, x) >= THRESHOLD).astype(np.int64)
         assert ctx.fitness_of(t) == balanced_accuracy(confusion(y, preds))
+
+
+@pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_a_generation_block_keeps_values_and_warnings(scale, invalid):
+    # the block makes overflow and invalid operations raise once for all its
+    # evaluations, so its saturating fallback has to put back the invalid
+    # setting the block was opened under: rows with infinite cells (and, at
+    # 1e200, finite rows whose products overflow) give the same bytes, the
+    # same warnings and the same errors inside a block as outside one
+    x = scale * np.array([[np.inf, 1.0], [0.5, -np.inf], [2.0, 0.0], [-np.inf, 3.0],
+                          [1.0, 1.0], [0.3, -0.2]])
+    ctx = EvalContext(x, np.array([1, 0, 1, 0, 0, 1]))
+    # x0 + -x0 is inf - inf on the rows where x0 is infinite
+    cancel = op(OpKind.ADD, symbol(0), op(OpKind.NEG, symbol(0)))
+    trees = [ExprTree(Variant.SOFT, op(OpKind.GT, cancel, symbol(1), weight=0.7))]
+    rng = np.random.default_rng(3)
+    trees += [random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng) for _ in range(25)]
+
+    def run(tree, in_block):
+        fresh = {}
+        with warnings.catch_warnings(record=True) as caught, np.errstate(invalid=invalid):
+            warnings.simplefilter("always")
+            try:
+                if in_block:
+                    with ctx.generation():
+                        fitness = ctx.fitness_of(tree, fresh)
+                else:
+                    fitness = ctx.fitness_of(tree, fresh)
+            except FloatingPointError as e:
+                fitness = f"raised {e}"
+        return (fitness, {k: v.tobytes() for k, v in fresh.items()},
+                [(w.category, str(w.message)) for w in caught])
+
+    outcomes = [run(t, False) for t in trees]
+    assert [run(t, True) for t in trees] == outcomes
+    if scale == 1.0:
+        # the cancelling tree does reach an invalid operation
+        assert {"warn": bool(outcomes[0][2]), "ignore": outcomes[0][2] == [],
+                "raise": str(outcomes[0][0]).startswith("raised")}[invalid]
 
 
 def test_a_mutant_equal_to_its_parent_is_not_scored(ctx, monkeypatch):
