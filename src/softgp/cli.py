@@ -63,8 +63,6 @@ def _build_config(args, fast: bool = False) -> EvolutionConfig:
     if args.config:
         cfg = load_config(args.config, cfg)
     if args.seed is not None:
-        if args.seed < 0:
-            raise EvolveError(f"seed must be nonnegative, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 

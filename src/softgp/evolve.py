@@ -35,7 +35,7 @@ import os
 import signal
 import threading
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,13 +92,12 @@ class EvolutionConfig:
         if self.max_tries_mutation < 0 or self.max_tries_weight < 0:
             raise EvolveError("max_tries must be >= 0")
         if self.seed < 0:
-            raise EvolveError("seed must be a nonnegative integer")
+            raise EvolveError(f"seed must be nonnegative, got {self.seed}")
 
 
-# Config files are flat "key = value" lines with exactly these keys.
-_CONFIG_INT_KEYS = ("max_generation", "population_size", "population_num",
-                    "migration_period", "max_tries_mutation", "max_tries_weight", "seed")
-_CONFIG_FLOAT_KEYS = ("cx_prob", "mut_prob", "ext_prob")
+# Config files are flat "key = value" lines whose keys are the fields, each
+# value converted to the type of its field's default.
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(EvolutionConfig)}
 
 
 def parse_config(text: str, base: Optional[EvolutionConfig] = None) -> EvolutionConfig:
@@ -116,11 +115,8 @@ def parse_config(text: str, base: Optional[EvolutionConfig] = None) -> Evolution
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise EvolveError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key in _CONFIG_INT_KEYS:
-            convert = int
-        elif key in _CONFIG_FLOAT_KEYS:
-            convert = float
-        else:
+        convert = _CONFIG_TYPES.get(key)
+        if convert is None:
             raise EvolveError(f"config line {lineno}: unknown key {key!r}")
         try:
             overrides[key] = convert(value)
@@ -180,8 +176,12 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     n = ctx.n_features
     const_range = _const_range(ctx.x)
 
-    pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)))
-           for _ in range(cfg.population_size)]
+    # every evaluation runs in a generation block, which enters the trapping
+    # floating-point state once for the population; GP caches nothing
+    with ctx.generation():
+        pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n,
+                                                   const_range, rng)))
+               for _ in range(cfg.population_size)]
     best_ever = _best(pop)
     gen = 0
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
@@ -193,8 +193,9 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
         for i in range(len(pop)):
             if rng.random() < cfg.mut_prob:
                 pop[i] = mutate(pop[i], n, const_range, rng)
-        for ind in pop:
-            ctx.evaluate(ind)
+        with ctx.generation():
+            for ind in pop:
+                ctx.evaluate(ind)
         gen += 1
         cur = _best(pop)
         if cur.fitness > best_ever.fitness:
@@ -213,11 +214,12 @@ class _Islands:
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.population_num)
         self.rngs = {i: np.random.default_rng(seeds[i])
                      for i in range(k, cfg.population_num, w)}
-        self.pops: Dict[int, List[Individual]] = {
-            i: [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
-                                                    const_range, rng)))
-                for _ in range(cfg.population_size)]
-            for i, rng in self.rngs.items()}
+        with ctx.generation():
+            self.pops: Dict[int, List[Individual]] = {
+                i: [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS,
+                                                        ctx.n_features, const_range, rng)))
+                    for _ in range(cfg.population_size)]
+                for i, rng in self.rngs.items()}
 
     def bests(self) -> Dict[int, Individual]:
         return {i: _best(pop) for i, pop in self.pops.items()}

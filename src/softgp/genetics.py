@@ -115,6 +115,9 @@ class EvalContext:
     Outside a block nothing is cached. Inside one, overflow and invalid
     floating-point operations raise (the state eval_batch's trapping pass
     runs under), entered once for the block rather than once per tree.
+    fit_gp and fit_sgp score every tree inside a block; a GP generation
+    fills and admits nothing, so its block caches nothing and only spares
+    the per-tree entry into that state.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -156,10 +159,11 @@ class EvalContext:
             self._pinned = []
 
     def fitness_of(self, tree: ExprTree, fresh: Optional[dict] = None) -> float:
-        """The tree's fitness, reading the cache; the arrays computed for
-        it go to fresh when given, for admit to cache."""
+        """The tree's fitness, reading the cache; inside a generation block
+        the arrays computed for it go to fresh when given, for admit to
+        cache. The library calls it only inside a block."""
         if self._cache is None:
-            acts = eval_batch(tree, self._rows, store=fresh, finite=self._finite)
+            acts = eval_batch(tree, self._rows)
         else:
             acts = eval_trapped(tree, self._rows, self._cache, fresh, self._finite, self._invalid)
         pred = acts >= THRESHOLD
@@ -393,7 +397,9 @@ def extension_mutation(ind: Individual, ctx: EvalContext,
 
     The new root's weight is 1.0 so the old behavior is preserved wherever
     the old branch dominates. The result is kept only if fitness does not
-    decrease, and never grows past the absolute boolean-depth/node caps.
+    decrease. Extension never grows a tree past BOOL_DEPTH_CAP, the absolute
+    depth cap, or past NODE_CAP, which bounds only this operator: a tree
+    already over NODE_CAP is returned unchanged.
     """
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:

@@ -24,10 +24,9 @@ and the locators use the per-child counts to find the k-th node or weight
 slot by walking a single root-to-node path. A node never changes after
 construction, so a summary cannot go stale, and a tree edited by
 replace_subtree rebuilds only the nodes on the edited path; every shared
-subtree keeps its summary. The readers of fresh trees (node_count,
-max_bool_depth, max_math_chain) use a summary that is present but never
-fill one: parsing and prediction read each tree once, and a fill costs
-more than a plain walk.
+subtree keeps its summary. node_count, which reads fresh trees, uses a
+summary that is present but never fills one: parsing and prediction read
+each tree once, and a fill costs more than a plain walk.
 
 Random generation (random_tree, random_subtree) makes its draws from the
 caller's Generator in a fixed order, and a seed reproduces a model only
@@ -57,10 +56,12 @@ FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Structural caps. Generation and ordinary variation respect the tighter
 # DEFAULT_BOUNDS below; only root extension may grow boolean depth past
-# bool_max. BOOL_DEPTH_CAP is absolute: crossover, mutation and extension
-# never exceed it, and validate() checks it. NODE_CAP is not: only
-# extension_mutation refuses to grow a tree past it, and crossover and
-# mutation may (enforcing it there changes the trees a seed evolves).
+# bool_max. BOOL_DEPTH_CAP is the only absolute cap: crossover, mutation
+# and extension never exceed it, and validate() checks it. NODE_CAP is a
+# limit on extension alone: extension_mutation refuses to grow a tree past
+# it, while random generation, crossover and mutation make trees of any
+# size (about a quarter of fresh soft trees are over it), and enforcing it
+# there would change the trees a seed evolves.
 BOOL_DEPTH_CAP = 6
 NODE_CAP = 200
 
@@ -160,11 +161,10 @@ class Node:
 
     summary caches what summary() returns for this subtree: node counts
     per class, size, weight slots, boolean depth and math chain. It is None
-    until summary() first runs on the node (node_count, max_bool_depth and
-    max_math_chain read it but never fill it), and stays None on terms
-    with no weight or coefficients, which share one constant. A node is
-    immutable, so its summary never goes stale; it takes no part in ==,
-    hash or repr.
+    until summary() first runs on the node (node_count reads it but never
+    fills it), and stays None on terms with no weight or coefficients,
+    which share one constant. A node is immutable, so its summary never
+    goes stale; it takes no part in ==, hash or repr.
     """
 
     kind: OpKind
@@ -232,7 +232,7 @@ DEFAULT_BOUNDS = GenBounds()
 # Bounds accepted by validate(): math chains may be empty (a comparison
 # straight over terms stays legal after crossover and in hand-written
 # models) and boolean depth may reach the extension cap.
-VALIDATION_BOUNDS = GenBounds(bool_min=1, bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
+_VALIDATION_BOUNDS = GenBounds(bool_min=1, bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
 
 
 @dataclass(frozen=True)
@@ -327,37 +327,6 @@ def replace_subtree(root: Node, path: Sequence[int], new: Node) -> Node:
     return Node(root.kind, tuple(children), root.weight, root.coeffs, root.payload)
 
 
-def max_bool_depth(node: Node) -> int:
-    """Longest run of boolean nodes on any path starting at node."""
-    s = node.summary
-    if s is not None:
-        return s[SUMMARY_BOOL_DEPTH]
-    if OP_CLASS[node.kind] is not _BOOLEAN:
-        return 0
-    best = 0
-    for c in node.children:
-        d = max_bool_depth(c)
-        if d > best:
-            best = d
-    return 1 + best
-
-
-def max_math_chain(node: Node) -> int:
-    """Longest run of mathematical nodes on any path below (or at) node."""
-    s = node.summary
-    if s is not None:
-        return s[SUMMARY_MATH_CHAIN]
-    cls = OP_CLASS[node.kind]
-    if cls is _TERM:
-        return 0
-    best = 0
-    for c in node.children:
-        d = max_math_chain(c)
-        if d > best:
-            best = d
-    return best + 1 if cls is _MATHEMATICAL else best
-
-
 # ---------------------------------------------------------------------------
 # Subtree summaries
 # ---------------------------------------------------------------------------
@@ -366,8 +335,8 @@ def max_math_chain(node: Node) -> int:
 # OpClass (so a class indexes its own count), followed by these entries.
 SUMMARY_SIZE = 4        # node count
 SUMMARY_SLOTS = 5       # weight slots, as collect_weights lists them
-SUMMARY_BOOL_DEPTH = 6  # max_bool_depth
-SUMMARY_MATH_CHAIN = 7  # max_math_chain
+SUMMARY_BOOL_DEPTH = 6  # longest boolean run on a path starting at the node
+SUMMARY_MATH_CHAIN = 7  # longest mathematical run on a path at or below it
 
 # The summary of every term without a weight or coefficients: terms are
 # about half of all nodes, so they share this instead of storing one.
@@ -452,15 +421,14 @@ def locate_node(root: Node, k: int,
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None) -> list[Violation]:
+def validate(tree: ExprTree, n_features: int) -> list[Violation]:
     """Check every structural invariant; returns a list of violations.
 
-    An empty list means the tree is well formed for its variant. With
-    bounds=None the permissive validation bounds apply (boolean depth up to
-    the extension cap, empty math chains allowed); pass explicit GenBounds
-    to check the stricter generation-time chain limits.
+    An empty list means the tree is well formed for its variant: boolean
+    depth up to BOOL_DEPTH_CAP, and math chains empty or up to the
+    generation bound.
     """
-    b = bounds or VALIDATION_BOUNDS
+    b = _VALIDATION_BOUNDS
     soft = tree.variant is Variant.SOFT
     out: list[Violation] = []
 
@@ -522,8 +490,6 @@ def validate(tree: ExprTree, n_features: int, bounds: Optional[GenBounds] = None
                     walk(c, path + (i,), "math", booleans, maths + 1)
                 return
             if cls is _TERM:
-                if maths < b.math_min:
-                    bad(path, f"math depth {maths} below {b.math_min}")
                 return
             bad(path, f"{node.kind.name} below a comparison operator")
 
@@ -648,15 +614,14 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict]
 
 def _eval_saturating(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
                      store: Optional[dict] = None, invalid: Optional[str] = None) -> np.ndarray:
-    # The reference semantics: every math-node result is clamped. eval_batch
-    # falls back to it, and the tests compare eval_batch against it. invalid
-    # None keeps the caller's setting for invalid operations.
+    # The reference semantics: every math-node result is clamped.
+    # eval_trapped falls back to it, and the tests compare eval_batch against
+    # it. invalid None keeps the caller's setting for invalid operations.
     with np.errstate(over="ignore", invalid=invalid):
         return _walk(tree.root, x, memo, store, trap=False)
 
 
-def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-               store: Optional[dict] = None, finite: Optional[bool] = None) -> np.ndarray:
+def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     """Evaluate the tree on a (rows, n_features) matrix; returns (rows,).
 
     Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
@@ -667,44 +632,41 @@ def eval_batch(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
     operation overflows or is invalid, a constant or coefficient is not
     finite, or x has a non-finite cell, the saturating pass (which clamps
     every math-node result) computes the result instead; either way the
-    bits are those of the saturating pass. finite says whether every cell
-    of x is finite, for a caller that evaluates many trees on one matrix
-    and has checked it once; None checks here.
+    bits are those of the saturating pass. Invalid operations in that pass
+    warn or raise as the caller's numpy setting says.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
+    finite = bool(np.isfinite(x).all())
+    invalid = np.geterr()["invalid"]
+    with np.errstate(over="raise", invalid="raise"):
+        return eval_trapped(tree, x, None, None, finite, invalid)
+
+
+def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
+                 finite: bool, invalid: str) -> np.ndarray:
+    """eval_batch for a caller that evaluates many trees on one matrix
+    (genetics.EvalContext, for an island generation) and has checked x and
+    entered the trapping state once for all of them.
+
+    The caller has entered np.errstate(over="raise", invalid="raise"); x is
+    a float64 (rows, n_features) matrix, and finite says whether every cell
+    of it is finite. invalid is the invalid setting np.geterr() gave before
+    that state was entered; the saturating fallback runs under it, so it
+    warns as eval_batch's does.
 
     memo and store make re-evaluating a slightly edited copy of a tree
     cheap, since unchanged subtrees are shared: each operator node's
     activation array is looked up in memo by the node's id() before it is
     computed, and every array computed is put in store (which may be memo
-    itself). Symbols and constants are never looked up or stored. Every
-    node whose id is a key of memo must stay alive while memo is in use,
-    or a new node could reuse the id, and returned arrays must not be
-    mutated. Entries are exact whichever pass wrote them, so when store is
-    memo the fallback reuses those the trapped pass wrote. An entry holds
-    8 bytes per row of x; the caller owns both dicts and decides how long
-    they live (genetics.EvalContext keeps one for an island generation).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
-    if finite is None:
-        finite = bool(np.isfinite(x).all())
-    if finite:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return _walk(tree.root, x, memo, store, trap=True)
-        except FloatingPointError:
-            pass
-    return _eval_saturating(tree, x, memo, store)
-
-
-def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
-                 finite: bool, invalid: str) -> np.ndarray:
-    """eval_batch for a caller that has already entered
-    np.errstate(over="raise", invalid="raise") and checked x: a float64
-    (rows, n_features) matrix, finite saying whether every cell is. invalid
-    is the invalid setting np.geterr() gave before that state was entered;
-    the saturating fallback runs under it, so it warns as eval_batch's
-    does. Saves entering np.errstate on each of many calls.
+    itself); either may be None. Symbols and constants are never looked up
+    or stored. Every node whose id is a key of memo must stay alive while
+    memo is in use, or a new node could reuse the id, and returned arrays
+    must not be mutated. Entries are exact whichever pass wrote them, so
+    when store is memo the fallback reuses those the trapped pass wrote.
+    An entry holds 8 bytes per row of x; the caller owns both dicts and
+    decides how long they live.
     """
     if finite:
         try:

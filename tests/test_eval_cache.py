@@ -17,7 +17,7 @@ import softgp.evolve as evolve_mod
 import softgp.genetics as genetics_mod
 import softgp.tree as tree_mod
 from softgp.data import gen_synthetic
-from softgp.evolve import EvolutionConfig, fit_sgp
+from softgp.evolve import EvolutionConfig, fit_gp, fit_sgp
 from softgp.genetics import (
     EvalContext,
     Individual,
@@ -38,6 +38,7 @@ from softgp.tree import (
     OpKind,
     Variant,
     eval_batch,
+    eval_trapped,
     iter_nodes,
     locate_weight,
     op,
@@ -83,18 +84,19 @@ def recorded(monkeypatch):
 @pytest.mark.parametrize("scale, seed", [(1.0, 0), (1.0, 5), (1e200, 1), (1e200, 8)])
 def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
     # at 1e200 products overflow, so many evaluations take the saturating
-    # fallback with a cache in use
+    # fallback with a cache in use (SGP) or a generation block open (GP)
     real, real_trapped = eval_batch, tree_mod.eval_trapped
-    seen = {"hits": 0, "fallbacks": 0}
+    seen = {}
 
     def check(tree, x, memo, got):
         assert got.tobytes() == real(tree, x).tobytes()
+        seen["evaluations"] += 1
         if memo:
             seen["hits"] += any(id(n) in memo for _, n in iter_nodes(tree.root))
         return got
 
-    def checked(tree, x, memo=None, store=None, finite=None):
-        return check(tree, x, memo, real(tree, x, memo=memo, store=store, finite=finite))
+    def checked(tree, x):
+        return check(tree, x, None, real(tree, x))
 
     def checked_trapped(tree, x, memo, store, finite, invalid):
         # inside a generation block: the uncached reference runs with the
@@ -112,10 +114,25 @@ def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypat
         return real_pass(*args, **kwargs)
 
     monkeypatch.setattr(tree_mod, "_eval_saturating", counting)
-    fit_sgp(moons(scale), replace(SMALL, seed=seed))
-    assert seen["hits"] > 0
-    if scale > 1.0:
-        assert seen["fallbacks"] > 0
+    for fit in (fit_sgp, fit_gp):
+        seen.update(evaluations=0, hits=0, fallbacks=0)
+        fit(moons(scale), replace(SMALL, seed=seed))
+        assert seen["evaluations"] > 0
+        # a GP generation caches nothing, so only SGP evaluations hit
+        assert (seen["hits"] > 0) == (fit is fit_sgp)
+        if scale > 1.0:
+            assert seen["fallbacks"] > 0
+
+
+def test_no_training_evaluation_runs_outside_a_generation_block(monkeypatch):
+    # fitness_of evaluates through eval_batch only outside a block
+    def refuse(tree, x):
+        raise AssertionError("a training evaluation ran outside a generation block")
+
+    monkeypatch.setattr(genetics_mod, "eval_batch", refuse)
+    monkeypatch.setattr(evolve_mod, "_worker_count", lambda population_num: 1)
+    for fit in (fit_gp, fit_sgp):
+        assert fit(moons(), SMALL).generations_run == SMALL.max_generation
 
 
 def test_the_cache_is_empty_between_island_generations(recorded, monkeypatch):
@@ -234,11 +251,12 @@ def test_no_stale_id_hit_after_many_dropped_candidates(ctx):
             # new trees reuse the freed memory, and so the ids
             for _ in range(5):
                 new = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
-                acts = eval_batch(new, x, memo=ctx._cache, finite=True)
+                acts = eval_trapped(new, x, ctx._cache, None, True, ctx._invalid)
                 assert acts.tobytes() == uncached(new)
         for root in ctx._pinned:
             t = ExprTree(Variant.SOFT, root)
-            assert eval_batch(t, x, memo=ctx._cache).tobytes() == uncached(t)
+            assert eval_trapped(t, x, ctx._cache, None, ctx._finite, ctx._invalid).tobytes() == \
+                uncached(t)
 
 
 # --- the smaller parts ------------------------------------------------------------
@@ -258,7 +276,7 @@ def test_fitness_matches_the_metrics_module_on_non_finite_rows():
 
 @pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])
 @pytest.mark.parametrize("scale", [1.0, 1e200])
-def test_a_generation_block_keeps_values_and_warnings(scale, invalid):
+def test_a_generation_block_keeps_values_and_warnings(scale, invalid, monkeypatch):
     # the block makes overflow and invalid operations raise once for all its
     # evaluations, so its saturating fallback has to put back the invalid
     # setting the block was opened under: rows with infinite cells (and, at
@@ -273,19 +291,32 @@ def test_a_generation_block_keeps_values_and_warnings(scale, invalid):
     rng = np.random.default_rng(3)
     trees += [random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng) for _ in range(25)]
 
+    # the activations fitness_of computes: through eval_batch outside a
+    # block, eval_trapped inside one
+    acts = []
+
+    def keeping(real):
+        def evaluate(*args):
+            acts.append(real(*args))
+            return acts[-1]
+        return evaluate
+
+    monkeypatch.setattr(genetics_mod, "eval_batch", keeping(genetics_mod.eval_batch))
+    monkeypatch.setattr(genetics_mod, "eval_trapped", keeping(genetics_mod.eval_trapped))
+
     def run(tree, in_block):
-        fresh = {}
+        acts.clear()
         with warnings.catch_warnings(record=True) as caught, np.errstate(invalid=invalid):
             warnings.simplefilter("always")
             try:
                 if in_block:
                     with ctx.generation():
-                        fitness = ctx.fitness_of(tree, fresh)
+                        fitness = ctx.fitness_of(tree, {})
                 else:
-                    fitness = ctx.fitness_of(tree, fresh)
+                    fitness = ctx.fitness_of(tree)
             except FloatingPointError as e:
                 fitness = f"raised {e}"
-        return (fitness, {k: v.tobytes() for k, v in fresh.items()},
+        return (fitness, [a.tobytes() for a in acts],
                 [(w.category, str(w.message)) for w in caught])
 
     outcomes = [run(t, False) for t in trees]

@@ -21,13 +21,14 @@ from softgp.tree import (
     TreeError,
     Variant,
     const,
+    SUMMARY_BOOL_DEPTH,
+    SUMMARY_MATH_CHAIN,
     eval_batch,
-    max_bool_depth,
-    max_math_chain,
     node_count,
     op,
     random_tree,
     replace_subtree,
+    summary,
     symbol,
     validate,
 )
@@ -222,12 +223,12 @@ def test_crossover_respects_depth_limits():
         t1 = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
         t2 = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
         c1, c2 = crossover(t1, t2, rng)
-        limit = max(DEFAULT_BOUNDS.bool_max, max_bool_depth(t1.root),
-                    max_bool_depth(t2.root))
-        assert max_bool_depth(c1.root) <= limit
-        assert max_bool_depth(c2.root) <= limit
-        assert max_math_chain(c1.root) <= DEFAULT_BOUNDS.math_max
-        assert max_math_chain(c2.root) <= DEFAULT_BOUNDS.math_max
+        limit = max(DEFAULT_BOUNDS.bool_max, summary(t1.root)[SUMMARY_BOOL_DEPTH],
+                    summary(t2.root)[SUMMARY_BOOL_DEPTH])
+        assert summary(c1.root)[SUMMARY_BOOL_DEPTH] <= limit
+        assert summary(c2.root)[SUMMARY_BOOL_DEPTH] <= limit
+        assert summary(c1.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
+        assert summary(c2.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
 
 
 def test_crossover_rejects_variant_mixing():
@@ -259,8 +260,8 @@ def test_mutants_stay_valid():
             mut = mutate(ind, 3, (-1.0, 1.0), rng)
             assert validate(mut.tree, 3) == [], format_tree(mut.tree)
             assert mut.fitness is None
-            assert max_bool_depth(mut.tree.root) <= DEFAULT_BOUNDS.bool_max
-            assert max_math_chain(mut.tree.root) <= DEFAULT_BOUNDS.math_max
+            assert summary(mut.tree.root)[SUMMARY_BOOL_DEPTH] <= DEFAULT_BOUNDS.bool_max
+            assert summary(mut.tree.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
 
 
 def test_mutation_class_frequencies_match_the_table():
@@ -329,4 +330,4 @@ def test_mutation_never_exceeds_math_budget_mid_chain():
     rng = np.random.default_rng(56)
     for _ in range(400):
         mut = mutate(Individual(tree), 2, (-1.0, 1.0), rng)
-        assert max_math_chain(mut.tree.root) <= DEFAULT_BOUNDS.math_max
+        assert summary(mut.tree.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max

@@ -22,11 +22,12 @@ from softgp.tree import (
     Variant,
     collect_weights,
     const,
+    SUMMARY_BOOL_DEPTH,
     iter_nodes,
-    max_bool_depth,
     node_count,
     op,
     random_tree,
+    summary,
     symbol,
     validate,
 )
@@ -193,7 +194,7 @@ def test_extension_mutation_grafts_an_or_root(ctx):
         assert root.weight == 1.0
         assert root.children[0] is ind.tree.root  # old tree kept verbatim
         assert validate(out.tree, 2) == []
-        assert max_bool_depth(root) <= BOOL_DEPTH_CAP
+        assert summary(root)[SUMMARY_BOOL_DEPTH] <= BOOL_DEPTH_CAP
     assert extended > 0
 
 
@@ -229,7 +230,7 @@ def test_extension_mutation_respects_caps(ctx):
     wide = op(OpKind.OR3, op(OpKind.OR3, cmp, cmp, cmp, weight=1.0), cmp, cmp,
               weight=1.0)
     assert node_count(wide) > NODE_CAP
-    assert max_bool_depth(wide) + 1 <= BOOL_DEPTH_CAP
+    assert summary(wide)[SUMMARY_BOOL_DEPTH] + 1 <= BOOL_DEPTH_CAP
     fat = ctx.evaluate(Individual(ExprTree(Variant.SOFT, wide)))
     for _ in range(30):
         assert extension_mutation(fat, ctx, CONST_RANGE, rng) is fat

@@ -261,8 +261,16 @@ BIG = col(1e200, -1e200, 3.0, -0.5, 0.0)
 saturating = tree_mod._eval_saturating  # bound before any spy replaces it
 
 
+def cached_eval(t, x, memo, store=None):
+    """eval_batch through a memo, as EvalContext evaluates in a generation
+    block."""
+    invalid = np.geterr()["invalid"]
+    with np.errstate(over="raise", invalid="raise"):
+        return tree_mod.eval_trapped(t, x, memo, store, bool(np.isfinite(x).all()), invalid)
+
+
 def same_bits(t, x, memo=None):
-    got = eval_batch(t, x, memo=memo)
+    got = eval_batch(t, x) if memo is None else cached_eval(t, x, memo)
     assert got.tobytes() == saturating(t, x).tobytes()
     return got
 
@@ -341,7 +349,7 @@ def test_memo_never_carries_a_non_finite_literal_past_the_trap():
     x = col(1.0, 2.0)
     memo = {}
     first = soft(op(OpKind.GT, neg_inf, x0, weight=1.0))  # alive while the memo is used
-    eval_batch(first, x, memo=memo, store=memo)
+    cached_eval(first, x, memo, memo)
     # a memoised -inf would reach MUL as an operand and leave it unclamped
     t = soft(op(OpKind.LT, op(OpKind.MUL, x0, neg_inf), const(-FLOAT_MAX), weight=1.0))
     assert same_bits(t, x, memo=memo).tolist() == [0.0, 0.0]
@@ -351,19 +359,19 @@ def test_memo_from_a_fallback_serves_a_trapping_pass(fallbacks):
     shared = op(OpKind.MUL, x0, x0)  # overflows at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
     memo = {}
-    eval_batch(first, BIG, memo=memo, store=memo)
+    cached_eval(first, BIG, memo, memo)
     assert len(fallbacks) == 1
     assert memo[id(shared)][0] == FLOAT_MAX
     second = soft(op(OpKind.LT, shared, const(5.0), weight=0.25))
     same_bits(second, BIG, memo=memo)
-    assert len(fallbacks) == 1  # the memo hit kept eval_batch on the trapping pass
+    assert len(fallbacks) == 1  # the memo hit kept the evaluation on the trapping pass
 
 
 def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
     shared = op(OpKind.ADD, x0, x0)  # finite at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
     memo = {}
-    eval_batch(first, BIG, memo=memo, store=memo)
+    cached_eval(first, BIG, memo, memo)
     assert fallbacks == []
     # shared is served from first's trapping pass; MUL then overflows and
     # the fallback must reuse that entry rather than recompute it
@@ -371,7 +379,7 @@ def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
                      op(OpKind.GT, op(OpKind.MUL, shared, x0), const(0.0), weight=1.0),
                      weight=1.0))
     memo2 = dict(memo)
-    got = eval_batch(second, BIG, memo=memo2, store=memo2)
+    got = cached_eval(second, BIG, memo2, memo2)
     assert len(fallbacks) == 1
     assert got.tobytes() == saturating(second, BIG).tobytes()
     assert memo2[id(shared)] is memo[id(shared)]
@@ -392,15 +400,15 @@ def test_memo_reuse_matches_fresh_evaluation():
     for _ in range(40):
         tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-2.0, 2.0), rng)
         memo = {}
-        base = eval_batch(tree, x, memo=memo, store=memo)
+        base = cached_eval(tree, x, memo, memo)
         # edit one leaf; shared subtrees should be served from the memo
         edited = ExprTree(tree.variant,
                           replace_subtree(tree.root, (0,),
                                           op(OpKind.GT, symbol(0), const(0.1), weight=0.9)))
-        via_memo = eval_batch(edited, x, memo=memo)
+        via_memo = cached_eval(edited, x, memo)
         fresh = eval_batch(edited, x)
         assert np.array_equal(via_memo, fresh)
-        assert np.array_equal(eval_batch(tree, x, memo=memo), base)
+        assert np.array_equal(cached_eval(tree, x, memo), base)
 
 
 def test_eval_rejects_non_matrix_input():

@@ -10,7 +10,8 @@ from softgp.tree import (
     BOOL_DEPTH_CAP,
     DEFAULT_BOUNDS,
     OP_CLASS,
-    VALIDATION_BOUNDS,
+    SUMMARY_BOOL_DEPTH,
+    SUMMARY_MATH_CHAIN,
     ExprTree,
     GenBounds,
     LocatorError,
@@ -25,8 +26,6 @@ from softgp.tree import (
     iter_nodes,
     locate_node,
     locate_weight,
-    max_bool_depth,
-    max_math_chain,
     node_count,
     op,
     random_subtree,
@@ -43,6 +42,10 @@ BOOL_KINDS = {OpKind.OR, OpKind.AND, OpKind.NOT, OpKind.OR3, OpKind.AND3}
 CMP_KINDS = {OpKind.GT, OpKind.LT}
 MATH_KINDS = {OpKind.ADD, OpKind.MUL, OpKind.NEG, OpKind.SIGM, OpKind.LIN2, OpKind.LIN3}
 TERM_KINDS = {OpKind.SYMBOL, OpKind.CONST}
+
+# the chain limits validate() accepts: boolean depth up to the extension
+# cap, math chains empty or up to the generation bound
+VALIDATION_BOUNDS = GenBounds(bool_min=1, bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
 
 
 def path_chains(tree):
@@ -93,7 +96,6 @@ def test_generated_trees_satisfy_the_chain_oracle():
             t = random_tree(variant, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
             assert chain_ok(t, DEFAULT_BOUNDS)
             assert validate(t, 3) == []
-            assert validate(t, 3, DEFAULT_BOUNDS) == []
 
 
 def test_validate_agrees_with_oracle_on_malformed_trees():
@@ -180,10 +182,10 @@ def test_random_subtree_root_class_and_budget():
     for _ in range(200):
         b = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, 2,
                            (-1.0, 1.0), rng, depth_budget=2)
-        assert b.kind in BOOL_KINDS and max_bool_depth(b) <= 2
+        assert b.kind in BOOL_KINDS and summary(b)[SUMMARY_BOOL_DEPTH] <= 2
         m = random_subtree(OpClass.MATHEMATICAL, Variant.SOFT, DEFAULT_BOUNDS, 2,
                            (-1.0, 1.0), rng, depth_budget=3)
-        assert m.kind in MATH_KINDS and max_math_chain(m) <= 3
+        assert m.kind in MATH_KINDS and summary(m)[SUMMARY_MATH_CHAIN] <= 3
         c = random_subtree(OpClass.COMPARISON, Variant.HARD, DEFAULT_BOUNDS, 2,
                            (-1.0, 1.0), rng, depth_budget=1)
         assert c.kind in CMP_KINDS
@@ -242,11 +244,9 @@ def test_iter_nodes_is_preorder_with_paths():
         assert subtree_at(t.root, path) is node
 
 
-def test_node_count_and_depth_helpers():
+def test_node_count():
     t = sample_tree()
     assert node_count(t.root) == 12
-    assert max_bool_depth(t.root) == 2
-    assert max_math_chain(t.root) == 1
 
 
 def test_summary_of_the_sample_tree():
@@ -260,13 +260,16 @@ def test_summary_of_the_sample_tree():
 
 def test_summary_follows_the_readers_on_a_malformed_tree():
     # a boolean below a comparison and a term with a child: validate rejects
-    # both, but a summary still agrees with the fresh-tree walks
+    # both, but a summary still agrees with node_count's walk and with the
+    # depths by definition (a boolean run starts at the node; a math run
+    # ends at a term, whatever lies below it)
     inner = op(OpKind.NOT, op(OpKind.GT, op(OpKind.NEG, symbol(0)), const(1.0)))
     odd = op(OpKind.AND, op(OpKind.GT, inner, const(0.0)),
              Node(OpKind.CONST, (op(OpKind.NEG, symbol(1)),), payload=1.0))
+    # preorder: AND GT NOT GT NEG x0 1.0 0.0 CONST NEG x1
     nodes = [n for _, n in iter_nodes(odd)]
-    expected = [node_count(n) for n in nodes], [max_bool_depth(n) for n in nodes], \
-        [max_math_chain(n) for n in nodes]
+    expected = ([node_count(n) for n in nodes], [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                [1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0])
     summary(odd)
     assert expected == ([summary(n)[4] for n in nodes], [summary(n)[6] for n in nodes],
                         [summary(n)[7] for n in nodes])
@@ -402,8 +405,8 @@ def test_set_weight_round_trips_through_collect():
 
 # --- validation of malformed trees ----------------------------------------------
 
-def v_messages(tree, n_features=2, bounds=None):
-    return [v.message for v in validate(tree, n_features, bounds)]
+def v_messages(tree, n_features=2):
+    return [v.message for v in validate(tree, n_features)]
 
 
 def test_validate_flags_soft_only_operators_in_hard_trees():
@@ -476,13 +479,12 @@ def test_validate_depth_limits():
         node = op(OpKind.NOT, node)
     t = ExprTree(Variant.HARD, node)
     assert any("boolean depth exceeds" in m for m in v_messages(t))
-    # depth 4 is fine by default (extension headroom) but not for generation bounds
+    # depth 4, past the generation bound, is fine (extension headroom)
     node = op(OpKind.GT, symbol(0), const(0.0))
     for _ in range(4):
         node = op(OpKind.NOT, node)
     t = ExprTree(Variant.HARD, node)
     assert v_messages(t) == []
-    assert any("boolean depth exceeds 3" in m for m in v_messages(t, bounds=DEFAULT_BOUNDS))
 
 
 def test_validate_math_chain_limits():
@@ -491,10 +493,9 @@ def test_validate_math_chain_limits():
         node = op(OpKind.NEG, node)
     t = ExprTree(Variant.HARD, op(OpKind.NOT, op(OpKind.GT, node, const(0.0))))
     assert any("math depth exceeds 4" in m for m in v_messages(t))
-    # an empty math chain is legal by default but not under generation bounds
+    # an empty math chain, below the generation bound, is legal
     t = ExprTree(Variant.HARD, op(OpKind.NOT, op(OpKind.GT, symbol(0), const(0.0))))
     assert v_messages(t) == []
-    assert any("math depth 0 below 1" in m for m in v_messages(t, bounds=DEFAULT_BOUNDS))
 
 
 def test_validate_rejects_non_boolean_root():
