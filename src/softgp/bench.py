@@ -88,6 +88,8 @@ def run_benchmark(datasets: Sequence[str], algos: Sequence[Algo], runs: int,
     are recorded as (dataset, message) and the affected cells skipped.
     Results come back sorted by (dataset, run, algo).
     """
+    if runs < 1:
+        raise DataError(f"need at least one run per dataset, got {runs}")
     results: List[BenchResult] = []
     failures: List[Tuple[str, str]] = []
     for name in datasets:
@@ -179,11 +181,13 @@ def write_summary_md(results: Sequence[BenchResult], path,
             ranks[(d, algo)] = i
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# Benchmark summary\n\n")
-        fh.write("Mean balanced accuracy over "
-                 + (f"{max(s[2] for s in stats.values())}" if stats else "0")
-                 + " runs; (k) is the rank within the column.\n\n")
-        fh.write("| dataset | " + " | ".join(algos) + " |\n")
-        fh.write("|---" * (len(algos) + 1) + "|\n")
+        if stats:
+            fh.write(f"Mean balanced accuracy over {max(s[2] for s in stats.values())} runs; "
+                     "(k) is the rank within the column.\n\n")
+            fh.write("| dataset | " + " | ".join(algos) + " |\n")
+            fh.write("|---" * (len(algos) + 1) + "|\n")
+        else:
+            fh.write("No results.\n")
         for d in datasets:
             cells = []
             for a in algos:

@@ -13,6 +13,7 @@ import gzip
 import io
 import math
 import os
+import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -173,8 +174,11 @@ def fetch_pmlb(name: str, cache_dir) -> Dataset:
 
     A warm cache skips the network entirely. Downloads are verified
     (gunzip + parse) before being moved into the cache atomically, so a
-    concurrent or aborted fetch never leaves a corrupt cache entry.
+    concurrent or aborted fetch never leaves a corrupt cache entry. A name
+    that could lead out of the cache directory or the URL is refused first.
     """
+    if re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name) is None:
+        raise DataError(f"bad PMLB dataset name {name!r} (want [A-Za-z0-9_.-]+, no leading .)")
     os.makedirs(cache_dir, exist_ok=True)
     cached = os.path.join(cache_dir, f"{name}.tsv.gz")
     if os.path.exists(cached):

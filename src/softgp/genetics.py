@@ -42,12 +42,12 @@ from .tree import (
     eval_batch,
     eval_trapped,
     locate_node,
-    locate_weight,
     random_subtree,
     replace_subtree,
     set_weight,
     summary,
     symbol,
+    weight_at,
 )
 
 
@@ -379,8 +379,8 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
         return ind
     ctx.fill(ind.tree)
     for _ in range(max_tries):
-        loc, w = locate_weight(ind.tree, int(rng.integers(0, n_slots)))
-        candidate = set_weight(ind.tree, loc, w + float(rng.normal(0.0, 0.1)))
+        k = int(rng.integers(0, n_slots))
+        candidate = set_weight(ind.tree, k, weight_at(ind.tree, k) + float(rng.normal(0.0, 0.1)))
         fresh: dict = {}
         f = ctx.fitness_of(candidate, fresh)
         if f > ind.fitness:

@@ -20,13 +20,13 @@ Every node carries a summary of its subtree: its node count per operator
 class, its size, its weight-slot count (operator weights plus linear
 coefficients), its boolean depth and its math chain. summary() fills it
 from the children's summaries the first time a variation operator asks,
-and the locators use the per-child counts to find the k-th node or weight
-slot by walking a single root-to-node path. A node never changes after
-construction, so a summary cannot go stale, and a tree edited by
-replace_subtree rebuilds only the nodes on the edited path; every shared
-subtree keeps its summary. node_count, which reads fresh trees, uses a
-summary that is present but never fills one: parsing and prediction read
-each tree once, and a fill costs more than a plain walk.
+and locate_node and the weight-slot accessors use the per-child counts to
+find the k-th node or weight slot by walking a single root-to-node path. A
+node never changes after construction, so a summary cannot go stale, and a
+tree edited by replace_subtree rebuilds only the nodes on the edited path;
+every shared subtree keeps its summary. node_count, which reads fresh
+trees, uses a summary that is present but never fills one: parsing and
+prediction read each tree once, and a fill costs more than a plain walk.
 
 Random generation (random_tree, random_subtree) makes its draws from the
 caller's Generator in a fixed order, and a seed reproduces a model only
@@ -75,7 +75,7 @@ class TreeError(ValueError):
 
 
 class LocatorError(TreeError):
-    """Raised when a path, a weight locator or a node or slot index does not
+    """Raised when a path, a node index or a weight-slot index does not
     resolve."""
 
 
@@ -229,23 +229,6 @@ class GenBounds:
 # under these bounds.
 DEFAULT_BOUNDS = GenBounds()
 
-# Bounds accepted by validate(): math chains may be empty (a comparison
-# straight over terms stays legal after crossover and in hand-written
-# models) and boolean depth may reach the extension cap.
-_VALIDATION_BOUNDS = GenBounds(bool_min=1, bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
-
-
-@dataclass(frozen=True)
-class WeightLocator:
-    """Addresses one adjustable real in a tree.
-
-    path: child indices from the root. coeff None means the node's operator
-    weight; otherwise the index into a LIN2/LIN3 coefficient list.
-    """
-
-    path: Tuple[int, ...]
-    coeff: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -303,16 +286,6 @@ def node_count(node: Node) -> int:
         else:
             count += s[SUMMARY_SIZE]
     return count
-
-
-def subtree_at(root: Node, path: Sequence[int]) -> Node:
-    node = root
-    for i in path:
-        try:
-            node = node.children[i]
-        except IndexError:
-            raise LocatorError(f"path {tuple(path)} leaves the tree") from None
-    return node
 
 
 def replace_subtree(root: Node, path: Sequence[int], new: Node) -> Node:
@@ -425,10 +398,10 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
     """Check every structural invariant; returns a list of violations.
 
     An empty list means the tree is well formed for its variant: boolean
-    depth up to BOOL_DEPTH_CAP, and math chains empty or up to the
-    generation bound.
+    depth 1 to BOOL_DEPTH_CAP, and math chains empty (legal after crossover
+    and in hand-written models) or up to DEFAULT_BOUNDS.math_max.
     """
-    b = _VALIDATION_BOUNDS
+    math_max = DEFAULT_BOUNDS.math_max
     soft = tree.variant is Variant.SOFT
     out: list[Violation] = []
 
@@ -470,22 +443,22 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
         # layer-chain phases
         if phase == "bool":
             if cls is _BOOLEAN:
-                if booleans + 1 > b.bool_max:
-                    bad(path, f"boolean depth exceeds {b.bool_max}")
+                if booleans + 1 > BOOL_DEPTH_CAP:
+                    bad(path, f"boolean depth exceeds {BOOL_DEPTH_CAP}")
                 for i, c in enumerate(node.children):
                     walk(c, path + (i,), "bool", booleans + 1, 0)
                 return
             if cls is _COMPARISON:
-                if booleans < b.bool_min:
-                    bad(path, f"boolean depth {booleans} below {b.bool_min}")
+                if booleans < 1:
+                    bad(path, f"boolean depth {booleans} below 1")
                 for i, c in enumerate(node.children):
                     walk(c, path + (i,), "math", booleans, 0)
                 return
             bad(path, f"{node.kind.name} where a boolean or comparison operator is required")
         elif phase == "math":
             if cls is _MATHEMATICAL:
-                if maths + 1 > b.math_max:
-                    bad(path, f"math depth exceeds {b.math_max}")
+                if maths + 1 > math_max:
+                    bad(path, f"math depth exceeds {math_max}")
                 for i, c in enumerate(node.children):
                     walk(c, path + (i,), "math", booleans, maths + 1)
                 return
@@ -928,21 +901,10 @@ def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features
 # Weight access
 # ---------------------------------------------------------------------------
 
-def collect_weights(tree: ExprTree) -> list[Tuple[WeightLocator, float]]:
-    """All operator weights and linear coefficients, in preorder."""
-    out: list[Tuple[WeightLocator, float]] = []
-    for path, node in iter_nodes(tree.root):
-        if node.weight is not None:
-            out.append((WeightLocator(path), node.weight))
-        if node.coeffs is not None:
-            for i, c in enumerate(node.coeffs):
-                out.append((WeightLocator(path, i), c))
-    return out
-
-
-def locate_weight(tree: ExprTree, k: int) -> Tuple[WeightLocator, float]:
-    """collect_weights(tree)[k], found by walking one path as locate_node
-    does."""
+def _weight_slot(tree: ExprTree, k: int) -> Tuple[list, Node, Optional[int]]:
+    """The path to the node holding weight slot k, the node, and None for
+    its operator weight or the index of a linear coefficient; walks down
+    one path as locate_node does."""
     root = tree.root
     total = summary(root)[SUMMARY_SLOTS]
     if not 0 <= k < total:
@@ -950,18 +912,17 @@ def locate_weight(tree: ExprTree, k: int) -> Tuple[WeightLocator, float]:
     path: list[int] = []
     node = root
     while True:
-        w = node.weight
-        if w is not None:
+        if node.weight is not None:
             if k == 0:
-                return WeightLocator(tuple(path)), w
+                return path, node, None
             k -= 1
         coeffs = node.coeffs
         if coeffs is not None:
             if k < len(coeffs):
-                return WeightLocator(tuple(path), k), coeffs[k]
+                return path, node, k
             k -= len(coeffs)
         for i, c in enumerate(node.children):
-            n = summary(c)[SUMMARY_SLOTS]
+            n = (c.summary or summary(c))[SUMMARY_SLOTS]
             if k < n:
                 break
             k -= n
@@ -969,22 +930,29 @@ def locate_weight(tree: ExprTree, k: int) -> Tuple[WeightLocator, float]:
         node = c
 
 
-def set_weight(tree: ExprTree, loc: WeightLocator, value: float) -> ExprTree:
-    """Return a copy of tree with one weight slot updated.
+def weight_at(tree: ExprTree, k: int) -> float:
+    """The value of weight slot k. A tree's weight slots are its operator
+    weights and linear coefficients, numbered in preorder, a node's weight
+    before its coefficients; k is the only address of a slot."""
+    _, node, coeff = _weight_slot(tree, k)
+    return node.weight if coeff is None else node.coeffs[coeff]
+
+
+def set_weight(tree: ExprTree, k: int, value: float) -> ExprTree:
+    """Return a copy of tree with weight slot k set to value.
 
     Operator weights are clamped to [0,1]; linear coefficients are stored
     as given. The input tree is never modified.
     """
-    node = subtree_at(tree.root, loc.path)
-    if loc.coeff is None:
-        if node.weight is None:
-            raise LocatorError(f"node {node.kind.name} at {loc.path} has no operator weight")
-        # Node clamps the weight on construction
+    path, node, coeff = _weight_slot(tree, k)
+    if coeff is None:  # Node clamps the weight on construction
         new = Node(node.kind, node.children, float(value), node.coeffs, node.payload)
     else:
-        if node.coeffs is None or not (0 <= loc.coeff < len(node.coeffs)):
-            raise LocatorError(f"node {node.kind.name} at {loc.path} has no coefficient {loc.coeff}")
-        coeffs = list(node.coeffs)
-        coeffs[loc.coeff] = float(value)
-        new = Node(node.kind, node.children, node.weight, tuple(coeffs), node.payload)
-    return ExprTree(tree.variant, replace_subtree(tree.root, loc.path, new))
+        coeffs = node.coeffs[:coeff] + (float(value),) + node.coeffs[coeff + 1:]
+        new = Node(node.kind, node.children, node.weight, coeffs, node.payload)
+    return ExprTree(tree.variant, replace_subtree(tree.root, path, new))
+
+
+def collect_weights(tree: ExprTree) -> list[float]:
+    """The value of every weight slot, in slot order."""
+    return [weight_at(tree, k) for k in range(summary(tree.root)[SUMMARY_SLOTS])]

@@ -202,6 +202,16 @@ def test_fetch_uses_cache_and_reports(tmp_path, capsys):
     assert "demo: 2 rows, 1 features" in out
 
 
+def test_fetch_refuses_a_path_as_a_name(tmp_path, monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("network touched")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
+    cache = tmp_path / "cache"
+    assert run(["fetch", "../x", "--cache", str(cache)]) == 2
+    assert "bad PMLB dataset name '../x'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fetch_network_failure_exits_2(tmp_path, monkeypatch, capsys):
     def refuse(*a, **k):
         raise ConnectionRefusedError("no route")
@@ -247,6 +257,16 @@ def test_bench_total_failure_exits_2(tmp_path, monkeypatch, capsys):
               "--out", str(tmp_path / "bench"), "--cache", str(tmp_path / "cache")])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_bench_without_runs_exits_2_and_writes_nothing(tmp_path, capsys, runs):
+    out = tmp_path / "bench"
+    rc = run(["bench", "synth:moons", "--runs", runs, "--out", str(out),
+              "--cache", str(tmp_path / "cache")])
+    assert rc == 2
+    assert "at least one run" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_bad_algos_exits_2(tmp_path, capsys):
@@ -347,3 +367,13 @@ def test_report_on_a_non_results_file_exits_2(tmp_path, capsys):
     p.write_text("a,b\n1,2\n")
     assert run(["report", "--results", str(p)]) == 2
     assert "bad header" in capsys.readouterr().err
+
+
+def test_report_without_results_writes_no_table(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("dataset,run,algo,balanced_accuracy,train_seconds,seed\n")
+    assert run(["report", "--results", str(results)]) == 0
+    assert (tmp_path / "summary.md").read_text() == "# Benchmark summary\n\nNo results.\n"
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1
+    capsys.readouterr()

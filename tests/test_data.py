@@ -182,6 +182,22 @@ def test_fetch_pmlb_reports_http_errors(tmp_path, monkeypatch, status, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["../outside", "..", ".hidden", "a/b", "a\\b", "",
+                                  "demo\n", "dem o", "dėmo"])
+def test_fetch_pmlb_refuses_a_name_that_could_leave_the_cache(tmp_path, monkeypatch, name):
+    def refuse(url):
+        raise AssertionError(f"network touched for {url}")
+    monkeypatch.setattr(softgp.data, "_http_get", refuse)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # a real file where "../outside" would resolve
+    with gzip.open(tmp_path / "outside.tsv.gz", "wt") as fh:
+        fh.write("x0\ttarget\n0.5\t1\n1.5\t0\n")
+    with pytest.raises(DataError, match="bad PMLB dataset name"):
+        fetch_pmlb(name, cache)
+    assert list(cache.iterdir()) == []
+
+
 def test_http_get_returns_status_and_body(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")  # keep the request on this host
 

@@ -40,13 +40,13 @@ from softgp.tree import (
     eval_batch,
     eval_trapped,
     iter_nodes,
-    locate_weight,
     op,
     random_tree,
     replace_subtree,
     set_weight,
     summary,
     symbol,
+    weight_at,
 )
 
 SMALL = EvolutionConfig(max_generation=3, population_size=12, population_num=2,
@@ -241,8 +241,8 @@ def test_no_stale_id_hit_after_many_dropped_candidates(ctx):
                 ctx.fill(t)
             # edits of it, scored and dropped, as rejected candidates are
             for _ in range(5):
-                loc, w = locate_weight(t, int(rng.integers(0, summary(t.root)[SUMMARY_SLOTS])))
-                cand = set_weight(t, loc, w + 0.3)
+                k = int(rng.integers(0, summary(t.root)[SUMMARY_SLOTS]))
+                cand = set_weight(t, k, weight_at(t, k) + 0.3)
                 fresh = {}
                 ctx.fitness_of(cand, fresh)
                 assert fresh[id(cand.root)].tobytes() == uncached(cand)

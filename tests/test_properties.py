@@ -1,6 +1,6 @@
 """Property tests: the evaluator against its saturating reference, the
-model-file parser against arbitrary text, and subtree summaries and the
-locators against from-scratch walks."""
+model-file parser against arbitrary text, and subtree summaries, the
+locators and the weight-slot accessors against from-scratch walks."""
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from softgp.tree import (
     eval_batch,
     iter_nodes,
     locate_node,
-    locate_weight,
     node_count,
     random_subtree,
     random_tree,
@@ -37,6 +36,7 @@ from softgp.tree import (
     set_weight,
     summary,
     validate,
+    weight_at,
 )
 
 N_FEATURES = 3
@@ -182,8 +182,8 @@ def test_summaries_match_a_recomputation_through_every_edit(seed, variant):
     assert_summaries_hold(replace_subtree(t1.root, path, fresh))
 
     if variant is Variant.SOFT:
-        loc, w = collect_weights(t1)[int(rng.integers(0, summary(t1.root)[tree_mod.SUMMARY_SLOTS]))]
-        assert_summaries_hold(set_weight(t1, loc, w + 0.25).root)
+        k = int(rng.integers(0, summary(t1.root)[tree_mod.SUMMARY_SLOTS]))
+        assert_summaries_hold(set_weight(t1, k, weight_at(t1, k) + 0.25).root)
 
     c1, c2 = crossover(t1, t2, rng)
     assert_summaries_hold(c1.root)
@@ -218,11 +218,49 @@ def test_locators_agree_with_the_walks(seed, variant):
         for k in (-1, len(expected)):
             with pytest.raises(LocatorError):
                 locate_node(tree.root, k, cls)
-    slots = collect_weights(tree)
-    assert [locate_weight(tree, k) for k in range(len(slots))] == slots
+    slots = walked_slots(tree.root)
+    assert collect_weights(tree) == [w for _, w in slots]
     for k in (-1, len(slots)):
         with pytest.raises(LocatorError):
-            locate_weight(tree, k)
+            weight_at(tree, k)
+
+
+def walked_slots(root):
+    """(is an operator weight, value) for every weight slot, in the preorder
+    a plain walk gives: a node's weight, then its coefficients."""
+    out = []
+    for _, node in iter_nodes(root):
+        if node.weight is not None:
+            out.append((True, node.weight))
+        out.extend((False, c) for c in node.coeffs or ())
+    return out
+
+
+@given(seeds, st.floats(allow_nan=False))
+@example(0, -0.0)
+@example(0, 0.5)
+@example(0, 1.5)
+def test_set_weight_changes_only_its_slot(seed, value):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, N_FEATURES, (-2.0, 2.0), rng)
+    before = walked_slots(tree.root)
+    assert_summaries_hold(tree.root)
+    for k, (is_weight, _) in enumerate(before):
+        edited = set_weight(tree, k, value)
+        want = min(1.0, max(0.0, value)) if is_weight else value
+        assert weight_at(edited, k) == want
+        after = walked_slots(edited.root)
+        assert after[:k] + after[k + 1:] == before[:k] + before[k + 1:]
+        assert after[k] == (is_weight, want)
+        # set_weight changes no shape, so every summary, on the rebuilt
+        # path or shared, equals the checked one at the same place in tree
+        for (p1, new), (p2, old) in zip(iter_nodes(edited.root), iter_nodes(tree.root)):
+            assert (p1, new.kind, summary(new)) == (p2, old.kind, summary(old))
+    for k in (-1, len(before)):
+        with pytest.raises(LocatorError):
+            set_weight(tree, k, value)
+        with pytest.raises(LocatorError):
+            weight_at(tree, k)
 
 
 @given(seeds, variants)

@@ -20,22 +20,20 @@ from softgp.tree import (
     OpKind,
     TreeError,
     Variant,
-    WeightLocator,
     collect_weights,
     const,
     iter_nodes,
     locate_node,
-    locate_weight,
     node_count,
     op,
     random_subtree,
     random_tree,
     replace_subtree,
     set_weight,
-    subtree_at,
     summary,
     symbol,
     validate,
+    weight_at,
 )
 
 BOOL_KINDS = {OpKind.OR, OpKind.AND, OpKind.NOT, OpKind.OR3, OpKind.AND3}
@@ -219,6 +217,12 @@ def sample_tree():
         weight=0.4))
 
 
+def node_at(root, path):
+    for i in path:
+        root = root.children[i]
+    return root
+
+
 def test_op_class_has_exactly_one_entry_per_kind():
     assert len(OP_CLASS) == len(OpKind) == len(ARITY)
     expected = {}
@@ -241,7 +245,7 @@ def test_iter_nodes_is_preorder_with_paths():
     assert paths == [(), (0,), (0, 0), (0, 0, 0), (0, 0, 1), (0, 1),
                      (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1)]
     for path, node in walked:
-        assert subtree_at(t.root, path) is node
+        assert node_at(t.root, path) is node
 
 
 def test_node_count():
@@ -253,9 +257,9 @@ def test_summary_of_the_sample_tree():
     t = sample_tree()
     # counts per class, then size, weight slots, boolean depth, math chain
     assert summary(t.root) == (2, 2, 2, 6, 12, 6, 2, 1)
-    assert locate_node(t.root, 5) == ((0, 1), subtree_at(t.root, (0, 1)))
-    assert locate_node(t.root, 1, OpClass.MATHEMATICAL) == ((1, 0, 1), subtree_at(t.root, (1, 0, 1)))
-    assert locate_weight(t, 5) == (WeightLocator((1, 0, 1), 1), -0.5)
+    assert locate_node(t.root, 5) == ((0, 1), node_at(t.root, (0, 1)))
+    assert locate_node(t.root, 1, OpClass.MATHEMATICAL) == ((1, 0, 1), node_at(t.root, (1, 0, 1)))
+    assert weight_at(t, 5) == -0.5
 
 
 def test_summary_follows_the_readers_on_a_malformed_tree():
@@ -276,10 +280,8 @@ def test_summary_follows_the_readers_on_a_malformed_tree():
     assert summary(odd)[6] == 1 and summary(odd.children[0])[6] == 0
 
 
-def test_subtree_at_and_replace_errors():
+def test_replace_subtree_errors():
     t = sample_tree()
-    with pytest.raises(LocatorError, match="leaves the tree"):
-        subtree_at(t.root, (0, 5))
     with pytest.raises(LocatorError, match="leaves the tree"):
         replace_subtree(t.root, (2,), const(1.0))
 
@@ -288,7 +290,7 @@ def test_replace_subtree_shares_untouched_parts():
     t = sample_tree()
     new = op(OpKind.GT, symbol(1), const(0.0), weight=1.0)
     root2 = replace_subtree(t.root, (0,), new)
-    assert subtree_at(root2, (0,)) is new
+    assert root2.children[0] is new
     assert root2.children[1] is t.root.children[1]  # untouched branch shared
     assert t.root.children[0].kind is OpKind.GT  # original unchanged
     assert replace_subtree(t.root, (), new) is new
@@ -343,15 +345,8 @@ def test_node_constructor_clamps_every_other_weight_to_a_python_float(given, sto
 
 def test_collect_weights_preorder_order_and_values():
     t = sample_tree()
-    slots = collect_weights(t)
-    assert [(loc.path, loc.coeff, w) for loc, w in slots] == [
-        ((), None, 0.4),
-        ((0,), None, 0.7),
-        ((1,), None, 0.9),
-        ((1, 0), None, 0.2),
-        ((1, 0, 1), 0, 0.5),
-        ((1, 0, 1), 1, -0.5),
-    ]
+    # the weights of OR, GT, NOT and LT, then LIN2's two coefficients
+    assert collect_weights(t) == [0.4, 0.7, 0.9, 0.2, 0.5, -0.5]
 
 
 def test_hard_trees_have_no_weight_slots():
@@ -363,44 +358,17 @@ def test_hard_trees_have_no_weight_slots():
 
 def test_set_weight_updates_and_clamps_operator_weights():
     t = sample_tree()
-    t2 = set_weight(t, WeightLocator((0,)), 1.7)
-    assert subtree_at(t2.root, (0,)).weight == 1.0  # clamped into [0,1]
-    t3 = set_weight(t, WeightLocator((0,)), 0.55)
-    assert subtree_at(t3.root, (0,)).weight == 0.55
-    assert subtree_at(t.root, (0,)).weight == 0.7  # original untouched
+    t2 = set_weight(t, 1, 1.7)
+    assert node_at(t2.root, (0,)).weight == 1.0  # clamped into [0,1]
+    t3 = set_weight(t, 1, 0.55)
+    assert node_at(t3.root, (0,)).weight == 0.55
+    assert node_at(t.root, (0,)).weight == 0.7  # original untouched
 
 
 def test_set_weight_leaves_coefficients_unclamped():
     t = sample_tree()
-    t2 = set_weight(t, WeightLocator((1, 0, 1), 1), 2.5)
-    assert subtree_at(t2.root, (1, 0, 1)).coeffs == (0.5, 2.5)
-
-
-def test_set_weight_locator_errors():
-    t = sample_tree()
-    with pytest.raises(LocatorError, match="no operator weight"):
-        set_weight(t, WeightLocator((0, 0)), 0.5)  # ADD has no weight
-    with pytest.raises(LocatorError, match="no coefficient"):
-        set_weight(t, WeightLocator((0,), 0), 0.5)  # GT has no coeffs
-    with pytest.raises(LocatorError, match="no coefficient"):
-        set_weight(t, WeightLocator((1, 0, 1), 2), 0.5)  # LIN2 has 2
-    with pytest.raises(LocatorError, match="leaves the tree"):
-        set_weight(t, WeightLocator((3, 3)), 0.5)
-
-
-def test_set_weight_round_trips_through_collect():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
-        slots = collect_weights(t)
-        loc, w = slots[int(rng.integers(0, len(slots)))]
-        t2 = set_weight(t, loc, 0.123456)
-        updated = dict(collect_weights(t2))
-        assert updated[loc] == 0.123456
-        before = dict(slots)
-        for other in before:
-            if other != loc:
-                assert updated[other] == before[other]
+    t2 = set_weight(t, 5, 2.5)
+    assert node_at(t2.root, (1, 0, 1)).coeffs == (0.5, 2.5)
 
 
 # --- validation of malformed trees ----------------------------------------------
