@@ -169,6 +169,19 @@ def _worst_index(pop: Sequence[Individual]) -> int:
     return worst
 
 
+def _score_gp(ctx: EvalContext, pop: List[Individual]) -> None:
+    """Score pop's unscored individuals. The block carries the activations
+    of the previous population's nodes that pop still holds, so a child
+    evaluates only the nodes it does not share, and every tree scored
+    enters the cache with the population."""
+    with ctx.generation(keep=pop):
+        for ind in pop:
+            if ind.fitness is None:
+                fresh: dict = {}
+                ind.fitness = ctx.fitness_of(ind.tree, fresh)
+                ctx.admit(ind.tree, fresh)
+
+
 def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     """Evolve a hard-variant classifier on the training split."""
     ctx = EvalContext(train.x, train.y)
@@ -176,12 +189,9 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     n = ctx.n_features
     const_range = _const_range(ctx.x)
 
-    # every evaluation runs in a generation block, which enters the trapping
-    # floating-point state once for the population; GP caches nothing
-    with ctx.generation():
-        pop = [ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n,
-                                                   const_range, rng)))
-               for _ in range(cfg.population_size)]
+    pop = [Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng))
+           for _ in range(cfg.population_size)]
+    _score_gp(ctx, pop)
     best_ever = _best(pop)
     gen = 0
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
@@ -193,9 +203,7 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
         for i in range(len(pop)):
             if rng.random() < cfg.mut_prob:
                 pop[i] = mutate(pop[i], n, const_range, rng)
-        with ctx.generation():
-            for ind in pop:
-                ctx.evaluate(ind)
+        _score_gp(ctx, pop)
         gen += 1
         cur = _best(pop)
         if cur.fitness > best_ever.fitness:

@@ -108,16 +108,22 @@ class EvalContext:
     for every operator node of each tree filled (fill) or admitted
     (admit) since the block opened. fitness_of reads it, so a tree that
     shares subtrees with cached trees evaluates only its new nodes. The
-    root of every cached tree is held until the block closes, so no id
-    key can be reused by a new node. The block empties the cache when it
-    opens and when it closes; it holds at most one array of 8 bytes per
-    training row for each operator node of the trees cached within it.
-    Outside a block nothing is cached. Inside one, overflow and invalid
-    floating-point operations raise (the state eval_batch's trapping pass
-    runs under), entered once for the block rather than once per tree.
-    fit_gp and fit_sgp score every tree inside a block; a GP generation
-    fills and admits nothing, so its block caches nothing and only spares
-    the per-tree entry into that state.
+    root of every cached tree is held as long as the cache is, so no id
+    key can be reused by a new node. A plain block (fit_sgp's island
+    generations) empties the cache when it opens and when it closes; it
+    holds at most one array of 8 bytes per training row for each operator
+    node of the trees cached within it. A block opened with keep=pop
+    (fit_gp's generations) carries the cache over from the last such
+    block instead: it first drops every entry but those of the operator
+    nodes of pop's trees, then leaves what it cached, and the roots that
+    hold it, for the next one. A GP child therefore evaluates only the
+    nodes it does not share with the population it was bred from, and the
+    carried cache holds at most one array per operator node of one
+    population. Outside a block nothing is read from the cache. Inside
+    one, overflow and invalid floating-point operations raise (the state
+    eval_batch's trapping pass runs under), entered once for the block
+    rather than once per tree. fit_gp and fit_sgp score every tree inside
+    a block.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -139,6 +145,8 @@ class EvalContext:
         self._finite = bool(np.isfinite(self._rows).all())
         self._cache: Optional[dict] = None
         self._pinned: List[Node] = []
+        # the cache and pins the last keep block left for the next one
+        self._carried: Tuple[dict, List[Node]] = ({}, [])
         self._invalid = "warn"  # np.geterr()["invalid"] when the block opened
 
     @property
@@ -146,17 +154,55 @@ class EvalContext:
         return self.x.shape[1]
 
     @contextmanager
-    def generation(self):
-        """Cache activations for the duration of the block (one island's
-        generation); the cache is empty when the block opens and closes."""
-        self._cache = {}
+    def generation(self, keep: Optional[Sequence[Individual]] = None):
+        """Cache activations for the duration of the block (one generation).
+
+        Without keep the cache is empty when the block opens and closes.
+        With keep the block starts from the cache the last keep block
+        left, cut down to the operator nodes of keep's trees, and leaves
+        its cache for the next keep block."""
+        if keep is None:
+            self._cache, self._pinned = {}, []
+        else:
+            self._cache, self._pinned = self._prune(keep)
+            # only now may the old pins go, freeing the nodes keep dropped
+            self._carried = ({}, [])
         self._invalid = np.geterr()["invalid"]
         try:
             with np.errstate(over="raise", invalid="raise"):
                 yield
         finally:
+            if keep is not None:
+                self._carried = (self._cache, self._pinned)
             self._cache = None
             self._pinned = []
+
+    def _prune(self, keep: Sequence[Individual]) -> Tuple[dict, List[Node]]:
+        """The carried entries of the operator nodes of keep's trees, and
+        keep's roots to hold them. The carried pins still hold every
+        carried key's node while the walk runs, so a node made since
+        (crossover, mutation) cannot share an id with one; a key the walk
+        reaches is therefore that node's own."""
+        carried = self._carried[0].get
+        cache: dict = {}
+        roots = [ind.tree.root for ind in keep]
+        seen = set()
+        stack = roots[:]
+        pop, push, visit = stack.pop, stack.extend, seen.add
+        while stack:
+            node = pop()
+            children = node.children
+            if not children:  # a term: never cached
+                continue
+            key = id(node)
+            if key in seen:
+                continue
+            visit(key)
+            acts = carried(key)
+            if acts is not None:
+                cache[key] = acts
+            push(children)
+        return cache, roots
 
     def fitness_of(self, tree: ExprTree, fresh: Optional[dict] = None) -> float:
         """The tree's fitness, reading the cache; inside a generation block
@@ -404,9 +450,9 @@ def extension_mutation(ind: Individual, ctx: EvalContext,
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("extension mutation requires a soft tree")
-    fresh = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
+    graft = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
                            const_range, rng, depth_budget=DEFAULT_BOUNDS.bool_max)
-    root = Node(OpKind.OR, (ind.tree.root, fresh), weight=1.0)
+    root = Node(OpKind.OR, (ind.tree.root, graft), weight=1.0)
     s = summary(root)
     if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:
         return ind

@@ -48,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -261,17 +261,6 @@ def op(kind: OpKind, *children: Node, weight: Optional[float] = None,
 # ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
-
-def iter_nodes(node: Node, path: Tuple[int, ...] = ()) -> Iterator[Tuple[Tuple[int, ...], Node]]:
-    """Preorder traversal yielding (path-from-root, node)."""
-    stack = [(path, node)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        children = node.children
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i]))
-
 
 def node_count(node: Node) -> int:
     """Number of nodes in the subtree at node; reads summaries, fills none."""
@@ -620,7 +609,7 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
 def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
                  finite: bool, invalid: str) -> np.ndarray:
     """eval_batch for a caller that evaluates many trees on one matrix
-    (genetics.EvalContext, for an island generation) and has checked x and
+    (genetics.EvalContext, for a generation) and has checked x and
     entered the trapping state once for all of them.
 
     The caller has entered np.errstate(over="raise", invalid="raise"); x is

@@ -1,13 +1,16 @@
-"""The activation cache EvalContext keeps for one island generation.
+"""The activation cache EvalContext keeps for a generation.
 
 Every evaluation served partly from the cache must give the bytes of an
 uncached evaluation; only trees that enter the population may fill it;
-it holds nothing between island generations; and no id key may outlive
+it holds nothing between SGP island generations; between GP generations
+it carries the arrays of the population's operator nodes and nothing
+else, with the roots that hold those nodes; and no id key may outlive
 its node.
 """
 
 import gc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +42,6 @@ from softgp.tree import (
     Variant,
     eval_batch,
     eval_trapped,
-    iter_nodes,
     op,
     random_tree,
     replace_subtree,
@@ -48,6 +50,8 @@ from softgp.tree import (
     symbol,
     weight_at,
 )
+
+from treewalk import iter_nodes
 
 SMALL = EvolutionConfig(max_generation=3, population_size=12, population_num=2,
                         migration_period=2)
@@ -84,7 +88,7 @@ def recorded(monkeypatch):
 @pytest.mark.parametrize("scale, seed", [(1.0, 0), (1.0, 5), (1e200, 1), (1e200, 8)])
 def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
     # at 1e200 products overflow, so many evaluations take the saturating
-    # fallback with a cache in use (SGP) or a generation block open (GP)
+    # fallback with a cache in use
     real, real_trapped = eval_batch, tree_mod.eval_trapped
     seen = {}
 
@@ -118,8 +122,9 @@ def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypat
         seen.update(evaluations=0, hits=0, fallbacks=0)
         fit(moons(scale), replace(SMALL, seed=seed))
         assert seen["evaluations"] > 0
-        # a GP generation caches nothing, so only SGP evaluations hit
-        assert (seen["hits"] > 0) == (fit is fit_sgp)
+        # SGP candidates hit their parents' arrays, GP children the arrays
+        # carried over from the population they were bred from
+        assert seen["hits"] > 0
         if scale > 1.0:
             assert seen["fallbacks"] > 0
 
@@ -170,6 +175,52 @@ def test_the_cache_is_empty_between_island_generations(recorded, monkeypatch):
     fit_sgp(moons(), SMALL)
     check_empty()
     assert max(sizes) > 0
+
+
+class Carrying(EvalContext):
+    """An EvalContext that checks its carried cache when a keep block
+    opens, after the prune, and when it closes, after scoring."""
+
+    def __init__(self, x, y):
+        super().__init__(x, y)
+        self.carried_in = []  # entries each keep block opened with
+
+    def check(self, keep):
+        ops = {id(n): n for ind in keep for _, n in iter_nodes(ind.tree.root) if n.children}
+        # every key is an operator node of the population, so the cache
+        # never holds more entries than the population has operator nodes
+        assert set(self._cache) <= set(ops)
+        assert set(self._cache) <= node_ids(*self._pinned)
+        # and its own: the bytes an uncached pass computes for that node
+        want = {}
+        for ind in keep:
+            tree_mod._eval_saturating(ind.tree, self._rows, want, want, self._invalid)
+        for key, acts in self._cache.items():
+            assert acts.tobytes() == want[key].tobytes()
+
+    @contextmanager
+    def generation(self, keep=None):
+        with super().generation(keep):
+            if keep is not None:
+                self.carried_in.append(len(self._cache))
+                self.check(keep)
+            yield
+            if keep is not None:
+                self.check(keep)
+
+
+def test_gp_carries_the_population_s_activations_and_nothing_else(monkeypatch):
+    # between blocks rank_select drops trees and variation makes new nodes,
+    # which reuse the freed nodes' ids unless the carried pins hold them
+    made = []
+    monkeypatch.setattr(evolve_mod, "EvalContext",
+                        lambda x, y: made.append(Carrying(x, y)) or made[-1])
+    cfg = EvolutionConfig(max_generation=30, population_size=40, seed=2)
+    assert fit_gp(moons(), cfg).generations_run == 30
+    ctx, = made
+    assert len(ctx.carried_in) == 31
+    # the first block starts empty; later ones start from what they carry
+    assert ctx.carried_in[0] == 0 and min(ctx.carried_in[1:]) > 0
 
 
 # --- operators one at a time ------------------------------------------------------

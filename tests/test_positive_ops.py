@@ -23,7 +23,6 @@ from softgp.tree import (
     collect_weights,
     const,
     SUMMARY_BOOL_DEPTH,
-    iter_nodes,
     node_count,
     op,
     random_tree,
@@ -31,6 +30,8 @@ from softgp.tree import (
     symbol,
     validate,
 )
+
+from treewalk import iter_nodes
 
 CONST_RANGE = (-2.0, 2.0)
 

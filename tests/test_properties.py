@@ -27,7 +27,6 @@ from softgp.tree import (
     Variant,
     collect_weights,
     eval_batch,
-    iter_nodes,
     locate_node,
     node_count,
     random_subtree,
@@ -38,6 +37,8 @@ from softgp.tree import (
     validate,
     weight_at,
 )
+
+from treewalk import iter_nodes
 
 N_FEATURES = 3
 

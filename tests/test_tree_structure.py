@@ -22,7 +22,6 @@ from softgp.tree import (
     Variant,
     collect_weights,
     const,
-    iter_nodes,
     locate_node,
     node_count,
     op,
@@ -35,6 +34,8 @@ from softgp.tree import (
     validate,
     weight_at,
 )
+
+from treewalk import iter_nodes
 
 BOOL_KINDS = {OpKind.OR, OpKind.AND, OpKind.NOT, OpKind.OR3, OpKind.AND3}
 CMP_KINDS = {OpKind.GT, OpKind.LT}
