@@ -28,13 +28,19 @@ so inf, nan and 1e999 (which is inf) are reals. A weight must lie in
 
 The parser checks token shape, arity, weight range and nesting depth
 only; layer-chain legality is validate()'s job.
+
+Both directions are single flat passes with no recursion. The parser
+walks the token list once, keeps the operators still open on an explicit
+stack and builds each Node when its ")" arrives; the formatter writes from
+an explicit stack. So a tree of any depth formats, and MAX_DEPTH is a
+policy on what a model file may hold, not a guard for Python's stack.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, Variant
 
@@ -46,20 +52,34 @@ _HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=([0-9]{1,
 # For str patterns \s matches exactly the characters str.isspace() accepts.
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
-_KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)}
+_SYMBOL, _CONST = OpKind.SYMBOL, OpKind.CONST
 
-# Deepest operator nesting the parser accepts. Valid trees are at most
-# about 12 levels deep; the limit keeps hostile input far from Python's
-# recursion limit.
+# Every operator by its spelled name: (kind, arity, carries a weight in soft
+# files, number of LIN coefficients).
+_OPERATORS = {
+    kind.name: (kind, ARITY[kind], OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON),
+                ARITY[kind] if kind in (OpKind.LIN2, OpKind.LIN3) else 0)
+    for kind in OpKind if kind not in (_SYMBOL, _CONST)
+}
+
+# The text that opens each operator, indexed by kind; None for terms.
+_OPEN = tuple(None if kind in (_SYMBOL, _CONST) else "(" + kind.name for kind in OpKind)
+
+# Deepest operator nesting the parser accepts; valid trees are at most
+# about 12 levels deep.
 MAX_DEPTH = 64
 
 
-def _float(tok: str) -> float:
+def _float(tok: str) -> Optional[float]:
+    """tok as a float when it is a REAL, else None."""
     # float() also reads "_" separators and non-ASCII digits, which
     # format_model would write back as other text; refuse them
-    if not tok.isascii() or "_" in tok:
-        raise ValueError(tok)
-    return float(tok)
+    if tok.isascii() and "_" not in tok:
+        try:
+            return float(tok)
+        except ValueError:
+            pass
+    return None
 
 
 class ParseError(ValueError):
@@ -69,96 +89,100 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Parser:
-    def __init__(self, text: str, soft: bool, first_line: int):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        self.soft = soft
-        self.pos = 0
-        self.first_line = first_line
-
-    def error(self, message: str, i: int) -> ParseError:
-        """A ParseError at token i, or at column 1 of the text's last line
-        when i is past the last token."""
-        text = self.text
-        if i >= len(self.tokens):
-            return ParseError(message, self.first_line + text.count("\n"), 1)
-        off = next(islice(_TOKEN_RE.finditer(text), i, None)).start()
-        return ParseError(message, self.first_line + text.count("\n", 0, off),
-                          off - text.rfind("\n", 0, off))
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise self.error(f"unexpected end of input, expected {what}", self.pos)
-        self.pos += 1
-        return tok
-
-    def real(self, what: str) -> float:
-        tok = self.take(what)
-        try:
-            return _float(tok)
-        except ValueError:
-            raise self.error(f"expected {what}, got {tok!r}", self.pos - 1) from None
-
-    def node(self, depth: int) -> Node:
-        tok = self.take("a term or '('")
-        if tok == "(":
-            if depth >= MAX_DEPTH:
-                raise self.error(f"operators nested deeper than {MAX_DEPTH} levels",
-                                 self.pos - 1)
-            return self.operator(depth + 1)
-        if tok == ")":
-            raise self.error("expected a term or '('", self.pos - 1)
-        m = _SYMBOL_RE.match(tok)
-        if m:
-            return Node(OpKind.SYMBOL, payload=int(m.group(1)))
-        try:
-            return Node(OpKind.CONST, payload=_float(tok))
-        except ValueError:
-            raise self.error(f"expected a term, got {tok!r}", self.pos - 1) from None
-
-    def operator(self, depth: int) -> Node:
-        tok = self.take("an operator name")
-        kind = _KIND_BY_NAME.get(tok)
-        if kind is None:
-            raise self.error(f"unknown operator {tok!r}", self.pos - 1)
-        weight = None
-        if self.soft and OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON):
-            weight = self.real(f"a weight for {kind.name}")
-            # Node would clamp it, loading a value the file does not hold
-            if not 0.0 <= weight <= 1.0:
-                raise self.error(f"expected a weight for {kind.name} in [0, 1], "
-                                 f"got {self.tokens[self.pos - 1]!r}", self.pos - 1)
-        coeffs = None
-        if kind in (OpKind.LIN2, OpKind.LIN3):
-            coeffs = tuple(self.real(f"a coefficient for {kind.name}")
-                           for _ in range(ARITY[kind]))
-        children = []
-        for _ in range(ARITY[kind]):
-            if self.peek() in (None, ")"):
-                raise self.error(
-                    f"{kind.name} expects {ARITY[kind]} children, got {len(children)}",
-                    self.pos)
-            children.append(self.node(depth))
-        closer = self.take("')'")
-        if closer != ")":
-            raise self.error(f"{kind.name} expects {ARITY[kind]} children; "
-                             f"unexpected {closer!r}", self.pos - 1)
-        return Node(kind, tuple(children), weight=weight, coeffs=coeffs)
+def _expected(what: str, tokens: List[str], i: int) -> str:
+    """The message for token i where the grammar expects what."""
+    if i >= len(tokens):
+        return f"unexpected end of input, expected {what}"
+    return f"expected {what}, got {tokens[i]!r}"
 
 
 def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
     # text holds exactly one tree and starts on line first_line
-    p = _Parser(text, variant is Variant.SOFT, first_line)
-    root = p.node(0)
-    rest = p.peek()
-    if rest is not None:
-        raise p.error(f"unexpected trailing input {rest!r}", p.pos)
-    return ExprTree(variant, root)
+    tokens = _TOKEN_RE.findall(text)
+    n = len(tokens)
+    soft = variant is Variant.SOFT
+    symbol = _SYMBOL_RE.match
+
+    def error(message: str, i: int) -> ParseError:
+        """A ParseError at token i, or at column 1 of the text's last line
+        when i is past the last token."""
+        if i >= n:
+            return ParseError(message, first_line + text.count("\n"), 1)
+        off = next(islice(_TOKEN_RE.finditer(text), i, None)).start()
+        return ParseError(message, first_line + text.count("\n", 0, off),
+                          off - text.rfind("\n", 0, off))
+
+    # the operators still open, outermost first: (kind, arity, weight,
+    # coeffs, children so far)
+    stack = []
+    i = 0
+    while True:
+        # a node starts at token i
+        tok = tokens[i] if i < n else None
+        if tok == "(":
+            if len(stack) >= MAX_DEPTH:
+                raise error(f"operators nested deeper than {MAX_DEPTH} levels", i)
+            i += 1
+            if i == n:
+                raise error("unexpected end of input, expected an operator name", i)
+            entry = _OPERATORS.get(tokens[i])
+            if entry is None:
+                raise error(f"unknown operator {tokens[i]!r}", i)
+            kind, arity, weighted, n_coeffs = entry
+            i += 1
+            weight = coeffs = None
+            if soft and weighted:
+                weight = _float(tokens[i]) if i < n else None
+                # Node would clamp it, loading a value the file does not hold
+                if weight is None or not 0.0 <= weight <= 1.0:
+                    what = f"a weight for {kind.name}"
+                    if weight is not None:
+                        what += " in [0, 1]"
+                    raise error(_expected(what, tokens, i), i)
+                i += 1
+            if n_coeffs:
+                coeffs = tuple(map(_float, tokens[i:i + n_coeffs]))
+                if len(coeffs) < n_coeffs or None in coeffs:
+                    j = i + (coeffs.index(None) if None in coeffs else len(coeffs))
+                    raise error(_expected(f"a coefficient for {kind.name}", tokens, j), j)
+                i += n_coeffs
+            stack.append((kind, arity, weight, coeffs, []))
+            continue
+        if tok is None or tok == ")":
+            if stack:
+                kind, arity, _, _, children = stack[-1]
+                raise error(f"{kind.name} expects {arity} children, got {len(children)}", i)
+            if tok is None:
+                raise error("unexpected end of input, expected a term or '('", i)
+            raise error("expected a term or '('", i)
+        if tok[0] == "x":
+            m = symbol(tok)
+            node = Node(_SYMBOL, (), None, None, int(m.group(1))) if m else None
+        else:
+            value = _float(tok)
+            node = None if value is None else Node(_CONST, (), None, None, value)
+        if node is None:
+            raise error(f"expected a term, got {tok!r}", i)
+        i += 1
+        # the node completes its parent when it is the last child, and so on
+        # up the stack, each completed operator closed by a ")"
+        while stack:
+            kind, arity, weight, coeffs, children = stack[-1]
+            children.append(node)
+            if len(children) < arity:
+                break
+            if i == n:
+                raise error("unexpected end of input, expected ')'", i)
+            if tokens[i] != ")":
+                raise error(f"{kind.name} expects {arity} children; "
+                            f"unexpected {tokens[i]!r}", i)
+            i += 1
+            stack.pop()
+            node = Node(kind, tuple(children), weight, coeffs)
+        else:
+            if i < n:
+                raise error(f"unexpected trailing input {tokens[i]!r}", i)
+            return ExprTree(variant, node)
 
 
 def parse_tree(text: str, variant: Variant) -> ExprTree:
@@ -172,27 +196,31 @@ def parse_tree(text: str, variant: Variant) -> ExprTree:
     return _parse(text, variant, 1)
 
 
-def _real(v: float) -> str:
-    return repr(float(v))
-
-
 def format_tree(tree: ExprTree) -> str:
     """Render a tree as a single-line s-expression (inverse of parse_tree)."""
-
-    def fmt(node: Node) -> str:
-        if node.kind is OpKind.SYMBOL:
-            return f"x{node.payload}"
-        if node.kind is OpKind.CONST:
-            return _real(node.payload)
-        parts = [node.kind.name]
+    out = []
+    emit = out.append
+    # nodes still to write, the next on top; None closes an operator
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            emit(")")
+            continue
+        head = _OPEN[node.kind]
+        if head is None:
+            emit(f"x{node.payload}" if node.kind is _SYMBOL else repr(float(node.payload)))
+            continue
+        emit(head)
         if node.weight is not None:
-            parts.append(_real(node.weight))
+            emit(repr(float(node.weight)))
         if node.coeffs is not None:
-            parts.extend(_real(c) for c in node.coeffs)
-        parts.extend(fmt(c) for c in node.children)
-        return "(" + " ".join(parts) + ")"
-
-    return fmt(tree.root)
+            out.extend([repr(float(c)) for c in node.coeffs])
+        stack.append(None)
+        stack.extend(reversed(node.children))
+    # no token holds a space or a ")", and a ")" is the only token not
+    # preceded by a space
+    return " ".join(out).replace(" )", ")")
 
 
 def format_model(tree: ExprTree, n_features: int) -> str:
@@ -216,6 +244,20 @@ def save_model(path, tree: ExprTree, n_features: int) -> None:
         fh.write(format_model(tree, n_features))
 
 
+def _universal_newlines(text: str) -> str:
+    # what open() in text mode makes of "\r\n" and a lone "\r"
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_model(path) -> Tuple[ExprTree, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the first bad one decode; count lines and
+        # columns in them as the parser does
+        before = _universal_newlines(data[:e.start].decode("utf-8"))
+        raise ParseError(f"cannot decode byte {data[e.start]:#04x} as UTF-8",
+                         1 + before.count("\n"), len(before) - before.rfind("\n")) from None
+    return parse_model(_universal_newlines(text))

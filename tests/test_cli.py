@@ -166,6 +166,29 @@ def test_predict_model_with_a_refused_real_exits_2(tmp_path, capsys, body):
     assert "line 2, column " in capsys.readouterr().err
 
 
+_UNDECODABLE_MODEL = b"#sgp-tree v1 variant=soft n_features=2\n(GT 0.5 x0 \xff)\n"
+
+
+def test_predict_undecodable_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.sgp"
+    model.write_bytes(_UNDECODABLE_MODEL)
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1\n1,2\n")
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "softgp predict: error: line 2, column 12: cannot decode byte 0xff as UTF-8"]
+
+
+def test_boundary_undecodable_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.sgp"
+    model.write_bytes(_UNDECODABLE_MODEL)
+    out = tmp_path / "b.csv"
+    assert run(["boundary", "--model", str(model), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "softgp boundary: error: line 2, column 12: cannot decode byte 0xff as UTF-8"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_train_on_non_finite_cells_exits_2(tmp_path, capsys, cell):
     data = tmp_path / "d.csv"

@@ -1,6 +1,7 @@
 """Property tests: the evaluator against its saturating reference, the
-model-file parser against arbitrary text, and subtree summaries, the
-locators and the weight-slot accessors against from-scratch walks."""
+model-file parser against arbitrary text and a recursive reference
+parser, and subtree summaries, the locators and the weight-slot accessors
+against from-scratch walks."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from softgp.genetics import (
     extension_mutation,
     mutate,
 )
-from softgp.sexpr import ParseError, format_model, format_tree, parse_model
+from softgp.sexpr import _TOKEN_RE, ParseError, format_model, format_tree, parse_model
 from softgp.tree import (
     DEFAULT_BOUNDS,
     OP_CLASS,
@@ -38,6 +39,7 @@ from softgp.tree import (
     weight_at,
 )
 
+import sexpr_oracle
 from treewalk import iter_nodes
 
 N_FEATURES = 3
@@ -132,6 +134,42 @@ def test_parse_model_raises_only_parse_error(text):
         parse_model(text)
     except ParseError:
         pass
+
+
+def parsed(parse, text):
+    """What parse makes of text: the tree's repr (which spells NaN and -0.0,
+    where == does not) and the feature count, or the error's text and
+    position."""
+    try:
+        tree, n_features = parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+    return repr(tree), n_features
+
+
+@given(model_texts)
+@example("")
+@example("#sgp-tree v1 variant=soft n_features=2\n(OR3 1.0 (GT 1.0 x0 x1) (NOT 1.0 ))")
+def test_parse_model_agrees_with_the_recursive_parser(text):
+    assert parsed(parse_model, text) == parsed(sexpr_oracle.parse_model, text)
+
+
+@given(seeds, variants, st.data())
+def test_edited_model_files_parse_as_the_recursive_parser_does(seed, variant, data):
+    tree, _, _, _ = draw(seed, variant, 1.0, rows=1)
+    tokens = _TOKEN_RE.findall(format_model(tree, N_FEATURES))
+    # the header is tokens[:4]; edit one body token: drop it, repeat it,
+    # or put another in its place
+    i = data.draw(st.integers(4, len(tokens) - 1))
+    edit = data.draw(st.sampled_from(["drop", "repeat", "replace"]))
+    if edit == "drop":
+        tokens[i:i + 1] = []
+    elif edit == "repeat":
+        tokens.insert(i, tokens[i])
+    else:
+        tokens[i] = data.draw(st.sampled_from(_TOKENS))
+    text = " ".join(tokens[:4]) + "\n" + " ".join(tokens[4:])
+    assert parsed(parse_model, text) == parsed(sexpr_oracle.parse_model, text)
 
 
 def bool_depth(node):

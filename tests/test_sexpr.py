@@ -16,6 +16,7 @@ from softgp.sexpr import (
 )
 from softgp.tree import (
     DEFAULT_BOUNDS,
+    ExprTree,
     OpKind,
     Variant,
     const,
@@ -39,7 +40,6 @@ def test_hard_rendering_has_no_weights():
     t = op(OpKind.AND,
            op(OpKind.GT, symbol(0), const(0.5)),
            op(OpKind.NOT, op(OpKind.LT, symbol(1), symbol(0))))
-    from softgp.tree import ExprTree
     text = format_tree(ExprTree(Variant.HARD, t))
     assert text == "(AND (GT x0 0.5) (NOT (LT x1 x0)))"
     again = parse_tree(text, Variant.HARD)
@@ -60,7 +60,6 @@ def test_random_trees_round_trip_exactly():
 
 
 def test_reals_render_via_repr():
-    from softgp.tree import ExprTree
     t = ExprTree(Variant.SOFT, op(OpKind.NOT, op(OpKind.GT, const(7), const(0.1),
                                                  weight=1.0), weight=0.5))
     text = format_tree(t)
@@ -71,7 +70,6 @@ def test_reals_render_via_repr():
 def test_awkward_floats_survive():
     vals = [1 / 3, 1e-17, -0.0, 123456789.123456789, 2.0 ** -1074]
     for v in vals:
-        from softgp.tree import ExprTree
         t = ExprTree(Variant.SOFT, op(OpKind.NOT,
                                       op(OpKind.GT, const(v), symbol(0), weight=1.0),
                                       weight=1.0))
@@ -147,6 +145,22 @@ _POSITIONED_ERRORS = [
     (Variant.SOFT, "(OR 1.0\n  (GT inf x0 x1)\n  (GT 1.0 x1 x0))",
      "expected a weight for GT in [0, 1], got 'inf'", 2, 7),
     (None, _HARD_HEADER + "(NOT\n (GT x0 1_000))", "expected a term, got '1_000'", 3, 9),
+    # input that ends where the grammar still expects a token
+    (Variant.SOFT, "", "unexpected end of input, expected a term or '('", 1, 1),
+    (None, _HARD_HEADER + " \n", "unexpected end of input, expected a term or '('", 3, 1),
+    (Variant.SOFT, "(", "unexpected end of input, expected an operator name", 1, 1),
+    (Variant.SOFT, "(GT", "unexpected end of input, expected a weight for GT", 1, 1),
+    (Variant.HARD, "(GT", "GT expects 2 children, got 0", 1, 1),
+    (Variant.SOFT, "(GT 0.5 (LIN3 0.1 0.2\n",
+     "unexpected end of input, expected a coefficient for LIN3", 2, 1),
+    # an operator name that is no operator, a closer where a child belongs,
+    # and the first '(' past MAX_DEPTH
+    (Variant.SOFT, "(x0 x1)", "unknown operator 'x0'", 1, 2),
+    (Variant.SOFT, "(NOT 1.0 )", "NOT expects 1 children, got 0", 1, 10),
+    (Variant.SOFT, "(OR3 1.0 (GT 1.0 x0 x1) (GT 1.0 x0 x1))",
+     "OR3 expects 3 children, got 2", 1, 39),
+    (Variant.SOFT, "(NOT 1.0 " * MAX_DEPTH + "(GT 1.0 x0 x1" + ")" * (MAX_DEPTH + 1),
+     f"operators nested deeper than {MAX_DEPTH} levels", 1, 9 * MAX_DEPTH + 1),
 ]
 
 
@@ -209,6 +223,23 @@ def test_nesting_depth_is_bounded():
         assert err.value.col == 9 * MAX_DEPTH + 1  # the first '(' past the limit
 
 
+def test_trees_of_any_depth_format_and_save(tmp_path):
+    # far deeper than the parser accepts or Python's recursion limit allows
+    levels = 3000
+    node = op(OpKind.GT, symbol(0), symbol(1), weight=1.0)
+    for _ in range(levels - 1):
+        node = op(OpKind.NOT, node, weight=1.0)
+    text = nested_nots(levels)
+    assert format_tree(ExprTree(Variant.SOFT, node)) == text
+    path = tmp_path / "deep.sgp"
+    save_model(path, ExprTree(Variant.SOFT, node), 2)
+    header = "#sgp-tree v1 variant=soft n_features=2\n"
+    assert path.read_text(encoding="utf-8") == header + text + "\n"
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+        load_model(path)
+    assert (err.value.line, err.value.col) == (2, 9 * MAX_DEPTH + 1)
+
+
 def test_bare_term_parses():
     t = parse_tree("x2", Variant.SOFT)
     assert t.root.kind is OpKind.SYMBOL and t.root.payload == 2
@@ -264,3 +295,25 @@ def test_model_body_errors_count_lines_past_the_header():
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert err.value.line == 2
+
+
+def test_load_model_names_the_line_of_an_undecodable_byte(tmp_path):
+    path = tmp_path / "m.sgp"
+    # lines end as universal newlines read them: "\r\n", "\r" and "\n"
+    path.write_bytes(b"#sgp-tree v1 variant=soft n_features=2\r\n"
+                     b"(AND 1.0\r (GT 0.5 x0 \xc3\xa9\xff) (GT 1.0 x1 x0))\n")
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "line 3, column 14: cannot decode byte 0xff as UTF-8", 3, 14)
+
+
+def test_load_model_reads_universal_newlines(tmp_path):
+    path = tmp_path / "m.sgp"
+    path.write_bytes(b"#sgp-tree v1 variant=soft n_features=2\r(NOT 1.0\r\n(GT 1.0 x0 x1))\r")
+    tree, n = load_model(path)
+    assert n == 2 and format_tree(tree) == "(NOT 1.0 (GT 1.0 x0 x1))"
+    path.write_bytes(b"#sgp-tree v1 variant=soft n_features=2\r(NOT 1.0\r\n(GT 1.0 x0))\r")
+    with pytest.raises(ParseError, match="GT expects 2 children, got 1") as err:
+        load_model(path)
+    assert (err.value.line, err.value.col) == (3, 11)
