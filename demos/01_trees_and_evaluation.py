@@ -15,7 +15,6 @@ from softgp.tree import (
     Variant,
     const,
     eval_batch,
-    eval_row,
     op,
     symbol,
     validate,
@@ -44,7 +43,7 @@ soft = ExprTree(Variant.SOFT, op(
 ))
 print("\nsoft tree:", format_tree(soft))
 print("soft activations:", eval_batch(soft, rows))  # graded values in [0, 1]
-print("one row:", eval_row(soft, [1.0, 0.0]))
+print("one row:", float(eval_batch(soft, np.array([[1.0, 0.0]]))[0]))
 
 # Soft trees also get richer arithmetic: sigm squashes into (0, 1), and
 # lin2/lin3 are saturated linear blends with per-child coefficients.

@@ -53,7 +53,15 @@ from .genetics import (
     weight_adjustment,
 )
 from .metrics import balanced_accuracy, confusion
-from .tree import DEFAULT_BOUNDS, THRESHOLD, ExprTree, Variant, eval_batch, random_tree
+from .tree import (
+    DEFAULT_BOUNDS,
+    THRESHOLD,
+    ExprTree,
+    Variant,
+    drop_activations,
+    eval_batch,
+    random_tree,
+)
 
 
 class EvolveError(ValueError):
@@ -170,16 +178,13 @@ def _worst_index(pop: Sequence[Individual]) -> int:
 
 
 def _score_gp(ctx: EvalContext, pop: List[Individual]) -> None:
-    """Score pop's unscored individuals. The block carries the activations
-    of the previous population's nodes that pop still holds, so a child
-    evaluates only the nodes it does not share, and every tree scored
-    enters the cache with the population."""
-    with ctx.generation(keep=pop):
+    """Score pop's unscored individuals. The nodes a child shares with the
+    previous population still hold their activations, so it evaluates
+    only its new nodes, and the arrays stay on the population's nodes for
+    the next generation."""
+    with ctx.generation():
         for ind in pop:
-            if ind.fitness is None:
-                fresh: dict = {}
-                ind.fitness = ctx.fitness_of(ind.tree, fresh)
-                ctx.admit(ind.tree, fresh)
+            ctx.evaluate(ind)
 
 
 def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
@@ -208,6 +213,8 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
         cur = _best(pop)
         if cur.fitness > best_ever.fitness:
             best_ever = cur
+    # the model must not hold training arrays for as long as it is kept
+    drop_activations(best_ever.tree.root)
     return Classifier(Algo.GP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
 
 
@@ -222,12 +229,15 @@ class _Islands:
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.population_num)
         self.rngs = {i: np.random.default_rng(seeds[i])
                      for i in range(k, cfg.population_num, w)}
+        self.pops: Dict[int, List[Individual]] = {i: [] for i in self.rngs}
         with ctx.generation():
-            self.pops: Dict[int, List[Individual]] = {
-                i: [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS,
-                                                        ctx.n_features, const_range, rng)))
-                    for _ in range(cfg.population_size)]
-                for i, rng in self.rngs.items()}
+            for i, rng in self.rngs.items():
+                for _ in range(cfg.population_size):
+                    ind = ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS,
+                                                              ctx.n_features, const_range, rng)))
+                    # a fresh tree shares no node, so its arrays serve nothing
+                    drop_activations(ind.tree.root)
+                    self.pops[i].append(ind)
 
     def bests(self) -> Dict[int, Individual]:
         return {i: _best(pop) for i, pop in self.pops.items()}
@@ -251,6 +261,10 @@ class _Islands:
                 for j in range(len(pop)):
                     if rng.random() < cfg.ext_prob:
                         pop[j] = extension_mutation(pop[j], ctx, const_range, rng)
+            # carrying the arrays to the next generation costs more than it
+            # saves; dropping them also keeps them out of migrants
+            for ind in pop:
+                drop_activations(ind.tree.root)
             self.pops[i] = pop
         return self.bests()
 
@@ -404,6 +418,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                     best_ever = bests[i]
     finally:
         islands.close()
+    drop_activations(best_ever.tree.root)
     return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg,
                       ctx.n_features)
 

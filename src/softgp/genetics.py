@@ -103,27 +103,20 @@ class EvalContext:
     bit. Trees are evaluated on the rows reordered positives first, which
     makes the counts two slices; x is checked for non-finite cells once.
 
-    While a generation() block is open the context keeps an activation
-    cache: id(node) -> the node's activation array on the training rows,
-    for every operator node of each tree filled (fill) or admitted
-    (admit) since the block opened. fitness_of reads it, so a tree that
-    shares subtrees with cached trees evaluates only its new nodes. The
-    root of every cached tree is held as long as the cache is, so no id
-    key can be reused by a new node. A plain block (fit_sgp's island
-    generations) empties the cache when it opens and when it closes; it
-    holds at most one array of 8 bytes per training row for each operator
-    node of the trees cached within it. A block opened with keep=pop
-    (fit_gp's generations) carries the cache over from the last such
-    block instead: it first drops every entry but those of the operator
-    nodes of pop's trees, then leaves what it cached, and the roots that
-    hold it, for the next one. A GP child therefore evaluates only the
-    nodes it does not share with the population it was bred from, and the
-    carried cache holds at most one array per operator node of one
-    population. Outside a block nothing is read from the cache. Inside
-    one, overflow and invalid floating-point operations raise (the state
-    eval_batch's trapping pass runs under), entered once for the block
-    rather than once per tree. fit_gp and fit_sgp score every tree inside
-    a block.
+    While a generation() block is open, fitness_of evaluates with caching
+    on: an activation lives on its node (tree.Node.acts), so a tree that
+    shares subtrees with trees already scored on these rows evaluates only
+    its new nodes, and an array is freed with its node. Rejected
+    candidates take their new arrays with them; the arrays of the nodes a
+    population holds stay until the caller drops them. fit_sgp drops an
+    island population's arrays when its generation ends, so they never
+    cross island generations or processes; fit_gp keeps them from one
+    generation to the next, so a child evaluates only the nodes it does
+    not share with the population it was bred from. Outside a block no
+    activation is read or stored. Inside one, overflow and invalid
+    floating-point operations raise (the state eval_batch's trapping pass
+    runs under), entered once for the block rather than once per tree.
+    fit_gp and fit_sgp score every tree inside a block.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -143,10 +136,7 @@ class EvalContext:
         # reorders them and changes no count
         self._rows = np.concatenate((self.x[pos], self.x[~pos]))
         self._finite = bool(np.isfinite(self._rows).all())
-        self._cache: Optional[dict] = None
-        self._pinned: List[Node] = []
-        # the cache and pins the last keep block left for the next one
-        self._carried: Tuple[dict, List[Node]] = ({}, [])
+        self._caching = False
         self._invalid = "warn"  # np.geterr()["invalid"] when the block opened
 
     @property
@@ -154,83 +144,29 @@ class EvalContext:
         return self.x.shape[1]
 
     @contextmanager
-    def generation(self, keep: Optional[Sequence[Individual]] = None):
-        """Cache activations for the duration of the block (one generation).
-
-        Without keep the cache is empty when the block opens and closes.
-        With keep the block starts from the cache the last keep block
-        left, cut down to the operator nodes of keep's trees, and leaves
-        its cache for the next keep block."""
-        if keep is None:
-            self._cache, self._pinned = {}, []
-        else:
-            self._cache, self._pinned = self._prune(keep)
-            # only now may the old pins go, freeing the nodes keep dropped
-            self._carried = ({}, [])
+    def generation(self):
+        """Evaluate with caching on for the duration of the block (one
+        generation)."""
         self._invalid = np.geterr()["invalid"]
+        self._caching = True
         try:
             with np.errstate(over="raise", invalid="raise"):
                 yield
         finally:
-            if keep is not None:
-                self._carried = (self._cache, self._pinned)
-            self._cache = None
-            self._pinned = []
+            self._caching = False
 
-    def _prune(self, keep: Sequence[Individual]) -> Tuple[dict, List[Node]]:
-        """The carried entries of the operator nodes of keep's trees, and
-        keep's roots to hold them. The carried pins still hold every
-        carried key's node while the walk runs, so a node made since
-        (crossover, mutation) cannot share an id with one; a key the walk
-        reaches is therefore that node's own."""
-        carried = self._carried[0].get
-        cache: dict = {}
-        roots = [ind.tree.root for ind in keep]
-        seen = set()
-        stack = roots[:]
-        pop, push, visit = stack.pop, stack.extend, seen.add
-        while stack:
-            node = pop()
-            children = node.children
-            if not children:  # a term: never cached
-                continue
-            key = id(node)
-            if key in seen:
-                continue
-            visit(key)
-            acts = carried(key)
-            if acts is not None:
-                cache[key] = acts
-            push(children)
-        return cache, roots
-
-    def fitness_of(self, tree: ExprTree, fresh: Optional[dict] = None) -> float:
-        """The tree's fitness, reading the cache; inside a generation block
-        the arrays computed for it go to fresh when given, for admit to
-        cache. The library calls it only inside a block."""
-        if self._cache is None:
-            acts = eval_batch(tree, self._rows)
+    def fitness_of(self, tree: ExprTree) -> float:
+        """The tree's fitness; inside a generation block it reads and
+        stores activations on the tree's nodes. The library calls it only
+        inside a block."""
+        if self._caching:
+            acts = eval_trapped(tree, self._rows, True, self._finite, self._invalid)
         else:
-            acts = eval_trapped(tree, self._rows, self._cache, fresh, self._finite, self._invalid)
+            acts = eval_batch(tree, self._rows)
         pred = acts >= THRESHOLD
         tp = int(np.count_nonzero(pred[:self.n_pos]))
         tn = self.n_neg - int(np.count_nonzero(pred[self.n_pos:]))
         return 0.5 * (tp / self.n_pos + tn / self.n_neg)
-
-    def admit(self, tree: ExprTree, fresh: dict) -> None:
-        """Cache what fitness_of(tree, fresh) computed, the tree having
-        entered the population."""
-        if self._cache is not None:
-            self._pinned.append(tree.root)
-            self._cache.update(fresh)
-
-    def fill(self, tree: ExprTree) -> None:
-        """Cache the activations of a tree of the population, unless its
-        root is cached already."""
-        cache = self._cache
-        if cache is not None and id(tree.root) not in cache:
-            self._pinned.append(tree.root)
-            eval_trapped(tree, self._rows, cache, cache, self._finite, self._invalid)
 
     def evaluate(self, ind: Individual) -> Individual:
         if ind.fitness is None:
@@ -357,22 +293,15 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
     """Crossover that never loses ground: returns the two fittest of
     {parents, children}, preferring children on ties for diversity.
 
-    The parents are cached first, so each child evaluates only the path
-    crossover rebuilt; a child is cached only when it is kept."""
+    A child evaluates only its nodes that hold no activation yet, so each
+    subtree the children share with their parents is evaluated once."""
     _require_evaluated((ind1, ind2))
-    ctx.fill(ind1.tree)
-    ctx.fill(ind2.tree)
     c1, c2 = crossover(ind1.tree, ind2.tree, rng)
-    fresh1: dict = {}
-    fresh2: dict = {}
-    k1 = Individual(c1, ctx.fitness_of(c1, fresh1))
-    k2 = Individual(c2, ctx.fitness_of(c2, fresh2))
+    k1 = Individual(c1, ctx.fitness_of(c1))
+    k2 = Individual(c2, ctx.fitness_of(c2))
     # children come first and the sort is stable, so they win fitness ties
     pool = [k1, k2, ind1, ind2]
     pool.sort(key=lambda ind: -ind.fitness)
-    for kid, fresh in ((k1, fresh1), (k2, fresh2)):
-        if kid is pool[0] or kid is pool[1]:
-            ctx.admit(kid.tree, fresh)
     return pool[0], pool[1]
 
 
@@ -388,19 +317,16 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
         # identical to trying and rejecting every mutant
         return ind
     # mutants share every untouched subtree with the original, so their
-    # evaluation reuses the original's cached activations
+    # evaluation reuses the activations those subtrees hold
     tree = ind.tree
-    ctx.fill(tree)
     for _ in range(max_tries):
         path, old, new = _draw_mutation(tree, ctx.n_features, const_range, rng)
         if new == old:
             # the mutant equals the original, so it can only tie
             continue
         mutant = ExprTree(tree.variant, replace_subtree(tree.root, path, new))
-        fresh: dict = {}
-        f = ctx.fitness_of(mutant, fresh)
+        f = ctx.fitness_of(mutant)
         if f > ind.fitness:
-            ctx.admit(mutant, fresh)
             return Individual(mutant, f)
     return ind
 
@@ -412,8 +338,8 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     Each try perturbs one uniformly chosen weight of the original tree by
     Normal(0, 0.1) (operator weights clamp to [0,1]) and accepts the first
     strict fitness improvement. Candidates share all untouched subtrees
-    with the original, so their evaluation reuses the original's cached
-    activations.
+    with the original, so their evaluation reuses the activations those
+    subtrees hold.
     """
     _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
@@ -423,14 +349,11 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     n_slots = summary(ind.tree.root)[SUMMARY_SLOTS]
     if not n_slots:
         return ind
-    ctx.fill(ind.tree)
     for _ in range(max_tries):
         k = int(rng.integers(0, n_slots))
         candidate = set_weight(ind.tree, k, weight_at(ind.tree, k) + float(rng.normal(0.0, 0.1)))
-        fresh: dict = {}
-        f = ctx.fitness_of(candidate, fresh)
+        f = ctx.fitness_of(candidate)
         if f > ind.fitness:
-            ctx.admit(candidate, fresh)
             return Individual(candidate, f)
     return ind
 
@@ -457,9 +380,7 @@ def extension_mutation(ind: Individual, ctx: EvalContext,
     if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:
         return ind
     extended = ExprTree(Variant.SOFT, root)
-    fresh: dict = {}
-    f = ctx.fitness_of(extended, fresh)
+    f = ctx.fitness_of(extended)
     if f >= ind.fitness:
-        ctx.admit(extended, fresh)
         return Individual(extended, f)
     return ind

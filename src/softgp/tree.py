@@ -28,6 +28,12 @@ every shared subtree keeps its summary. node_count, which reads fresh
 trees, uses a summary that is present but never fills one: parsing and
 prediction read each tree once, and a fill costs more than a plain walk.
 
+A caching evaluation (eval_trapped with cache=True, which training runs)
+also leaves each operator node's activation array on the node, so a tree
+that shares subtrees with one already evaluated on the same rows computes
+only its new nodes. An activation lives exactly as long as its node, or
+until drop_activations clears it; eval_batch never reads or stores one.
+
 Random generation (random_tree, random_subtree) makes its draws from the
 caller's Generator in a fixed order, and a seed reproduces a model only
 while that order holds; tests/test_golden.py pins it. Every uniform real
@@ -164,7 +170,17 @@ class Node:
     until summary() first runs on the node (node_count reads it but never
     fills it), and stays None on terms with no weight or coefficients,
     which share one constant. A node is immutable, so its summary never
-    goes stale; it takes no part in ==, hash or repr.
+    goes stale.
+
+    acts is None or (x, a): the activation array a of this operator node
+    on the row matrix x, stored by a caching evaluation (eval_trapped with
+    cache=True) and read only by one whose matrix is x itself. Holding x
+    keeps it alive, so no other matrix can take its place at the same
+    address. The array lives as long as the node or until
+    drop_activations clears it.
+
+    Neither slot takes part in ==, hash or repr, and neither is pickled: a
+    node is rebuilt from its five value fields.
     """
 
     kind: OpKind
@@ -173,12 +189,14 @@ class Node:
     coeffs: Optional[Tuple[float, ...]]
     payload: Union[int, float, None]
     summary: Optional[tuple] = field(init=False, compare=False, repr=False)
+    acts: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __init__(self, kind: OpKind, children: Tuple["Node", ...] = (),
                  weight: Optional[float] = None, coeffs: Optional[Tuple[float, ...]] = None,
                  payload: Union[int, float, None] = None):
         # Written out rather than generated: a generated __init__ would also
-        # call a __post_init__, and the call saved pays for storing summary.
+        # call a __post_init__, and the call saved pays for storing summary
+        # and acts.
         # The slots are written through their descriptors (bound below the
         # class), which skips the frozen __setattr__ as object.__setattr__
         # does, without its attribute-name lookup.
@@ -195,11 +213,15 @@ class Node:
         _set_coeffs(self, coeffs)
         _set_payload(self, payload)
         _set_summary(self, None)
+        _set_acts(self, None)
+
+    def __reduce__(self):
+        return Node, (self.kind, self.children, self.weight, self.coeffs, self.payload)
 
 
-_set_kind, _set_children, _set_weight, _set_coeffs, _set_payload, _set_summary = (
+_set_kind, _set_children, _set_weight, _set_coeffs, _set_payload, _set_summary, _set_acts = (
     Node.__dict__[name].__set__
-    for name in ("kind", "children", "weight", "coeffs", "payload", "summary"))
+    for name in ("kind", "children", "weight", "coeffs", "payload", "summary", "acts"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,15 +417,22 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
     out: list[Violation] = []
 
     def bad(path, msg):
-        out.append(Violation(tuple(path), msg))
+        out.append(Violation(path, msg))
 
-    def walk(node: Node, path, phase: str, booleans: int, maths: int):
+    if OP_CLASS[tree.root.kind] is not _BOOLEAN:
+        bad((), "root is not a boolean operator")
+    # (node, path, phase, booleans above, maths above), visited in preorder
+    # from an explicit stack, so a deep hand-written tree cannot exhaust
+    # the interpreter's recursion limit
+    stack = [(tree.root, (), "bool", 0, 0)]
+    while stack:
+        node, path, phase, booleans, maths = stack.pop()
         cls = OP_CLASS[node.kind]
         if not soft and node.kind in SOFT_ONLY:
             bad(path, f"soft-only operator {node.kind.name} in hard tree")
         if len(node.children) != ARITY[node.kind]:
             bad(path, f"{node.kind.name} expects {ARITY[node.kind]} children, has {len(node.children)}")
-            return  # child phases are meaningless past an arity error
+            continue  # child phases are meaningless past an arity error
         # weight slots
         if cls is _BOOLEAN or cls is _COMPARISON:
             if soft and node.weight is None:
@@ -429,35 +458,31 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
         if node.kind is _CONST and not isinstance(node.payload, float):
             bad(path, f"constant payload {node.payload!r} is not a real")
 
-        # layer-chain phases
+        # layer-chain phases: each case names the state its children start in
         if phase == "bool":
             if cls is _BOOLEAN:
                 if booleans + 1 > BOOL_DEPTH_CAP:
                     bad(path, f"boolean depth exceeds {BOOL_DEPTH_CAP}")
-                for i, c in enumerate(node.children):
-                    walk(c, path + (i,), "bool", booleans + 1, 0)
-                return
-            if cls is _COMPARISON:
+                below = ("bool", booleans + 1, 0)
+            elif cls is _COMPARISON:
                 if booleans < 1:
                     bad(path, f"boolean depth {booleans} below 1")
-                for i, c in enumerate(node.children):
-                    walk(c, path + (i,), "math", booleans, 0)
-                return
-            bad(path, f"{node.kind.name} where a boolean or comparison operator is required")
-        elif phase == "math":
+                below = ("math", booleans, 0)
+            else:
+                bad(path, f"{node.kind.name} where a boolean or comparison operator is required")
+                continue
+        else:
             if cls is _MATHEMATICAL:
                 if maths + 1 > math_max:
                     bad(path, f"math depth exceeds {math_max}")
-                for i, c in enumerate(node.children):
-                    walk(c, path + (i,), "math", booleans, maths + 1)
-                return
-            if cls is _TERM:
-                return
-            bad(path, f"{node.kind.name} below a comparison operator")
-
-    if OP_CLASS[tree.root.kind] is not _BOOLEAN:
-        bad((), "root is not a boolean operator")
-    walk(tree.root, (), "bool", 0, 0)
+                below = ("math", booleans, maths + 1)
+            else:
+                if cls is not _TERM:
+                    bad(path, f"{node.kind.name} below a comparison operator")
+                continue
+        # pushed last child first, so the first child is visited next
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((node.children[i], path + (i,)) + below)
     return out
 
 
@@ -490,18 +515,19 @@ def _sat_scalar(v):
     return v
 
 
-def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
-          trap: bool) -> np.ndarray:
+def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     """One recursive evaluation pass; eval_batch documents the two modes.
 
     With trap=True the caller has made overflow and invalid operations
     raise, array results are left unclamped, and a non-finite constant or
     coefficient raises FloatingPointError as well, since inf operands
-    yield inf without raising. Only operator results that are arrays are
-    looked up and stored: a symbol's column of x is a view, cheaper to
-    take again than to look up, and scalars are cheap to recompute;
-    keeping them out of the memo means every literal passes the trap
-    before it reaches an array.
+    yield inf without raising. With cache=True an operator node returns
+    the array its acts slot holds for x, and stores every array it
+    computes there. Only operator results that are arrays are read and
+    stored: a symbol's column of x is a view, cheaper to take again than
+    to look up, and scalars are cheap to recompute; keeping them out of
+    the slot means every literal passes the trap before it reaches an
+    array.
     """
     sat = _sat_scalar if trap else _sat
     isfinite = math.isfinite
@@ -515,10 +541,10 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict]
             return r
         if k is _SYMBOL:
             return x[:, node.payload]
-        if memo is not None:
-            hit = memo.get(id(node))
-            if hit is not None:
-                return hit
+        if cache:
+            hit = node.acts
+            if hit is not None and hit[0] is x:
+                return hit[1]
         ch = node.children
         # ordered by frequency: the math layer is most of the operators
         if k is _ADD:
@@ -558,29 +584,29 @@ def _walk(root: Node, x: np.ndarray, memo: Optional[dict], store: Optional[dict]
             w = node.weight
             if w is not None and w != 1.0:
                 r = w * r
-        if store is not None and isinstance(r, np.ndarray):
-            store[id(node)] = r
+        if cache and isinstance(r, np.ndarray):
+            _set_acts(node, (x, r))
         return r
 
     try:
         out = np.asarray(ev(root), dtype=np.float64)
     finally:
         # ev refers to itself through its closure; breaking that cycle here
-        # frees memo, store and their arrays now rather than at the next
-        # cyclic garbage collection
+        # frees the closure, and the x it holds, now rather than at the
+        # next cyclic garbage collection
         del ev
     if out.ndim == 0:
         out = np.full(x.shape[0], float(out))
     return out
 
 
-def _eval_saturating(tree: ExprTree, x: np.ndarray, memo: Optional[dict] = None,
-                     store: Optional[dict] = None, invalid: Optional[str] = None) -> np.ndarray:
+def _eval_saturating(tree: ExprTree, x: np.ndarray, cache: bool = False,
+                     invalid: Optional[str] = None) -> np.ndarray:
     # The reference semantics: every math-node result is clamped.
     # eval_trapped falls back to it, and the tests compare eval_batch against
     # it. invalid None keeps the caller's setting for invalid operations.
     with np.errstate(over="ignore", invalid=invalid):
-        return _walk(tree.root, x, memo, store, trap=False)
+        return _walk(tree.root, x, cache, trap=False)
 
 
 def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
@@ -595,7 +621,8 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     finite, or x has a non-finite cell, the saturating pass (which clamps
     every math-node result) computes the result instead; either way the
     bits are those of the saturating pass. Invalid operations in that pass
-    warn or raise as the caller's numpy setting says.
+    warn or raise as the caller's numpy setting says. It neither reads
+    nor stores the nodes' activations.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -603,11 +630,11 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     finite = bool(np.isfinite(x).all())
     invalid = np.geterr()["invalid"]
     with np.errstate(over="raise", invalid="raise"):
-        return eval_trapped(tree, x, None, None, finite, invalid)
+        return eval_trapped(tree, x, False, finite, invalid)
 
 
-def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Optional[dict],
-                 finite: bool, invalid: str) -> np.ndarray:
+def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool,
+                 invalid: str) -> np.ndarray:
     """eval_batch for a caller that evaluates many trees on one matrix
     (genetics.EvalContext, for a generation) and has checked x and
     entered the trapping state once for all of them.
@@ -618,32 +645,34 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, memo: Optional[dict], store: Opt
     that state was entered; the saturating fallback runs under it, so it
     warns as eval_batch's does.
 
-    memo and store make re-evaluating a slightly edited copy of a tree
-    cheap, since unchanged subtrees are shared: each operator node's
-    activation array is looked up in memo by the node's id() before it is
-    computed, and every array computed is put in store (which may be memo
-    itself); either may be None. Symbols and constants are never looked up
-    or stored. Every node whose id is a key of memo must stay alive while
-    memo is in use, or a new node could reuse the id, and returned arrays
-    must not be mutated. Entries are exact whichever pass wrote them, so
-    when store is memo the fallback reuses those the trapped pass wrote.
-    An entry holds 8 bytes per row of x; the caller owns both dicts and
-    decides how long they live.
+    cache=True makes re-evaluating a slightly edited copy of a tree cheap,
+    since unchanged subtrees are shared: an activation lives on its node.
+    An operator node whose acts slot holds an array for this very x
+    returns it, and every array computed is stored in its node's slot,
+    where it stays (8 bytes per row of x) while the node lives or until
+    the caller clears it with drop_activations. Symbols and constants are
+    never read or stored. Stored arrays are exact whichever pass wrote
+    them, so the fallback reuses those an aborted trapped pass wrote.
+    Returned arrays must not be mutated.
     """
     if finite:
         try:
-            return _walk(tree.root, x, memo, store, trap=True)
+            return _walk(tree.root, x, cache, trap=True)
         except FloatingPointError:
             pass
-    return _eval_saturating(tree, x, memo, store, invalid)
+    return _eval_saturating(tree, x, cache, invalid)
 
 
-def eval_row(tree: ExprTree, row: Sequence[float]) -> float:
-    """Evaluate the tree on a single feature vector."""
-    r = np.asarray(row, dtype=np.float64)
-    if r.ndim != 1:
-        raise TreeError(f"expected a 1-D feature vector, got shape {r.shape}")
-    return float(eval_batch(tree, r.reshape(1, -1))[0])
+def drop_activations(root: Node) -> None:
+    """Clear the activation every node of the subtree at root holds."""
+    stack = [root]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        children = node.children
+        if children:  # a term never holds one
+            _set_acts(node, None)
+            push(children)
 
 
 # ---------------------------------------------------------------------------

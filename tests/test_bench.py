@@ -23,7 +23,7 @@ from softgp.bench import (
 )
 from softgp.data import DataError, Dataset, gen_synthetic, save_csv
 from softgp.evolve import Algo, EvolutionConfig
-from softgp.tree import ExprTree, OpKind, Variant, eval_row, op, symbol
+from softgp.tree import ExprTree, OpKind, Variant, eval_batch, op, symbol
 
 TINY = EvolutionConfig(max_generation=2, population_size=10, seed=0)
 
@@ -234,7 +234,7 @@ def test_boundary_grid_is_row_major_over_y_then_x():
     grid = boundary_grid(le_model(), 3, (-1.0, 1.0), (-1.0, 1.0))
     assert grid.activations.shape == (9,)
     xs = ys = [-1.0, 0.0, 1.0]
-    expect = [eval_row(le_model(), [x, y]) for y in ys for x in xs]
+    expect = [eval_batch(le_model(), np.array([[x, y]]))[0] for y in ys for x in xs]
     assert grid.activations.tolist() == expect
 
 

@@ -1,16 +1,17 @@
-"""The activation cache EvalContext keeps for a generation.
+"""The activations a fit keeps on the nodes while it trains.
 
-Every evaluation served partly from the cache must give the bytes of an
-uncached evaluation; only trees that enter the population may fill it;
-it holds nothing between SGP island generations; between GP generations
-it carries the arrays of the population's operator nodes and nothing
-else, with the roots that hold those nodes; and no id key may outlive
-its node.
+Inside a generation block every operator node evaluated stores its
+activation array on itself, for the row matrix it was computed on. Every
+evaluation served partly from stored arrays must give the bytes of an
+uncached evaluation, and an array may serve only the matrix it was
+computed on. A pickled node carries no array; SGP drops the arrays of an
+island's population when its generation ends and those of each initial
+tree once it is scored; GP keeps its population's arrays from one
+generation to the next; and the model a fit returns holds none.
 """
 
-import gc
+import pickle
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -21,20 +22,12 @@ import softgp.genetics as genetics_mod
 import softgp.tree as tree_mod
 from softgp.data import gen_synthetic
 from softgp.evolve import EvolutionConfig, fit_gp, fit_sgp
-from softgp.genetics import (
-    EvalContext,
-    Individual,
-    _draw_mutation,
-    extension_mutation,
-    positive_crossover,
-    positive_mutation,
-    weight_adjustment,
-)
+from softgp.genetics import EvalContext, Individual, _draw_mutation, positive_mutation
 from softgp.metrics import balanced_accuracy, confusion
 from softgp.tree import (
     DEFAULT_BOUNDS,
-    SUMMARY_SLOTS,
     OP_CLASS,
+    SUMMARY_SLOTS,
     THRESHOLD,
     ExprTree,
     OpClass,
@@ -57,30 +50,20 @@ SMALL = EvolutionConfig(max_generation=3, population_size=12, population_num=2,
                         migration_period=2)
 
 
-def moons(scale=1.0):
-    ds = gen_synthetic("moons", 90, 0.3, seed=4)
+def moons(scale=1.0, seed=4):
+    ds = gen_synthetic("moons", 90, 0.3, seed=seed)
     return replace(ds, x=ds.x * scale)
 
 
-def node_ids(*roots):
-    return {id(n) for r in roots for _, n in iter_nodes(r)}
+def held(*roots):
+    """The nodes under roots that hold an activation."""
+    return [n for r in roots for _, n in iter_nodes(r) if n.acts is not None]
 
 
-class Recording(EvalContext):
-    """An EvalContext that remembers every instance a fit creates."""
-
-    made = []
-
-    def __init__(self, x, y):
-        super().__init__(x, y)
-        Recording.made.append(self)
-
-
-@pytest.fixture
-def recorded(monkeypatch):
-    Recording.made = []
-    monkeypatch.setattr(evolve_mod, "EvalContext", Recording)
-    return Recording.made
+def one_worker(monkeypatch):
+    # every island in this process, where arrays left on one island's
+    # population would stay for the whole fit
+    monkeypatch.setattr(evolve_mod, "_worker_count", lambda population_num: 1)
 
 
 # --- whole fits -----------------------------------------------------------------
@@ -88,26 +71,26 @@ def recorded(monkeypatch):
 @pytest.mark.parametrize("scale, seed", [(1.0, 0), (1.0, 5), (1e200, 1), (1e200, 8)])
 def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
     # at 1e200 products overflow, so many evaluations take the saturating
-    # fallback with a cache in use
+    # fallback with caching on
     real, real_trapped = eval_batch, tree_mod.eval_trapped
     seen = {}
 
-    def check(tree, x, memo, got):
+    def check(tree, x, got):
         assert got.tobytes() == real(tree, x).tobytes()
         seen["evaluations"] += 1
-        if memo:
-            seen["hits"] += any(id(n) in memo for _, n in iter_nodes(tree.root))
         return got
 
     def checked(tree, x):
-        return check(tree, x, None, real(tree, x))
+        return check(tree, x, real(tree, x))
 
-    def checked_trapped(tree, x, memo, store, finite, invalid):
+    def checked_trapped(tree, x, cache, finite, invalid):
+        seen["hits"] += any(n.acts is not None and n.acts[0] is x
+                            for _, n in iter_nodes(tree.root))
+        got = real_trapped(tree, x, cache, finite, invalid)
         # inside a generation block: the uncached reference runs with the
         # invalid setting the block was opened under (eval_batch sets over)
-        got = real_trapped(tree, x, memo, store, finite, invalid)
         with np.errstate(invalid=invalid):
-            return check(tree, x, memo, got)
+            return check(tree, x, got)
 
     monkeypatch.setattr(genetics_mod, "eval_batch", checked)
     monkeypatch.setattr(genetics_mod, "eval_trapped", checked_trapped)
@@ -122,8 +105,8 @@ def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypat
         seen.update(evaluations=0, hits=0, fallbacks=0)
         fit(moons(scale), replace(SMALL, seed=seed))
         assert seen["evaluations"] > 0
-        # SGP candidates hit their parents' arrays, GP children the arrays
-        # carried over from the population they were bred from
+        # SGP candidates hit the arrays their parents' subtrees hold, GP
+        # children those carried over from the population they were bred from
         assert seen["hits"] > 0
         if scale > 1.0:
             assert seen["fallbacks"] > 0
@@ -135,179 +118,124 @@ def test_no_training_evaluation_runs_outside_a_generation_block(monkeypatch):
         raise AssertionError("a training evaluation ran outside a generation block")
 
     monkeypatch.setattr(genetics_mod, "eval_batch", refuse)
-    monkeypatch.setattr(evolve_mod, "_worker_count", lambda population_num: 1)
+    one_worker(monkeypatch)
     for fit in (fit_gp, fit_sgp):
         assert fit(moons(), SMALL).generations_run == SMALL.max_generation
 
 
-def test_the_cache_is_empty_between_island_generations(recorded, monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("fit", [fit_gp, fit_sgp], ids=["gp", "sgp"])
+def test_a_fitted_model_holds_no_activations(fit, monkeypatch):
+    # a model is kept long after its fit, and its training arrays with it
+    one_worker(monkeypatch)
+    cls = fit(moons(), SMALL)
+    assert summary(cls.model.root)[OpClass.BOOLEAN] > 0
+    assert held(cls.model.root) == []
 
-    def check_empty():
-        ctx = recorded[0]
-        assert ctx._cache is None and ctx._pinned == []
 
-    real_best = evolve_mod._best
+def test_the_cache_is_empty_between_island_generations(monkeypatch):
+    one_worker(monkeypatch)
+    owners = []
+    drops = []
 
-    def best(pop):
-        # called after each island's generation and around migration
-        check_empty()
-        return real_best(pop)
+    def none_held():
+        islands, = owners
+        for pop in islands.pops.values():
+            assert held(*(ind.tree.root for ind in pop)) == []
+
+    real_init = evolve_mod._Islands.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        owners.append(self)
+        none_held()  # after the initial build
 
     real_select = evolve_mod.rank_select
 
     def select(pop, rng):
-        # the first call of an island's generation
-        ctx = recorded[0]
-        assert ctx._cache == {} and ctx._pinned == []
+        # the first call of each island's generation: no island, whether
+        # it ran before this one or not, holds an array
+        none_held()
         return real_select(pop, rng)
 
-    real_weights = evolve_mod.weight_adjustment
+    real_drop = evolve_mod.drop_activations
 
-    def weights(ind, tries, ctx, rng):
-        out = real_weights(ind, tries, ctx, rng)
-        sizes.append(len(ctx._cache))
-        return out
+    def drop(root):
+        drops.append(len(held(root)))
+        real_drop(root)
 
-    monkeypatch.setattr(evolve_mod, "_best", best)
+    monkeypatch.setattr(evolve_mod._Islands, "__init__", init)
     monkeypatch.setattr(evolve_mod, "rank_select", select)
-    monkeypatch.setattr(evolve_mod, "weight_adjustment", weights)
+    monkeypatch.setattr(evolve_mod, "drop_activations", drop)
     fit_sgp(moons(), SMALL)
-    check_empty()
-    assert max(sizes) > 0
+    none_held()
+    # there were arrays to drop
+    assert max(drops) > 0
 
 
-class Carrying(EvalContext):
-    """An EvalContext that checks its carried cache when a keep block
-    opens, after the prune, and when it closes, after scoring."""
+def test_gp_population_nodes_hold_their_own_activations_between_generations(monkeypatch):
+    carried = []
+    real_score = evolve_mod._score_gp
 
-    def __init__(self, x, y):
-        super().__init__(x, y)
-        self.carried_in = []  # entries each keep block opened with
+    def score(ctx, pop):
+        roots = {id(ind.tree.root): ind.tree.root for ind in pop}.values()
+        carried.append(len(held(*roots)))
+        real_score(ctx, pop)
+        x = ctx._rows
+        nodes = {id(n): n for r in roots for _, n in iter_nodes(r)}.values()
+        for n in nodes:
+            # an operator result is an array exactly when its subtree reads x
+            if not n.children or all(m.kind is not OpKind.SYMBOL for _, m in iter_nodes(n)):
+                assert n.acts is None
+                continue
+            assert n.acts is not None and n.acts[0] is x
+            want = tree_mod._eval_saturating(ExprTree(Variant.HARD, n), x)
+            assert n.acts[1].tobytes() == want.tobytes()
 
-    def check(self, keep):
-        ops = {id(n): n for ind in keep for _, n in iter_nodes(ind.tree.root) if n.children}
-        # every key is an operator node of the population, so the cache
-        # never holds more entries than the population has operator nodes
-        assert set(self._cache) <= set(ops)
-        assert set(self._cache) <= node_ids(*self._pinned)
-        # and its own: the bytes an uncached pass computes for that node
-        want = {}
-        for ind in keep:
-            tree_mod._eval_saturating(ind.tree, self._rows, want, want, self._invalid)
-        for key, acts in self._cache.items():
-            assert acts.tobytes() == want[key].tobytes()
-
-    @contextmanager
-    def generation(self, keep=None):
-        with super().generation(keep):
-            if keep is not None:
-                self.carried_in.append(len(self._cache))
-                self.check(keep)
-            yield
-            if keep is not None:
-                self.check(keep)
+    monkeypatch.setattr(evolve_mod, "_score_gp", score)
+    cfg = EvolutionConfig(max_generation=10, population_size=30, seed=2)
+    assert fit_gp(moons(), cfg).generations_run == 10
+    assert len(carried) == 11
+    # the first population starts with nothing; every later one brings in
+    # the arrays of the nodes it shares with the one it was bred from
+    assert carried[0] == 0 and min(carried[1:]) > 0
 
 
-def test_gp_carries_the_population_s_activations_and_nothing_else(monkeypatch):
-    # between blocks rank_select drops trees and variation makes new nodes,
-    # which reuse the freed nodes' ids unless the carried pins hold them
-    made = []
-    monkeypatch.setattr(evolve_mod, "EvalContext",
-                        lambda x, y: made.append(Carrying(x, y)) or made[-1])
-    cfg = EvolutionConfig(max_generation=30, population_size=40, seed=2)
-    assert fit_gp(moons(), cfg).generations_run == 30
-    ctx, = made
-    assert len(ctx.carried_in) == 31
-    # the first block starts empty; later ones start from what they carry
-    assert ctx.carried_in[0] == 0 and min(ctx.carried_in[1:]) > 0
+# --- the node slot ----------------------------------------------------------------
 
-
-# --- operators one at a time ------------------------------------------------------
-
-@pytest.fixture
-def ctx():
-    ds = moons()
-    return EvalContext(ds.x, ds.y)
-
-
-def population(ctx, rng, n=16):
-    return [ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0),
-                                                rng)))
-            for _ in range(n)]
-
-
-def test_rejected_candidates_never_enter_the_cache(ctx, monkeypatch):
-    rng = np.random.default_rng(12)
-    pop = population(ctx, rng)
-    scored = []  # every candidate tree fitness_of scored, kept alive
-    real = EvalContext.fitness_of
-
-    def recording(self, tree, fresh=None):
-        scored.append(tree)
-        return real(self, tree, fresh)
-
-    monkeypatch.setattr(EvalContext, "fitness_of", recording)
-    operators = [
-        lambda i: positive_crossover(pop[i], pop[(i + 1) % len(pop)], ctx, rng),
-        lambda i: (positive_mutation(pop[i], 10, ctx, (-2.0, 2.0), rng),),
-        lambda i: (weight_adjustment(pop[i], 10, ctx, rng),),
-        lambda i: (extension_mutation(pop[i], ctx, (-2.0, 2.0), rng),),
-    ]
-    rejected = kept = 0
-    with ctx.generation():
-        for step in range(120):
-            i = step % len(pop)
-            before = len(scored)
-            out = operators[step % 4](i)
-            for ind in out:
-                pop[i] = ind
-            outputs = {id(ind.tree) for ind in out}
-            pinned = node_ids(*ctx._pinned)
-            assert set(ctx._cache) <= pinned
-            for cand in scored[before:]:
-                if id(cand) in outputs:
-                    kept += 1
-                    continue
-                rejected += 1
-                own = node_ids(cand.root) - pinned
-                assert all(cand.root is not root for root in ctx._pinned)
-                assert not own & set(ctx._cache)
-    assert rejected > 50 and kept > 5
-
-
-def test_no_stale_id_hit_after_many_dropped_candidates(ctx):
+def test_two_contexts_over_different_rows_never_share_activations():
+    # the trees are shared, the rows are not: an array stored for one
+    # matrix must never serve the other, though both have the same shape
+    contexts = [EvalContext(ds.x, ds.y) for ds in (moons(seed=4), moons(seed=9))]
+    assert contexts[0]._rows.shape == contexts[1]._rows.shape
     rng = np.random.default_rng(3)
-    x = ctx._rows
-    uncached = lambda t: eval_batch(t, x).tobytes()  # noqa: E731
+    trees = [random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng) for _ in range(20)]
+    for _ in range(3):
+        for t in trees:
+            for ctx in contexts:
+                with ctx.generation():
+                    got = eval_trapped(t, ctx._rows, True, ctx._finite, ctx._invalid)
+                assert got.tobytes() == eval_batch(t, ctx._rows).tobytes()
+        # edited copies share all but one path with the trees just scored
+        edits = []
+        for t in trees:
+            k = int(rng.integers(0, summary(t.root)[SUMMARY_SLOTS]))
+            edits.append(set_weight(t, k, weight_at(t, k) + 0.3))
+        trees = edits
+
+
+def test_a_pickled_node_carries_no_activation_or_summary():
+    ds = moons()
+    ctx = EvalContext(ds.x, ds.y)
+    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), np.random.default_rng(6))
+    summary(tree.root)
     with ctx.generation():
-        for _ in range(60):
-            # admitted trees are held only by the cache's pins
-            t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
-            fresh = {}
-            ctx.fitness_of(t, fresh)
-            if rng.random() < 0.5:
-                ctx.admit(t, fresh)
-            else:
-                ctx.fill(t)
-            # edits of it, scored and dropped, as rejected candidates are
-            for _ in range(5):
-                k = int(rng.integers(0, summary(t.root)[SUMMARY_SLOTS]))
-                cand = set_weight(t, k, weight_at(t, k) + 0.3)
-                fresh = {}
-                ctx.fitness_of(cand, fresh)
-                assert fresh[id(cand.root)].tobytes() == uncached(cand)
-            del t, cand, fresh
-            gc.collect()
-            # new trees reuse the freed memory, and so the ids
-            for _ in range(5):
-                new = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
-                acts = eval_trapped(new, x, ctx._cache, None, True, ctx._invalid)
-                assert acts.tobytes() == uncached(new)
-        for root in ctx._pinned:
-            t = ExprTree(Variant.SOFT, root)
-            assert eval_trapped(t, x, ctx._cache, None, ctx._finite, ctx._invalid).tobytes() == \
-                uncached(t)
+        fitness = ctx.fitness_of(tree)
+    assert held(tree.root) and tree.root.summary is not None
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree
+    assert held(back.root) == []
+    assert all(n.summary is None for _, n in iter_nodes(back.root))
+    assert ctx.fitness_of(back) == fitness
 
 
 # --- the smaller parts ------------------------------------------------------------
@@ -362,7 +290,7 @@ def test_a_generation_block_keeps_values_and_warnings(scale, invalid, monkeypatc
             try:
                 if in_block:
                     with ctx.generation():
-                        fitness = ctx.fitness_of(tree, {})
+                        fitness = ctx.fitness_of(tree)
                 else:
                     fitness = ctx.fitness_of(tree)
             except FloatingPointError as e:
@@ -378,14 +306,15 @@ def test_a_generation_block_keeps_values_and_warnings(scale, invalid, monkeypatc
                 "raise": str(outcomes[0][0]).startswith("raised")}[invalid]
 
 
-def test_a_mutant_equal_to_its_parent_is_not_scored(ctx, monkeypatch):
+def test_a_mutant_equal_to_its_parent_is_not_scored(monkeypatch):
     # one feature: every term mutation redraws symbol 0 as symbol 0
-    ctx = EvalContext(ctx.x[:, :1], ctx.y)
+    ds = moons()
+    ctx = EvalContext(ds.x[:, :1], ds.y)
     root = op(OpKind.GT, op(OpKind.ADD, symbol(0), symbol(0)), symbol(0), weight=0.8)
     ind = ctx.evaluate(Individual(ExprTree(Variant.SOFT, op(OpKind.NOT, root, weight=0.9))))
     scored = []
     monkeypatch.setattr(EvalContext, "fitness_of",
-                        lambda self, tree, fresh=None: scored.append(tree) or 0.0)
+                        lambda self, tree: scored.append(tree) or 0.0)
     rng = np.random.default_rng(8)
     assert positive_mutation(ind, 10, ctx, (-2.0, 2.0), rng) is ind
     # it drew exactly what ten calls of mutate draw, and scored only the

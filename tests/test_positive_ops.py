@@ -254,9 +254,9 @@ def test_gated_operators_draw_symbols_below_the_context_feature_count(ctx, monke
     seen = set()
     real = EvalContext.fitness_of
 
-    def recording(self, tree, fresh=None):
+    def recording(self, tree):
         seen.update(n.payload for _, n in iter_nodes(tree.root) if n.kind is OpKind.SYMBOL)
-        return real(self, tree, fresh)
+        return real(self, tree)
 
     monkeypatch.setattr(EvalContext, "fitness_of", recording)
     operators = {

@@ -13,7 +13,6 @@ from softgp.tree import (
     Variant,
     const,
     eval_batch,
-    eval_row,
     op,
     random_tree,
     replace_subtree,
@@ -95,14 +94,6 @@ def test_matches_scalar_reference_on_random_trees():
             got = eval_batch(tree, x)
             for i in range(8):
                 assert got[i] == pytest.approx(eval_ref(tree, x[i]), rel=1e-12, abs=1e-300)
-
-
-def test_eval_row_agrees_with_eval_batch():
-    rng = np.random.default_rng(5)
-    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
-    row = [0.2, -0.7, 1.5]
-    batch = eval_batch(tree, np.array([row]))
-    assert eval_row(tree, row) == batch[0]
 
 
 # --- operator formula table -------------------------------------------------
@@ -261,16 +252,17 @@ BIG = col(1e200, -1e200, 3.0, -0.5, 0.0)
 saturating = tree_mod._eval_saturating  # bound before any spy replaces it
 
 
-def cached_eval(t, x, memo, store=None):
-    """eval_batch through a memo, as EvalContext evaluates in a generation
-    block."""
+def cached_eval(t, x):
+    """eval_batch with caching on, as EvalContext evaluates in a generation
+    block: each operator node's activation is read from and stored on the
+    node."""
     invalid = np.geterr()["invalid"]
     with np.errstate(over="raise", invalid="raise"):
-        return tree_mod.eval_trapped(t, x, memo, store, bool(np.isfinite(x).all()), invalid)
+        return tree_mod.eval_trapped(t, x, True, bool(np.isfinite(x).all()), invalid)
 
 
-def same_bits(t, x, memo=None):
-    got = eval_batch(t, x) if memo is None else cached_eval(t, x, memo)
+def same_bits(t, x, cached=False):
+    got = cached_eval(t, x) if cached else eval_batch(t, x)
     assert got.tobytes() == saturating(t, x).tobytes()
     return got
 
@@ -347,45 +339,42 @@ def test_non_finite_literals_take_the_saturating_pass(node):
 def test_memo_never_carries_a_non_finite_literal_past_the_trap():
     neg_inf = op(OpKind.NEG, const(np.inf))
     x = col(1.0, 2.0)
-    memo = {}
-    first = soft(op(OpKind.GT, neg_inf, x0, weight=1.0))  # alive while the memo is used
-    cached_eval(first, x, memo, memo)
-    # a memoised -inf would reach MUL as an operand and leave it unclamped
+    cached_eval(soft(op(OpKind.GT, neg_inf, x0, weight=1.0)), x)
+    # a stored -inf would reach MUL as an operand and leave it unclamped
+    assert neg_inf.acts is None
     t = soft(op(OpKind.LT, op(OpKind.MUL, x0, neg_inf), const(-FLOAT_MAX), weight=1.0))
-    assert same_bits(t, x, memo=memo).tolist() == [0.0, 0.0]
+    assert same_bits(t, x, cached=True).tolist() == [0.0, 0.0]
 
 
 def test_memo_from_a_fallback_serves_a_trapping_pass(fallbacks):
     shared = op(OpKind.MUL, x0, x0)  # overflows at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
-    memo = {}
-    cached_eval(first, BIG, memo, memo)
+    cached_eval(first, BIG)
     assert len(fallbacks) == 1
-    assert memo[id(shared)][0] == FLOAT_MAX
+    assert shared.acts[0] is BIG and shared.acts[1][0] == FLOAT_MAX
     second = soft(op(OpKind.LT, shared, const(5.0), weight=0.25))
-    same_bits(second, BIG, memo=memo)
-    assert len(fallbacks) == 1  # the memo hit kept the evaluation on the trapping pass
+    same_bits(second, BIG, cached=True)
+    assert len(fallbacks) == 1  # the stored array kept the evaluation on the trapping pass
 
 
 def test_memo_from_a_trapping_pass_serves_a_fallback(fallbacks):
     shared = op(OpKind.ADD, x0, x0)  # finite at 1e200
     first = soft(op(OpKind.GT, shared, const(1.0), weight=0.5))
-    memo = {}
-    cached_eval(first, BIG, memo, memo)
+    cached_eval(first, BIG)
     assert fallbacks == []
+    stored = shared.acts[1]
     # shared is served from first's trapping pass; MUL then overflows and
-    # the fallback must reuse that entry rather than recompute it
+    # the fallback must reuse that array rather than recompute it
     second = soft(op(OpKind.OR, op(OpKind.LT, shared, const(0.0), weight=1.0),
                      op(OpKind.GT, op(OpKind.MUL, shared, x0), const(0.0), weight=1.0),
                      weight=1.0))
-    memo2 = dict(memo)
-    got = cached_eval(second, BIG, memo2, memo2)
+    got = cached_eval(second, BIG)
     assert len(fallbacks) == 1
     assert got.tobytes() == saturating(second, BIG).tobytes()
-    assert memo2[id(shared)] is memo[id(shared)]
+    assert shared.acts[1] is stored
 
 
-# --- batching, memo, input checking -------------------------------------------
+# --- batching, caching, input checking -------------------------------------------
 
 def test_constant_tree_broadcasts_over_rows():
     t = soft(op(OpKind.GT, const(2.0), const(1.0), weight=0.4))
@@ -399,24 +388,22 @@ def test_memo_reuse_matches_fresh_evaluation():
     x = rng.uniform(-2, 2, size=(30, 3))
     for _ in range(40):
         tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 3, (-2.0, 2.0), rng)
-        memo = {}
-        base = cached_eval(tree, x, memo, memo)
-        # edit one leaf; shared subtrees should be served from the memo
+        base = cached_eval(tree, x)
+        # edit one branch; the other subtrees are served from their nodes
         edited = ExprTree(tree.variant,
                           replace_subtree(tree.root, (0,),
                                           op(OpKind.GT, symbol(0), const(0.1), weight=0.9)))
-        via_memo = cached_eval(edited, x, memo)
+        assert all(c.acts[0] is x for c in edited.root.children[1:])
+        via_cache = cached_eval(edited, x)
         fresh = eval_batch(edited, x)
-        assert np.array_equal(via_memo, fresh)
-        assert np.array_equal(cached_eval(tree, x, memo), base)
+        assert np.array_equal(via_cache, fresh)
+        assert np.array_equal(cached_eval(tree, x), base)
 
 
 def test_eval_rejects_non_matrix_input():
     t = soft(op(OpKind.GT, symbol(0), const(0.0), weight=1.0))
     with pytest.raises(TreeError, match="2-D"):
         eval_batch(t, np.zeros(4))
-    with pytest.raises(TreeError, match="1-D"):
-        eval_row(t, np.zeros((2, 2)))
 
 
 def test_symbol_out_of_range_raises():

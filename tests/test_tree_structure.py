@@ -456,6 +456,28 @@ def test_validate_depth_limits():
     assert v_messages(t) == []
 
 
+def test_validate_reports_violations_in_preorder():
+    t = ExprTree(Variant.HARD, op(OpKind.AND,
+                                  op(OpKind.GT, symbol(9), const(0.0)),
+                                  op(OpKind.OR,
+                                     op(OpKind.GT, symbol(8), const(0.0)),
+                                     Node(OpKind.AND, (op(OpKind.GT, symbol(0), const(0.0)),)))))
+    assert [v.path for v in validate(t, 2)] == [(0, 0), (1, 0, 0), (1, 1)]
+
+
+def test_validate_walks_a_deep_chain_without_recursing():
+    # a hand-built model may nest far deeper than the interpreter's
+    # recursion limit
+    depth = 5000
+    node = op(OpKind.GT, symbol(0), const(0.0))
+    for _ in range(depth):
+        node = op(OpKind.NOT, node)
+    bad = validate(ExprTree(Variant.HARD, node), 2)
+    assert [v.message for v in bad] == [f"boolean depth exceeds {BOOL_DEPTH_CAP}"] * (
+        depth - BOOL_DEPTH_CAP)
+    assert [v.path for v in bad] == [(0,) * d for d in range(BOOL_DEPTH_CAP, depth)]
+
+
 def test_validate_math_chain_limits():
     node = symbol(0)
     for _ in range(5):
