@@ -23,7 +23,8 @@ inside a daemonic process or one running other threads. Islands meet only
 between generations, where this process keeps the early-stop test and the
 best ever seen, in island order, and routes each island's migrant to the
 owner of the next island; the model a seed yields therefore does not
-depend on W.
+depend on W. A migrant arrives as its own copy at every W, as one sent
+between processes does.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import enum
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import traceback
@@ -177,14 +179,19 @@ def _worst_index(pop: Sequence[Individual]) -> int:
     return worst
 
 
-def _score_gp(ctx: EvalContext, pop: List[Individual]) -> None:
-    """Score pop's unscored individuals. The nodes a child shares with the
-    previous population still hold their activations, so it evaluates
-    only its new nodes, and the arrays stay on the population's nodes for
-    the next generation."""
+def _score_gp(ctx: EvalContext, trees: Sequence[ExprTree],
+              parents: Sequence[Individual]) -> List[Individual]:
+    """One generation's individuals: trees bred from parents (none for the
+    first). A tree that is still a parent's own tree object keeps that
+    parent's fitness; every other tree is scored. The nodes a child shares
+    with the previous population still hold their activations, so it
+    evaluates only its new nodes, and the arrays stay on the population's
+    nodes for the next generation."""
+    # the parents hold their trees, so no id here is reused meanwhile
+    scored = {id(p.tree): p for p in parents}
     with ctx.generation():
-        for ind in pop:
-            ctx.evaluate(ind)
+        return [scored[id(t)] if id(t) in scored else Individual(t, ctx.fitness_of(t))
+                for t in trees]
 
 
 def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
@@ -194,21 +201,20 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     n = ctx.n_features
     const_range = _const_range(ctx.x)
 
-    pop = [Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng))
-           for _ in range(cfg.population_size)]
-    _score_gp(ctx, pop)
+    pop = _score_gp(ctx, [random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)
+                          for _ in range(cfg.population_size)], ())
     best_ever = _best(pop)
     gen = 0
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
-        pop = rank_select(pop, rng)
-        for i in range(0, len(pop) - 1, 2):
+        parents = rank_select(pop, rng)
+        trees = [ind.tree for ind in parents]
+        for i in range(0, len(trees) - 1, 2):
             if rng.random() < cfg.cx_prob:
-                c1, c2 = crossover(pop[i].tree, pop[i + 1].tree, rng)
-                pop[i], pop[i + 1] = Individual(c1), Individual(c2)
-        for i in range(len(pop)):
+                trees[i], trees[i + 1] = crossover(trees[i], trees[i + 1], rng)
+        for i in range(len(trees)):
             if rng.random() < cfg.mut_prob:
-                pop[i] = mutate(pop[i], n, const_range, rng)
-        _score_gp(ctx, pop)
+                trees[i] = mutate(trees[i], n, const_range, rng)
+        pop = _score_gp(ctx, trees, parents)
         gen += 1
         cur = _best(pop)
         if cur.fitness > best_ever.fitness:
@@ -233,11 +239,11 @@ class _Islands:
         with ctx.generation():
             for i, rng in self.rngs.items():
                 for _ in range(cfg.population_size):
-                    ind = ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS,
-                                                              ctx.n_features, const_range, rng)))
+                    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
+                                       const_range, rng)
+                    self.pops[i].append(Individual(tree, ctx.fitness_of(tree)))
                     # a fresh tree shares no node, so its arrays serve nothing
-                    drop_activations(ind.tree.root)
-                    self.pops[i].append(ind)
+                    drop_activations(tree.root)
 
     def bests(self) -> Dict[int, Individual]:
         return {i: _best(pop) for i, pop in self.pops.items()}
@@ -269,10 +275,12 @@ class _Islands:
         return self.bests()
 
     def migrate(self, migrants: Dict[int, Individual]) -> Dict[int, Individual]:
-        """Put each migrant in place of the worst of the island it is keyed by."""
+        """Put a copy of each migrant, as the pipe from another process
+        delivers it, in place of the worst of the island it is keyed by: a
+        shared node would take this island's arrays into the island it left."""
         for i, migrant in migrants.items():
             pop = self.pops[i]
-            pop[_worst_index(pop)] = migrant
+            pop[_worst_index(pop)] = pickle.loads(pickle.dumps(migrant))
         return self.bests()
 
 
@@ -410,7 +418,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
             bests = islands.call("evolve")
             if gen % cfg.migration_period == 0:
                 # island i's best displaces the worst of island i + 1
-                migrants = {(i + 1) % num: Individual(b.tree, b.fitness) for i, b in bests.items()}
+                migrants = {(i + 1) % num: b for i, b in bests.items()}
                 bests = islands.call("migrate", migrants)
             gen += 1
             for i in range(num):

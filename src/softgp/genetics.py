@@ -1,5 +1,9 @@
 """Selection and variation operators.
 
+An individual is an immutable scored tree. crossover and mutate map trees
+to trees; the fitness-gated operators, which compare a candidate's fitness
+with its parent's, take and return individuals.
+
 Classical side: rank selection with elitism, class-matched subtree
 crossover, and mutation of a node whose class is drawn from the fixed
 table MUTATION_WEIGHTS (boolean 0.1, comparison 0.2, mathematical 0.3,
@@ -17,7 +21,7 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,15 +55,13 @@ from .tree import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Individual:
-    """A candidate tree plus its cached fitness on the bound training split.
-
-    fitness None means unevaluated; any tree change must reset it.
-    """
+    """A tree and its fitness on the training split, both fixed when it is
+    built: a changed tree is a new individual, so populations share them."""
 
     tree: ExprTree
-    fitness: Optional[float] = None
+    fitness: float
 
 
 # Mutation picks the class of the node it replaces with these weights,
@@ -109,14 +111,15 @@ class EvalContext:
     its new nodes, and an array is freed with its node. Rejected
     candidates take their new arrays with them; the arrays of the nodes a
     population holds stay until the caller drops them. fit_sgp drops an
-    island population's arrays when its generation ends, so they never
-    cross island generations or processes; fit_gp keeps them from one
-    generation to the next, so a child evaluates only the nodes it does
-    not share with the population it was bred from. Outside a block no
-    activation is read or stored. Inside one, overflow and invalid
-    floating-point operations raise (the state eval_batch's trapping pass
-    runs under), entered once for the block rather than once per tree.
-    fit_gp and fit_sgp score every tree inside a block.
+    island population's arrays when its generation ends and places each
+    migrant as a copy, so they never cross island generations, islands or
+    processes; fit_gp keeps them from one generation to the next, so a
+    child evaluates only the nodes it does not share with the population
+    it was bred from. Outside a block no activation is read or stored.
+    Inside one, overflow and invalid floating-point operations raise (the
+    state eval_batch's trapping pass runs under), entered once for the
+    block rather than once per tree. fit_gp and fit_sgp score every tree
+    inside a block, and build each Individual from a tree and its fitness.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -168,38 +171,24 @@ class EvalContext:
         tn = self.n_neg - int(np.count_nonzero(pred[self.n_pos:]))
         return 0.5 * (tp / self.n_pos + tn / self.n_neg)
 
-    def evaluate(self, ind: Individual) -> Individual:
-        if ind.fitness is None:
-            ind.fitness = self.fitness_of(ind.tree)
-        return ind
-
-
-def _require_evaluated(pop: Sequence[Individual]) -> None:
-    for ind in pop:
-        if ind.fitness is None:
-            raise ValueError("population contains unevaluated individuals")
-
 
 def rank_select(pop: Sequence[Individual], rng: np.random.Generator) -> List[Individual]:
     """Linear rank selection with elite size 1.
 
-    The best individual is always copied into slot 0; the remaining
-    size-1 slots are drawn with replacement, probability proportional to
-    rank (worst 1 ... best N). The sort is stable, so fitness ties keep
-    population order and the draw stays deterministic under the seed.
+    The best individual always fills slot 0; the remaining size-1 slots
+    are drawn with replacement, probability proportional to rank (worst
+    1 ... best N). The sort is stable, so fitness ties keep population
+    order and the draw stays deterministic under the seed. It returns the
+    selected individuals themselves.
     """
     if not pop:
         raise ValueError("empty population")
-    _require_evaluated(pop)
     ranked = sorted(pop, key=lambda ind: ind.fitness)
     n = len(ranked)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     probs = ranks / ranks.sum()
-    best = ranked[-1]
-    out = [Individual(best.tree, best.fitness)]
     idx = rng.choice(n, size=n - 1, replace=True, p=probs)
-    out.extend(Individual(ranked[i].tree, ranked[i].fitness) for i in idx)
-    return out
+    return [ranked[-1]] + [ranked[i] for i in idx]
 
 
 def _bool_limit(*roots: Node) -> int:
@@ -274,8 +263,8 @@ def _draw_mutation(tree: ExprTree, n_features: int, const_range: Tuple[float, fl
     return path, node, new
 
 
-def mutate(ind: Individual, n_features: int, const_range: Tuple[float, float],
-           rng: np.random.Generator) -> Individual:
+def mutate(tree: ExprTree, n_features: int, const_range: Tuple[float, float],
+           rng: np.random.Generator) -> ExprTree:
     """Mutate one node of a class picked by MUTATION_WEIGHTS.
 
     Boolean/comparison/mathematical targets are replaced by fresh random
@@ -283,9 +272,8 @@ def mutate(ind: Individual, n_features: int, const_range: Tuple[float, float],
     Term targets mutate in place: a symbol re-draws its feature index, a
     constant c becomes c + r with r standard normal.
     """
-    tree = ind.tree
     path, _, new = _draw_mutation(tree, n_features, const_range, rng)
-    return Individual(ExprTree(tree.variant, replace_subtree(tree.root, path, new)))
+    return ExprTree(tree.variant, replace_subtree(tree.root, path, new))
 
 
 def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
@@ -295,7 +283,6 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
 
     A child evaluates only its nodes that hold no activation yet, so each
     subtree the children share with their parents is evaluated once."""
-    _require_evaluated((ind1, ind2))
     c1, c2 = crossover(ind1.tree, ind2.tree, rng)
     k1 = Individual(c1, ctx.fitness_of(c1))
     k2 = Individual(c2, ctx.fitness_of(c2))
@@ -311,7 +298,6 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
     """Return the first of up to max_tries mutants (drawn as mutate draws
     them over ctx's features) that strictly improves fitness, else the
     original."""
-    _require_evaluated((ind,))
     if ind.fitness >= 1.0 or max_tries <= 0:
         # nothing can strictly improve; returning early is observationally
         # identical to trying and rejecting every mutant
@@ -341,7 +327,6 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     with the original, so their evaluation reuses the activations those
     subtrees hold.
     """
-    _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("weight adjustment requires a soft tree")
     if ind.fitness >= 1.0 or max_tries <= 0:
@@ -370,7 +355,6 @@ def extension_mutation(ind: Individual, ctx: EvalContext,
     depth cap, or past NODE_CAP, which bounds only this operator: a tree
     already over NODE_CAP is returned unchanged.
     """
-    _require_evaluated((ind,))
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("extension mutation requires a soft tree")
     graft = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,

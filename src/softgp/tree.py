@@ -180,7 +180,9 @@ class Node:
     drop_activations clears it.
 
     Neither slot takes part in ==, hash or repr, and neither is pickled: a
-    node is rebuilt from its five value fields.
+    node is rebuilt from its five value fields. Evaluation, summary(), ==
+    and pickling recurse per level: they expect trees validate() accepts
+    (at most about 12 levels), and raise RecursionError on far deeper ones.
     """
 
     kind: OpKind
@@ -622,7 +624,8 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     every math-node result) computes the result instead; either way the
     bits are those of the saturating pass. Invalid operations in that pass
     warn or raise as the caller's numpy setting says. It neither reads
-    nor stores the nodes' activations.
+    nor stores the nodes' activations. Both passes recurse per level, so a
+    tree far deeper than validate() accepts raises RecursionError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

@@ -186,8 +186,8 @@ def test_3_positive_operators_never_decrease_fitness():
     violations = 0
     prev = None
     for _ in range(1000):
-        ind = ctx.evaluate(Individual(
-            random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)))
+        tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
+        ind = Individual(tree, ctx.fitness_of(tree))
         adjusted = weight_adjustment(ind, 10, ctx, rng)
         mutated = positive_mutation(adjusted, 10, ctx, (-2.0, 2.0), rng)
         extended = extension_mutation(mutated, ctx, (-2.0, 2.0), rng)
@@ -216,8 +216,7 @@ def test_4_structural_validity_and_mutation_frequencies():
             c1, c2 = crossover(trees[i], trees[i + 1], rng)
             invalid += bool(validate(c1, 3)) + bool(validate(c2, 3))
         for t in trees:
-            mut = mutate(Individual(t), 3, (-2.0, 2.0), rng)
-            invalid += bool(validate(mut.tree, 3))
+            invalid += bool(validate(mutate(t, 3, (-2.0, 2.0), rng), 3))
 
     expected = {"boolean": 1 / 11, "comparison": 2 / 11,
                 "mathematical": 3 / 11, "terms": 5 / 11}
@@ -225,9 +224,9 @@ def test_4_structural_validity_and_mutation_frequencies():
     draws = 10_000
     seen = {k: 0 for k in expected}
     for _ in range(draws):
-        mut = mutate(Individual(original), 2, (-1.0, 1.0), rng)
-        invalid += bool(validate(mut.tree, 2))
-        seen[replaced_class(original, mut.tree)] += 1
+        mut = mutate(original, 2, (-1.0, 1.0), rng)
+        invalid += bool(validate(mut, 2))
+        seen[replaced_class(original, mut)] += 1
 
     freqs = {k: seen[k] / draws for k in expected}
     note(f"4 structure: {invalid} invalid outputs over 1000 trees, 1000 crossover "

@@ -6,8 +6,9 @@ evaluation served partly from stored arrays must give the bytes of an
 uncached evaluation, and an array may serve only the matrix it was
 computed on. A pickled node carries no array; SGP drops the arrays of an
 island's population when its generation ends and those of each initial
-tree once it is scored; GP keeps its population's arrays from one
-generation to the next; and the model a fit returns holds none.
+tree once it is scored, and places each migrant as a copy; GP keeps its
+population's arrays from one generation to the next; and the model a fit
+returns holds none.
 """
 
 import pickle
@@ -138,7 +139,7 @@ def test_the_cache_is_empty_between_island_generations(monkeypatch):
     drops = []
 
     def none_held():
-        islands, = owners
+        islands = owners[-1]
         for pop in islands.pops.values():
             assert held(*(ind.tree.root for ind in pop)) == []
 
@@ -166,20 +167,39 @@ def test_the_cache_is_empty_between_island_generations(monkeypatch):
     monkeypatch.setattr(evolve_mod._Islands, "__init__", init)
     monkeypatch.setattr(evolve_mod, "rank_select", select)
     monkeypatch.setattr(evolve_mod, "drop_activations", drop)
-    fit_sgp(moons(), SMALL)
-    none_held()
+    # with migration every generation, a migrant sharing its nodes with the
+    # island it left would take that island the arrays its new island
+    # stores on them
+    migrating = [replace(SMALL, population_num=3, migration_period=1, seed=s) for s in (0, 2)]
+    for cfg in [SMALL] + migrating:
+        fit_sgp(moons(), cfg)
+        none_held()
+    assert len(owners) == 3
     # there were arrays to drop
     assert max(drops) > 0
 
 
 def test_gp_population_nodes_hold_their_own_activations_between_generations(monkeypatch):
+    train = moons()
     carried = []
+    kept = computed = 0
     real_score = evolve_mod._score_gp
 
-    def score(ctx, pop):
-        roots = {id(ind.tree.root): ind.tree.root for ind in pop}.values()
+    def score(ctx, trees, parents):
+        nonlocal kept, computed
+        roots = {id(t.root): t.root for t in trees}.values()
         carried.append(len(held(*roots)))
-        real_score(ctx, pop)
+        pop = real_score(ctx, trees, parents)
+        # a kept parent's fitness and a computed one are both the fitness
+        # a fresh context gives outside a block, where nothing is cached
+        fresh = EvalContext(train.x, train.y)
+        assert [ind.tree for ind in pop] == list(trees)
+        for ind in pop:
+            assert ind.fitness == fresh.fitness_of(ind.tree)
+            if any(ind is p for p in parents):
+                kept += 1
+            else:
+                computed += 1
         x = ctx._rows
         nodes = {id(n): n for r in roots for _, n in iter_nodes(r)}.values()
         for n in nodes:
@@ -190,11 +210,13 @@ def test_gp_population_nodes_hold_their_own_activations_between_generations(monk
             assert n.acts is not None and n.acts[0] is x
             want = tree_mod._eval_saturating(ExprTree(Variant.HARD, n), x)
             assert n.acts[1].tobytes() == want.tobytes()
+        return pop
 
     monkeypatch.setattr(evolve_mod, "_score_gp", score)
     cfg = EvolutionConfig(max_generation=10, population_size=30, seed=2)
-    assert fit_gp(moons(), cfg).generations_run == 10
+    assert fit_gp(train, cfg).generations_run == 10
     assert len(carried) == 11
+    assert kept > 0 and computed > 0
     # the first population starts with nothing; every later one brings in
     # the arrays of the nodes it shares with the one it was bred from
     assert carried[0] == 0 and min(carried[1:]) > 0
@@ -311,7 +333,8 @@ def test_a_mutant_equal_to_its_parent_is_not_scored(monkeypatch):
     ds = moons()
     ctx = EvalContext(ds.x[:, :1], ds.y)
     root = op(OpKind.GT, op(OpKind.ADD, symbol(0), symbol(0)), symbol(0), weight=0.8)
-    ind = ctx.evaluate(Individual(ExprTree(Variant.SOFT, op(OpKind.NOT, root, weight=0.9))))
+    tree = ExprTree(Variant.SOFT, op(OpKind.NOT, root, weight=0.9))
+    ind = Individual(tree, ctx.fitness_of(tree))
     scored = []
     monkeypatch.setattr(EvalContext, "fitness_of",
                         lambda self, tree: scored.append(tree) or 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -132,23 +134,23 @@ def test_context_rejects_bad_labels():
         EvalContext(x, np.array([0, 1]))
 
 
-def test_evaluate_caches_fitness(ctx):
-    rng = np.random.default_rng(32)
-    ind = Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng))
-    assert ind.fitness is None
-    out = ctx.evaluate(ind)
-    assert out is ind and ind.fitness is not None
-    ind.fitness = 0.123  # evaluate must not overwrite a cached value
-    assert ctx.evaluate(ind).fitness == 0.123
+def test_an_individual_is_an_immutable_scored_tree(ctx):
+    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), np.random.default_rng(32))
+    with pytest.raises(TypeError):
+        Individual(tree)  # there is no unscored individual
+    ind = Individual(tree, ctx.fitness_of(tree))
+    with pytest.raises(FrozenInstanceError):
+        ind.fitness = 0.123
+    with pytest.raises(FrozenInstanceError):
+        ind.tree = tree
 
 
 # --- rank selection ---------------------------------------------------------------
 
 def make_pop(ctx, n, variant=Variant.SOFT, seed=33):
     rng = np.random.default_rng(seed)
-    return [ctx.evaluate(Individual(random_tree(variant, DEFAULT_BOUNDS, 2,
-                                                (-2.0, 2.0), rng)))
-            for _ in range(n)]
+    trees = [random_tree(variant, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng) for _ in range(n)]
+    return [Individual(t, ctx.fitness_of(t)) for t in trees]
 
 
 def test_rank_select_keeps_the_best_in_slot_zero(ctx):
@@ -156,8 +158,8 @@ def test_rank_select_keeps_the_best_in_slot_zero(ctx):
     out = rank_select(pop, np.random.default_rng(1))
     assert len(out) == len(pop)
     assert out[0].fitness == max(ind.fitness for ind in pop)
-    originals = {id(ind.tree) for ind in pop}
-    assert all(id(ind.tree) in originals for ind in out)  # copies, not mutants
+    # the selected individuals themselves, neither copies nor mutants
+    assert all(any(ind is p for p in pop) for ind in out)
 
 
 def test_rank_select_prefers_higher_ranks(ctx):
@@ -193,11 +195,7 @@ def test_rank_select_is_deterministic(ctx):
     assert [format_tree(i.tree) for i in a] == [format_tree(i.tree) for i in b]
 
 
-def test_rank_select_requires_evaluated_population(ctx):
-    pop = make_pop(ctx, 5)
-    pop[2].fitness = None
-    with pytest.raises(ValueError, match="unevaluated"):
-        rank_select(pop, np.random.default_rng(0))
+def test_rank_select_refuses_an_empty_population():
     with pytest.raises(ValueError, match="empty"):
         rank_select([], np.random.default_rng(0))
 
@@ -256,12 +254,12 @@ def test_mutants_stay_valid():
     rng = np.random.default_rng(51)
     for variant in (Variant.HARD, Variant.SOFT):
         for _ in range(300):
-            ind = Individual(random_tree(variant, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng))
-            mut = mutate(ind, 3, (-1.0, 1.0), rng)
-            assert validate(mut.tree, 3) == [], format_tree(mut.tree)
-            assert mut.fitness is None
-            assert summary(mut.tree.root)[SUMMARY_BOOL_DEPTH] <= DEFAULT_BOUNDS.bool_max
-            assert summary(mut.tree.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
+            tree = random_tree(variant, DEFAULT_BOUNDS, 3, (-1.0, 1.0), rng)
+            mut = mutate(tree, 3, (-1.0, 1.0), rng)
+            assert validate(mut, 3) == [], format_tree(mut)
+            assert mut.variant is variant
+            assert summary(mut.root)[SUMMARY_BOOL_DEPTH] <= DEFAULT_BOUNDS.bool_max
+            assert summary(mut.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
 
 
 def test_mutation_class_frequencies_match_the_table():
@@ -270,12 +268,11 @@ def test_mutation_class_frequencies_match_the_table():
                 "mathematical": 3 / 11, "terms": 5 / 11}
     rng = np.random.default_rng(52)
     original = attribution_tree()
-    ind = Individual(original)
     n = 10_000
     seen = {k: 0 for k in expected}
     for _ in range(n):
-        mut = mutate(ind, 2, (-1.0, 1.0), rng)
-        seen[replaced_class(original, mut.tree)] += 1
+        mut = mutate(original, 2, (-1.0, 1.0), rng)
+        seen[replaced_class(original, mut)] += 1
     for cls, want in expected.items():
         assert seen[cls] / n == pytest.approx(want, abs=0.02), cls
 
@@ -329,5 +326,5 @@ def test_mutation_never_exceeds_math_budget_mid_chain():
                                      weight=1.0))
     rng = np.random.default_rng(56)
     for _ in range(400):
-        mut = mutate(Individual(tree), 2, (-1.0, 1.0), rng)
-        assert summary(mut.tree.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max
+        mut = mutate(tree, 2, (-1.0, 1.0), rng)
+        assert summary(mut.root)[SUMMARY_MATH_CHAIN] <= DEFAULT_BOUNDS.math_max

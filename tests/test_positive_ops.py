@@ -42,9 +42,12 @@ def ctx():
     return EvalContext(ds.x, ds.y)
 
 
+def scored(ctx, tree):
+    return Individual(tree, ctx.fitness_of(tree))
+
+
 def soft_ind(ctx, rng):
-    return ctx.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2,
-                                               CONST_RANGE, rng)))
+    return scored(ctx, random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, CONST_RANGE, rng))
 
 
 def test_positive_crossover_never_loses_the_pairwise_max(ctx):
@@ -58,14 +61,6 @@ def test_positive_crossover_never_loses_the_pairwise_max(ctx):
         assert o1.fitness == ctx.fitness_of(o1.tree)
         assert o2.fitness == ctx.fitness_of(o2.tree)
         assert validate(o1.tree, 2) == [] and validate(o2.tree, 2) == []
-
-
-def test_positive_crossover_requires_evaluated_parents(ctx):
-    rng = np.random.default_rng(62)
-    a = Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, CONST_RANGE, rng))
-    b = soft_ind(ctx, rng)
-    with pytest.raises(ValueError, match="unevaluated"):
-        positive_crossover(a, b, ctx, rng)
 
 
 def test_positive_crossover_is_deterministic(ctx):
@@ -111,8 +106,7 @@ def test_positive_mutation_zero_tries_is_identity(ctx):
 
 def test_positive_mutation_skips_perfect_individuals(ctx):
     rng = np.random.default_rng(66)
-    ind = soft_ind(ctx, rng)
-    ind.fitness = 1.0
+    ind = Individual(soft_ind(ctx, rng).tree, 1.0)
     state = rng.bit_generator.state
     assert positive_mutation(ind, 10, ctx, CONST_RANGE, rng) is ind
     assert rng.bit_generator.state == state
@@ -157,7 +151,7 @@ def test_weight_adjustment_can_fix_a_known_weight():
     tree = ExprTree(Variant.SOFT, op(OpKind.NOT,
                                      op(OpKind.LT, symbol(0), const(0.0), weight=1.0),
                                      weight=0.45))
-    ind = ctx.evaluate(Individual(tree))
+    ind = scored(ctx, tree)
     assert ind.fitness == 0.5
     out = weight_adjustment(ind, 50, ctx, np.random.default_rng(3))
     assert out.fitness == 1.0
@@ -165,8 +159,7 @@ def test_weight_adjustment_can_fix_a_known_weight():
 
 def test_weight_adjustment_rejects_hard_trees(ctx):
     rng = np.random.default_rng(69)
-    ind = ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, 2,
-                                              CONST_RANGE, rng)))
+    ind = scored(ctx, random_tree(Variant.HARD, DEFAULT_BOUNDS, 2, CONST_RANGE, rng))
     with pytest.raises(TreeError, match="soft"):
         weight_adjustment(ind, 10, ctx, rng)
 
@@ -175,7 +168,7 @@ def test_weight_adjustment_zero_tries_and_perfect_skip(ctx):
     rng = np.random.default_rng(70)
     ind = soft_ind(ctx, rng)
     assert weight_adjustment(ind, 0, ctx, rng) is ind
-    ind.fitness = 1.0
+    ind = Individual(ind.tree, 1.0)
     state = rng.bit_generator.state
     assert weight_adjustment(ind, 10, ctx, rng) is ind
     assert rng.bit_generator.state == state
@@ -219,7 +212,7 @@ def test_extension_mutation_respects_caps(ctx):
     node = op(OpKind.GT, symbol(0), const(0.0), weight=1.0)
     for _ in range(BOOL_DEPTH_CAP):
         node = op(OpKind.NOT, node, weight=1.0)
-    deep = ctx.evaluate(Individual(ExprTree(Variant.SOFT, node)))
+    deep = scored(ctx, ExprTree(Variant.SOFT, node))
     for _ in range(30):
         assert extension_mutation(deep, ctx, CONST_RANGE, rng) is deep
 
@@ -233,15 +226,14 @@ def test_extension_mutation_respects_caps(ctx):
               weight=1.0)
     assert node_count(wide) > NODE_CAP
     assert summary(wide)[SUMMARY_BOOL_DEPTH] + 1 <= BOOL_DEPTH_CAP
-    fat = ctx.evaluate(Individual(ExprTree(Variant.SOFT, wide)))
+    fat = scored(ctx, ExprTree(Variant.SOFT, wide))
     for _ in range(30):
         assert extension_mutation(fat, ctx, CONST_RANGE, rng) is fat
 
 
 def test_extension_mutation_rejects_hard_trees(ctx):
     rng = np.random.default_rng(74)
-    ind = ctx.evaluate(Individual(random_tree(Variant.HARD, DEFAULT_BOUNDS, 2,
-                                              CONST_RANGE, rng)))
+    ind = scored(ctx, random_tree(Variant.HARD, DEFAULT_BOUNDS, 2, CONST_RANGE, rng))
     with pytest.raises(TreeError, match="soft"):
         extension_mutation(ind, ctx, CONST_RANGE, rng)
 
@@ -266,6 +258,5 @@ def test_gated_operators_draw_symbols_below_the_context_feature_count(ctx, monke
     for name, step in operators.items():
         seen.clear()
         for _ in range(60):
-            step(wide.evaluate(Individual(random_tree(Variant.SOFT, DEFAULT_BOUNDS, 1,
-                                                      CONST_RANGE, rng))))
+            step(scored(wide, random_tree(Variant.SOFT, DEFAULT_BOUNDS, 1, CONST_RANGE, rng)))
         assert seen == {0, 1, 2}, name

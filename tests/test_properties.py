@@ -228,16 +228,16 @@ def test_summaries_match_a_recomputation_through_every_edit(seed, variant):
     assert_summaries_hold(c1.root)
     assert_summaries_hold(c2.root)
 
-    mutant = mutate(Individual(c1), N_FEATURES, crange, rng)
-    assert_summaries_hold(mutant.tree.root)
+    mutant = mutate(c1, N_FEATURES, crange, rng)
+    assert_summaries_hold(mutant.root)
 
     if variant is Variant.SOFT:
         ctx = small_context(rng)
-        ind = ctx.evaluate(Individual(c2))
+        ind = Individual(c2, ctx.fitness_of(c2))
         extended = extension_mutation(ind, ctx, crange, rng)
         assert_summaries_hold(extended.tree.root)
 
-    back, _ = parse_model(format_model(mutant.tree, N_FEATURES))
+    back, _ = parse_model(format_model(mutant, N_FEATURES))
     assert_summaries_hold(back.root)
 
 
