@@ -142,8 +142,9 @@ class EvalContext:
         if self.n_pos == 0 or self.n_neg == 0:
             raise MetricsError("degenerate labels: training split contains a single class")
         # activations are elementwise per row, so reordering the rows
-        # reorders them and changes no count
-        self._rows = np.concatenate((self.x[pos], self.x[~pos]))
+        # reorders them and changes no count; stored column-major, so each
+        # symbol reads a contiguous column
+        self._rows = np.asfortranarray(np.concatenate((self.x[pos], self.x[~pos])))
         self._finite = bool(np.isfinite(self._rows).all())
         self._caching = False
         self._invalid = "warn"  # np.geterr()["invalid"] when the block opened

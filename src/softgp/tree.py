@@ -16,6 +16,16 @@ when a constant or coefficient is not finite, or when the input has a
 non-finite cell, a saturating pass that clamps every math-node result runs
 instead. Both give the same bits.
 
+Evaluation reads the row matrix column-major (eval_batch converts it once),
+so each symbol is a contiguous column. A node writes only into arrays it
+created itself: an operator of several array passes runs its later ones
+in place in the array its first pass made, and never writes into a
+child's result, a stored activation or x. Each element goes through the
+same operations in the same order as with a fresh array per pass, so the
+bits are the same; a Python-float operand (a constants-only product,
+which overflows to inf without raising) is clamped by _sat_scalar before
+any in-place add. Callers must not mutate the arrays evaluation returns.
+
 Every node carries a summary of its subtree: its node count per operator
 class, its size, its weight-slot count (operator weights plus linear
 coefficients), its boolean depth and its math chain. summary() fills it
@@ -60,6 +70,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
+_ndarray = np.ndarray  # a global load, for the per-node type checks
 
 # Structural caps. Generation and ordinary variation respect the tighter
 # DEFAULT_BOUNDS below; only root extension may grow boolean depth past
@@ -518,6 +529,19 @@ def _sat_scalar(v):
     return v
 
 
+def _add_own(a, b):
+    # a + b, where a and b are each a scalar or an array the calling node
+    # created: the sum goes into an array operand, the operands kept in
+    # their order. Two scalars add as Python floats, which overflow to inf
+    # without raising; the caller clamps them.
+    if type(a) is _ndarray:
+        a += b
+        return a
+    if type(b) is _ndarray:
+        return np.add(a, b, out=b)
+    return a + b
+
+
 def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     """One recursive evaluation pass; eval_batch documents the two modes.
 
@@ -531,6 +555,19 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     to look up, and scalars are cheap to recompute; keeping them out of
     the slot means every literal passes the trap before it reaches an
     array.
+
+    A symbol reads column x[:, j], contiguous when x is column-major. An
+    operator that needs several array passes runs its later passes in
+    place, in the array its own first pass created: LIN2/LIN3 add into
+    one of their products, SIGM runs exp, 1 + and 1 / on its negated
+    child, and a weighted node multiplies its fresh result by its weight.
+    A node writes only into arrays it created itself: never into an array
+    a child returned, which may be a stored activation or a column of x.
+    Each element still goes through the same operations in the same
+    order, so the bits are those of fresh arrays. Every LIN product passes
+    sat (_sat_scalar in the trapping pass) before it is added, so a
+    Python-float product that overflowed to inf is clamped to FLOAT_MAX
+    before any in-place add.
     """
     sat = _sat_scalar if trap else _sat
     isfinite = math.isfinite
@@ -558,21 +595,26 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
             cs = node.coeffs
             if trap and not all(map(isfinite, cs)):
                 raise FloatingPointError(f"non-finite coefficient in {cs!r}")
-            r = sat(sat(cs[0] * ev(ch[0])) + sat(cs[1] * ev(ch[1])))
+            # products passed straight to _add_own, not bound to names: at
+            # numpy's temporary-elision size a product then reuses its
+            # operand's fresh array, and no product outlives the add
+            r = sat(_add_own(sat(cs[0] * ev(ch[0])), sat(cs[1] * ev(ch[1]))))
             if k is _LIN3:
-                r = sat(r + sat(cs[2] * ev(ch[2])))
+                r = sat(_add_own(r, sat(cs[2] * ev(ch[2]))))
         elif k is _NEG:
             r = -ev(ch[0])
         elif k is _SIGM:
-            r = 1.0 / (1.0 + np.exp(-ev(ch[0])))
-        elif k is _GT or k is _LT:
-            c = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1]))
-            w = node.weight
-            # a soft comparison casts and weighs in one multiply: the same
-            # w * 1.0 or w * 0.0 as casting first, one array pass fewer
-            r = c.astype(np.float64) if w is None else w * c
+            r = -ev(ch[0])
+            if type(r) is _ndarray:
+                np.exp(r, out=r)
+                np.add(1.0, r, out=r)
+                np.divide(1.0, r, out=r)
+            else:
+                r = 1.0 / (1.0 + np.exp(r))
         else:
-            if k is _OR:
+            if k is _GT or k is _LT:
+                r = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1])).astype(np.float64)
+            elif k is _OR:
                 r = np.maximum(ev(ch[0]), ev(ch[1]))
             elif k is _AND:
                 r = np.minimum(ev(ch[0]), ev(ch[1]))
@@ -586,8 +628,8 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
                 raise TreeError(f"unknown operator {k}")
             w = node.weight
             if w is not None and w != 1.0:
-                r = w * r
-        if cache and isinstance(r, np.ndarray):
+                r *= w
+        if cache and type(r) is _ndarray:
             _set_acts(node, (x, r))
         return r
 
@@ -616,7 +658,9 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     """Evaluate the tree on a (rows, n_features) matrix; returns (rows,).
 
     Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
-    operators saturate at +/-FLOAT_MAX. The result is computed by a
+    operators saturate at +/-FLOAT_MAX. x is converted once to a
+    column-major float64 matrix (no copy when it already is one) and is
+    never written. The result is computed by a
     trapping pass that leaves arrays unclamped with overflow and invalid
     operations raising; clamping a finite array changes nothing, so while
     nothing overflows it equals the saturating pass bit for bit. When an
@@ -628,7 +672,7 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     nor stores the nodes' activations. Both passes recurse per level, so a
     tree far deeper than validate() accepts raises RecursionError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:
         raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
     finite = bool(np.isfinite(x).all())
@@ -644,8 +688,9 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool,
     entered the trapping state once for all of them.
 
     The caller has entered np.errstate(over="raise", invalid="raise"); x is
-    a float64 (rows, n_features) matrix, and finite says whether every cell
-    of it is finite. invalid is the invalid setting np.geterr() gave before
+    a float64 (rows, n_features) matrix, column-major for speed (any layout
+    gives the same bits), and finite says whether every cell of it is
+    finite. invalid is the invalid setting np.geterr() gave before
     that state was entered; the saturating fallback runs under it, so it
     warns as eval_batch's does.
 
@@ -656,8 +701,10 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool,
     where it stays (8 bytes per row of x) while the node lives or until
     the caller clears it with drop_activations. Symbols and constants are
     never read or stored. Stored arrays are exact whichever pass wrote
-    them, so the fallback reuses those an aborted trapped pass wrote.
-    Returned arrays must not be mutated.
+    them, so the fallback reuses those an aborted trapped pass wrote. A
+    node writes only into arrays it created, before it stores one, so a
+    stored array is never written again; returned arrays must not be
+    mutated, since they may be stored ones.
     """
     if finite:
         try:

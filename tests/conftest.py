@@ -3,6 +3,8 @@ import multiprocessing
 import pytest
 from hypothesis import settings
 
+import softgp.tree as tree_mod
+
 # Property tests run the same examples on every run and keep no example
 # database, so a test run is reproducible. (Hypothesis still caches source
 # constants under .hypothesis/, which is gitignored.) No deadline: timings
@@ -23,3 +25,17 @@ def no_process_outlives_its_test():
         proc.join()
     if leaked:
         pytest.fail(f"processes left running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def stored_activations_are_read_only(monkeypatch):
+    """Store every activation read-only, so that an evaluation writing into
+    an array a node holds raises at the write."""
+    real = tree_mod._set_acts
+
+    def set_acts(node, acts):
+        if acts is not None:
+            acts[1].flags.writeable = False
+        real(node, acts)
+
+    monkeypatch.setattr(tree_mod, "_set_acts", set_acts)

@@ -305,6 +305,23 @@ def test_array_overflow_matches_the_saturating_pass(node, expect, fallbacks):
     assert len(fallbacks) == 1
 
 
+# A Python-float constant product overflows to inf without raising, so the
+# trapping pass must clamp it before it joins the sum: inf + x stays inf,
+# FLOAT_MAX + x rounds to FLOAT_MAX.
+@pytest.mark.parametrize("lin", [
+    op(OpKind.LIN2, const(1e308), x0, coeffs=(10.0, 1.0)),
+    op(OpKind.LIN3, x0, const(1e308), x0, coeffs=(1.0, 10.0, 1.0)),
+], ids=["LIN2", "LIN3"])
+@pytest.mark.parametrize("cached", [False, True], ids=["batch", "cached"])
+def test_lin_clamps_an_overflowing_constant_product(lin, cached, fallbacks):
+    x = col(1.0, 2.0, -3.0)
+    assert same_bits(soft(lin), x, cached).tolist() == [FLOAT_MAX] * 3
+    # the comparison carries the clamp to the output: inf > FLOAT_MAX would be 1
+    gt = soft(op(OpKind.GT, lin, const(FLOAT_MAX), weight=1.0))
+    assert same_bits(gt, x, cached).tolist() == [0.0] * 3
+    assert fallbacks == []
+
+
 def test_sigm_array_overflow_matches_the_saturating_pass(fallbacks):
     got = same_bits(soft(op(OpKind.SIGM, x0)), col(-800.0, 800.0, 0.0, -1.0))
     assert got[:3].tolist() == [0.0, 1.0, 0.5]
