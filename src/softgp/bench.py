@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import (DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split,
                    unreadable_table)
-from .evolve import Algo, EvolutionConfig, fit, score
+from .evolve import Algo, EvolutionConfig, EvolveError, fit, score
 from .metrics import MetricsError
 from .tree import THRESHOLD, ExprTree, eval_batch
 
@@ -85,9 +85,9 @@ def run_benchmark(datasets: Sequence[str], algos: Sequence[Algo], runs: int,
                   cache_dir, log=None) -> Tuple[List[BenchResult], List[Tuple[str, str]]]:
     """Run the full dataset x run x algo grid.
 
-    Failures (unfetchable dataset, impossible split, degenerate labels)
-    are recorded as (dataset, message) and the affected cells skipped.
-    Results come back sorted by (dataset, run, algo).
+    Failures (unfetchable dataset, impossible split, degenerate labels,
+    infinite feature span) are recorded as (dataset, message) and the
+    affected cells skipped. Results come back sorted by (dataset, run, algo).
     """
     if runs < 1:
         raise DataError(f"need at least one run per dataset, got {runs}")
@@ -112,7 +112,7 @@ def run_benchmark(datasets: Sequence[str], algos: Sequence[Algo], runs: int,
                     if log:
                         log(f"{name} run {run} {algo.value}: "
                             f"balanced accuracy {ba:.4f} in {elapsed:.1f}s")
-            except (DataError, MetricsError) as e:
+            except (DataError, EvolveError, MetricsError) as e:
                 failures.append((name, f"run {run}: {e}"))
     results.sort(key=lambda r: (r.dataset, r.run, r.algo.value))
     return results, failures

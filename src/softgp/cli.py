@@ -86,10 +86,12 @@ def cmd_train(args) -> int:
     ds = load_table(args.data, args.delimiter, args.target)
     cfg = _build_config(args)
     algo = Algo(args.algo)
+    out = args.model_out or f"model.{algo.value}"
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(f"no directory for the model file {out}")
     t0 = time.perf_counter()
     cls = fit(ds, algo, cfg)
     elapsed = time.perf_counter() - t0
-    out = args.model_out or f"model.{algo.value}"
     save_model(out, cls.model, cls.n_features)
     print(f"trained {algo.value} on {ds.name}: train balanced accuracy "
           f"{cls.train_fitness:.4f} after {cls.generations_run} generations "
@@ -144,7 +146,10 @@ def cmd_bench(args) -> int:
     if not algos:
         raise EvolveError("no algorithms selected")
     runs = args.runs if args.runs is not None else (5 if args.fast else 20)
+    if runs < 1:  # before --out is made, so a bad count writes nothing
+        raise DataError(f"need at least one run per dataset, got {runs}")
     cfg = _build_config(args, fast=args.fast)
+    os.makedirs(args.out, exist_ok=True)  # before the grid, so a bad --out costs no fit
     master_seed = cfg.seed
 
     def log(msg: str) -> None:

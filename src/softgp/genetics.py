@@ -111,9 +111,9 @@ class EvalContext:
     its new nodes, and an array is freed with its node. Rejected
     candidates take their new arrays with them; the arrays of the nodes a
     population holds stay until the caller drops them. Outside a block no
-    activation is read or stored. Inside one, overflow and invalid
-    floating-point operations raise (the state eval_batch's trapping pass
-    runs under), entered once for the block rather than once per tree.
+    activation is read or stored. Inside one, floating-point overflow
+    raises (the state eval_batch's trapping pass runs under), entered once
+    for the block rather than once per tree.
 
     One rule says where a fit stores arrays: a training evaluation stores
     them only inside a generation block, and every block's arrays are read
@@ -147,7 +147,6 @@ class EvalContext:
         self._rows = np.asfortranarray(np.concatenate((self.x[pos], self.x[~pos])))
         self._finite = bool(np.isfinite(self._rows).all())
         self._caching = False
-        self._invalid = "warn"  # np.geterr()["invalid"] when the block opened
 
     @property
     def n_features(self) -> int:
@@ -157,10 +156,9 @@ class EvalContext:
     def generation(self):
         """Evaluate with caching on for the duration of the block (one
         generation)."""
-        self._invalid = np.geterr()["invalid"]
         self._caching = True
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise"):
                 yield
         finally:
             self._caching = False
@@ -170,7 +168,7 @@ class EvalContext:
         stores activations on the tree's nodes, outside one it reads and
         stores none."""
         if self._caching:
-            acts = eval_trapped(tree, self._rows, True, self._finite, self._invalid)
+            acts = eval_trapped(tree, self._rows, True, self._finite)
         else:
             acts = eval_batch(tree, self._rows)
         pred = acts >= THRESHOLD

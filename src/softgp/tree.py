@@ -11,10 +11,13 @@ Trees are immutable; every "mutation" here returns a new tree that shares
 unchanged subtrees with the original. Evaluation is pure and vectorized
 over a whole row matrix at once. Mathematical operators saturate at
 +/-FLOAT_MAX. Evaluation first runs a trapping pass that leaves arrays
-unclamped and raises on overflow or an invalid operation; when it raises,
-when a constant or coefficient is not finite, or when the input has a
-non-finite cell, a saturating pass that clamps every math-node result runs
-instead. Both give the same bits.
+unclamped and traps overflow, and nothing else: it runs only on finite
+rows and literals, where only an overflow makes an inf, so no invalid
+operation (inf - inf, inf * 0) can come before an overflow has raised.
+When it raises, a constant or coefficient is not finite, or the input has
+a non-finite cell, a saturating pass that clamps every math-node result
+runs instead, under the caller's numpy setting for invalid operations.
+Both give the same bits.
 
 Evaluation reads the row matrix column-major (eval_batch converts it once),
 so each symbol is a contiguous column. A node writes only into arrays it
@@ -545,16 +548,16 @@ def _add_own(a, b):
 def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     """One recursive evaluation pass; eval_batch documents the two modes.
 
-    With trap=True the caller has made overflow and invalid operations
-    raise, array results are left unclamped, and a non-finite constant or
-    coefficient raises FloatingPointError as well, since inf operands
-    yield inf without raising. With cache=True an operator node returns
-    the array its acts slot holds for x, and stores every array it
-    computes there. Only operator results that are arrays are read and
-    stored: a symbol's column of x is a view, cheaper to take again than
-    to look up, and scalars are cheap to recompute; keeping them out of
-    the slot means every literal passes the trap before it reaches an
-    array.
+    With trap=True the caller has made overflow raise, array results are
+    left unclamped, and a non-finite constant or coefficient raises
+    FloatingPointError too, since inf operands yield inf without raising;
+    on finite x every operand, a stored array included, is finite until an
+    overflow raises. With cache=True an operator node returns the array
+    its acts slot holds for x, and stores every array it computes there.
+    Only operator results that are arrays are read and stored: a symbol's
+    column of x is a view, cheaper to take again than to look up, and
+    scalars are cheap to recompute; keeping them out of the slot means
+    every literal passes the trap before it reaches an array.
 
     A symbol reads column x[:, j], contiguous when x is column-major. An
     operator that needs several array passes runs its later passes in
@@ -645,12 +648,11 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     return out
 
 
-def _eval_saturating(tree: ExprTree, x: np.ndarray, cache: bool = False,
-                     invalid: Optional[str] = None) -> np.ndarray:
+def _eval_saturating(tree: ExprTree, x: np.ndarray, cache: bool = False) -> np.ndarray:
     # The reference semantics: every math-node result is clamped.
     # eval_trapped falls back to it, and the tests compare eval_batch against
-    # it. invalid None keeps the caller's setting for invalid operations.
-    with np.errstate(over="ignore", invalid=invalid):
+    # it. Invalid operations warn or raise as the caller's setting says.
+    with np.errstate(over="ignore"):
         return _walk(tree.root, x, cache, trap=False)
 
 
@@ -660,39 +662,33 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
     operators saturate at +/-FLOAT_MAX. x is converted once to a
     column-major float64 matrix (no copy when it already is one) and is
-    never written. The result is computed by a
-    trapping pass that leaves arrays unclamped with overflow and invalid
-    operations raising; clamping a finite array changes nothing, so while
-    nothing overflows it equals the saturating pass bit for bit. When an
-    operation overflows or is invalid, a constant or coefficient is not
+    never written. A trapping pass that leaves arrays unclamped with
+    overflow raising computes the result; clamping a finite array changes
+    nothing, so while nothing overflows it equals the saturating pass bit
+    for bit. When an operation overflows, a constant or coefficient is not
     finite, or x has a non-finite cell, the saturating pass (which clamps
-    every math-node result) computes the result instead; either way the
-    bits are those of the saturating pass. Invalid operations in that pass
-    warn or raise as the caller's numpy setting says. It neither reads
-    nor stores the nodes' activations. Both passes recurse per level, so a
-    tree far deeper than validate() accepts raises RecursionError.
+    every math-node result) runs instead, under the caller's numpy setting
+    for invalid operations. It neither reads nor stores the nodes'
+    activations. Both passes recurse per level, so a tree far deeper than
+    validate() accepts raises RecursionError.
     """
     x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:
         raise TreeError(f"expected a 2-D row matrix, got shape {x.shape}")
     finite = bool(np.isfinite(x).all())
-    invalid = np.geterr()["invalid"]
-    with np.errstate(over="raise", invalid="raise"):
-        return eval_trapped(tree, x, False, finite, invalid)
+    with np.errstate(over="raise"):
+        return eval_trapped(tree, x, False, finite)
 
 
-def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool,
-                 invalid: str) -> np.ndarray:
+def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool) -> np.ndarray:
     """eval_batch for a caller that evaluates many trees on one matrix
     (genetics.EvalContext, for a generation) and has checked x and
     entered the trapping state once for all of them.
 
-    The caller has entered np.errstate(over="raise", invalid="raise"); x is
-    a float64 (rows, n_features) matrix, column-major for speed (any layout
-    gives the same bits), and finite says whether every cell of it is
-    finite. invalid is the invalid setting np.geterr() gave before
-    that state was entered; the saturating fallback runs under it, so it
-    warns as eval_batch's does.
+    The caller has entered np.errstate(over="raise"), changing no other
+    setting; x is a float64 (rows, n_features) matrix, column-major for
+    speed (any layout gives the same bits), and finite says whether every
+    cell of it is finite.
 
     cache=True makes re-evaluating a slightly edited copy of a tree cheap,
     since unchanged subtrees are shared: an activation lives on its node.
@@ -711,7 +707,7 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool,
             return _walk(tree.root, x, cache, trap=True)
         except FloatingPointError:
             pass
-    return _eval_saturating(tree, x, cache, invalid)
+    return _eval_saturating(tree, x, cache)
 
 
 def drop_activations(root: Node) -> None:

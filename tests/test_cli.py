@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import softgp.cli
 import softgp.data
 from softgp.cli import main
 from softgp.data import load_table
@@ -402,6 +403,47 @@ def test_bench_records_an_unreadable_data_file_as_a_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"FAILED {bad}: cannot read {bad} line 2: field larger than field limit" in err
     assert "Traceback" not in err
+
+
+def test_bench_records_features_of_no_finite_span_as_a_failure(tmp_path, capsys):
+    # x0 spans [-1.7e308, 1.7e308], a width past FLOAT_MAX: constants cannot
+    # be drawn over it, so its cells fail and the other dataset's stand
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x0,x1,target\n" + "".join(
+        f"{sign}1.7e308,{i},{i // 2 % 2}\n" for i, sign in enumerate("+-" * 6)))
+    out = tmp_path / "bench"
+    assert run(["bench", "synth:moons:60", str(wide), "--algos", "gp", "--runs", "1",
+                "--out", str(out), "--cache", str(tmp_path / "cache"),
+                "--config", str(write_cfg(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert f"FAILED {wide}: run 1: feature values span" in err
+    assert "Traceback" not in err
+    assert (out / "results.csv").exists() and (out / "failures.csv").exists()
+
+
+def test_bench_refuses_an_output_path_that_is_a_file_before_the_grid(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.setattr(softgp.cli, "run_benchmark",
+                        lambda *a, **k: pytest.fail("the grid ran"))
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert run(["bench", "synth:linsep:40", "--algos", "gp", "--runs", "1",
+                "--out", str(out), "--cache", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgp bench: error: ") and "File exists" in err
+    assert out.read_text() == "kept\n"
+
+
+def test_train_refuses_a_model_path_in_a_missing_directory_before_the_fit(tmp_path, capsys,
+                                                                          monkeypatch):
+    data = tmp_path / "d.csv"
+    run(["synth", "--kind", "linsep", "--n", "40", "--out", str(data)])
+    monkeypatch.setattr(softgp.cli, "fit", lambda *a, **k: pytest.fail("the fit ran"))
+    model = tmp_path / "nodir" / "m.sgp"
+    assert run(["train", "--algo", "gp", "--data", str(data), "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgp train: error: ") and str(model) in err
+    assert not model.parent.exists()
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])

@@ -5,11 +5,13 @@ activation array on itself, for the row matrix it was computed on. Every
 evaluation served partly from stored arrays must give the bytes of an
 uncached evaluation, and an array may serve only the matrix it was
 computed on. Outside a block nothing is stored, and every block's arrays
-are read again. A pickled node carries no array; SGP scores its initial
-trees outside any block, drops the arrays of an island's population when
-its generation ends, and places each migrant as a copy; GP keeps its
-population's arrays from one generation to the next; and the model a fit
-returns holds none.
+are read again. A block traps overflow and nothing else, so the warnings
+and errors of invalid operations are those of the caller's setting,
+inside a block as outside one. A pickled node carries no array; SGP
+scores its initial trees outside any block, drops the arrays of an
+island's population when its generation ends, and places each migrant as
+a copy; GP keeps its population's arrays from one generation to the
+next; and the model a fit returns holds none.
 """
 
 import pickle
@@ -70,10 +72,15 @@ def one_worker(monkeypatch):
 
 # --- whole fits -----------------------------------------------------------------
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scale, seed", [(1.0, 0), (1.0, 5), (1e200, 1), (1e200, 8)])
-def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypatch):
+def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, workers, monkeypatch):
     # at 1e200 products overflow, so many evaluations take the saturating
-    # fallback with caching on
+    # fallback with caching on. With one worker this process evolves every
+    # island, and an island's population must drop its arrays when its
+    # generation ends, before the next island's generation runs; with two,
+    # the forked worker runs the same checks on its island
+    monkeypatch.setattr(evolve_mod, "_worker_count", lambda population_num: workers)
     real, real_trapped = eval_batch, tree_mod.eval_trapped
     seen = {}
 
@@ -85,14 +92,10 @@ def test_every_evaluation_of_a_fit_equals_an_uncached_one(scale, seed, monkeypat
     def checked(tree, x):
         return check(tree, x, real(tree, x))
 
-    def checked_trapped(tree, x, cache, finite, invalid):
+    def checked_trapped(tree, x, cache, finite):
         seen["hits"] += any(n.acts is not None and n.acts[0] is x
                             for _, n in iter_nodes(tree.root))
-        got = real_trapped(tree, x, cache, finite, invalid)
-        # inside a generation block: the uncached reference runs with the
-        # invalid setting the block was opened under (eval_batch sets over)
-        with np.errstate(invalid=invalid):
-            return check(tree, x, got)
+        return check(tree, x, real_trapped(tree, x, cache, finite))
 
     monkeypatch.setattr(genetics_mod, "eval_batch", checked)
     monkeypatch.setattr(genetics_mod, "eval_trapped", checked_trapped)
@@ -267,7 +270,7 @@ def test_two_contexts_over_different_rows_never_share_activations():
         for t in trees:
             for ctx in contexts:
                 with ctx.generation():
-                    got = eval_trapped(t, ctx._rows, True, ctx._finite, ctx._invalid)
+                    got = eval_trapped(t, ctx._rows, True, ctx._finite)
                 assert got.tobytes() == eval_batch(t, ctx._rows).tobytes()
         # edited copies share all but one path with the trees just scored
         edits = []
@@ -310,11 +313,12 @@ def test_fitness_matches_the_metrics_module_on_non_finite_rows():
 @pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])
 @pytest.mark.parametrize("scale", [1.0, 1e200])
 def test_a_generation_block_keeps_values_and_warnings(scale, invalid, monkeypatch):
-    # the block makes overflow and invalid operations raise once for all its
-    # evaluations, so its saturating fallback has to put back the invalid
-    # setting the block was opened under: rows with infinite cells (and, at
-    # 1e200, finite rows whose products overflow) give the same bytes, the
-    # same warnings and the same errors inside a block as outside one
+    # the block makes overflow raise once for all its evaluations and
+    # leaves every other setting the caller's, so its saturating fallback
+    # meets invalid operations under the caller's own setting: rows with
+    # infinite cells (and, at 1e200, finite rows whose products overflow)
+    # give the same bytes, the same warnings and the same errors inside a
+    # block as outside one
     x = scale * np.array([[np.inf, 1.0], [0.5, -np.inf], [2.0, 0.0], [-np.inf, 3.0],
                           [1.0, 1.0], [0.3, -0.2]])
     ctx = EvalContext(x, np.array([1, 0, 1, 0, 0, 1]))

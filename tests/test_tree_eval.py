@@ -256,9 +256,8 @@ def cached_eval(t, x):
     """eval_batch with caching on, as EvalContext evaluates in a generation
     block: each operator node's activation is read from and stored on the
     node."""
-    invalid = np.geterr()["invalid"]
-    with np.errstate(over="raise", invalid="raise"):
-        return tree_mod.eval_trapped(t, x, True, bool(np.isfinite(x).all()), invalid)
+    with np.errstate(over="raise"):
+        return tree_mod.eval_trapped(t, x, True, bool(np.isfinite(x).all()))
 
 
 def same_bits(t, x, cached=False):
