@@ -89,6 +89,8 @@ def cmd_train(args) -> int:
     out = args.model_out or f"model.{algo.value}"
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(f"no directory for the model file {out}")
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"the model file {out} is a directory")
     t0 = time.perf_counter()
     cls = fit(ds, algo, cfg)
     elapsed = time.perf_counter() - t0

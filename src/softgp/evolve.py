@@ -38,6 +38,7 @@ import signal
 import threading
 import traceback
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -167,20 +168,10 @@ def _const_range(x: np.ndarray) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def _best(pop: Sequence[Individual]) -> Individual:
-    best = pop[0]
-    for ind in pop[1:]:
-        if ind.fitness > best.fitness:
-            best = ind
-    return best
-
-
-def _worst_index(pop: Sequence[Individual]) -> int:
-    worst = 0
-    for i in range(1, len(pop)):
-        if pop[i].fitness < pop[worst].fitness:
-            worst = i
-    return worst
+# Individuals are picked by fitness alone. max and min return the first of
+# equal keys, so the best or worst of equally fit individuals is the first
+# in order, a rule every seed's model depends on.
+_FITNESS = attrgetter("fitness")
 
 
 def _score_gp(ctx: EvalContext, trees: Sequence[ExprTree],
@@ -207,7 +198,7 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
 
     pop = _score_gp(ctx, [random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)
                           for _ in range(cfg.population_size)], ())
-    best_ever = _best(pop)
+    best_ever = max(pop, key=_FITNESS)
     gen = 0
     while best_ever.fitness < 1.0 and gen < cfg.max_generation:
         parents = rank_select(pop, rng)
@@ -220,9 +211,7 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                 trees[i] = mutate(trees[i], n, const_range, rng)
         pop = _score_gp(ctx, trees, parents)
         gen += 1
-        cur = _best(pop)
-        if cur.fitness > best_ever.fitness:
-            best_ever = cur
+        best_ever = max((best_ever, *pop), key=_FITNESS)
     # the model must not hold training arrays for as long as it is kept
     drop_activations(best_ever.tree.root)
     return Classifier(Algo.GP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg, n)
@@ -249,7 +238,7 @@ class _Islands:
                 self.pops[i].append(Individual(tree, ctx.fitness_of(tree)))
 
     def bests(self) -> Dict[int, Individual]:
-        return {i: _best(pop) for i, pop in self.pops.items()}
+        return {i: max(pop, key=_FITNESS) for i, pop in self.pops.items()}
 
     def evolve(self) -> Dict[int, Individual]:
         """Run one generation on each island."""
@@ -283,7 +272,8 @@ class _Islands:
         shared node would take this island's arrays into the island it left."""
         for i, migrant in migrants.items():
             pop = self.pops[i]
-            pop[_worst_index(pop)] = pickle.loads(pickle.dumps(migrant))
+            worst = min(range(len(pop)), key=lambda j: pop[j].fitness)
+            pop[worst] = pickle.loads(pickle.dumps(migrant))
         return self.bests()
 
 
@@ -415,7 +405,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     islands = _Owners(ctx, const_range, cfg, _worker_count(num))
     try:
         bests = islands.call("bests")
-        best_ever = _best([bests[i] for i in range(num)])
+        best_ever = max((bests[i] for i in range(num)), key=_FITNESS)
         gen = 0
         while best_ever.fitness < 1.0 and gen < cfg.max_generation:
             bests = islands.call("evolve")
@@ -424,9 +414,7 @@ def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
                 migrants = {(i + 1) % num: b for i, b in bests.items()}
                 bests = islands.call("migrate", migrants)
             gen += 1
-            for i in range(num):
-                if bests[i].fitness > best_ever.fitness:
-                    best_ever = bests[i]
+            best_ever = max((best_ever, *(bests[i] for i in range(num))), key=_FITNESS)
     finally:
         islands.close()
     return Classifier(Algo.SGP, best_ever.tree, THRESHOLD, best_ever.fitness, gen, cfg,

@@ -42,7 +42,7 @@ import re
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, Variant
+from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, TreeError, Variant, validate
 
 # Indices and counts are capped at 9 digits: int() refuses strings past
 # 4300 digits with a ValueError, and no real model comes near the cap.
@@ -240,6 +240,14 @@ def parse_model(text: str) -> Tuple[ExprTree, int]:
 
 
 def save_model(path, tree: ExprTree, n_features: int) -> None:
+    """Write a model file. A tree validate() rejects, or a feature count
+    the header's nine digits cannot hold, raises TreeError before the file
+    is opened, so every file written loads back as the same tree."""
+    if not 0 <= n_features < 10 ** 9:
+        raise TreeError(f"cannot save a model of {n_features} features")
+    problems = validate(tree, n_features)
+    if problems:
+        raise TreeError(f"cannot save an invalid model: {problems[0]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_model(tree, n_features))
 

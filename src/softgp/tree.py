@@ -197,7 +197,9 @@ class Node:
     Neither slot takes part in ==, hash or repr, and neither is pickled: a
     node is rebuilt from its five value fields. Evaluation, summary(), ==
     and pickling recurse per level: they expect trees validate() accepts
-    (at most about 12 levels), and raise RecursionError on far deeper ones.
+    (at most about 12 levels). On far deeper ones evaluation raises
+    TreeError, as it does for a symbol past the row matrix's last column,
+    while summary(), == and pickling raise RecursionError.
     """
 
     kind: OpKind
@@ -252,14 +254,13 @@ class GenBounds:
     """Per-path boolean and math chain bounds used by the random generator
     (every path has exactly one comparison and one term)."""
 
-    bool_min: int = 1
     bool_max: int = 3
     math_min: int = 1
     math_max: int = 4
 
     def __post_init__(self):
-        if not (1 <= self.bool_min <= self.bool_max):
-            raise TreeError(f"bad boolean bounds [{self.bool_min}, {self.bool_max}]")
+        if self.bool_max < 1:
+            raise TreeError(f"bad boolean bounds [1, {self.bool_max}]")
         if not (0 <= self.math_min <= self.math_max):
             raise TreeError(f"bad math bounds [{self.math_min}, {self.math_max}]")
 
@@ -284,7 +285,10 @@ class Violation:
 # ---------------------------------------------------------------------------
 
 def symbol(index: int) -> Node:
-    return Node(_SYMBOL, payload=int(index))
+    index = int(index)
+    if index < 0:
+        raise TreeError(f"symbol index {index} is negative")
+    return Node(_SYMBOL, payload=index)
 
 
 def const(value: float) -> Node:
@@ -470,10 +474,14 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
         # terms
         if node.kind is _SYMBOL:
             i = node.payload
-            if not isinstance(i, int) or not (0 <= i < n_features):
+            # exactly an int: a bool payload would be written as xTrue
+            if type(i) is not int or not (0 <= i < n_features):
                 bad(path, f"symbol index {i!r} outside [0, {n_features})")
-        if node.kind is _CONST and not isinstance(node.payload, float):
-            bad(path, f"constant payload {node.payload!r} is not a real")
+        elif node.kind is _CONST:
+            if not isinstance(node.payload, float):
+                bad(path, f"constant payload {node.payload!r} is not a real")
+        elif node.payload is not None:
+            bad(path, f"payload {node.payload!r} on {node.kind.name}")
 
         # layer-chain phases: each case names the state its children start in
         if phase == "bool":
@@ -670,7 +678,8 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     every math-node result) runs instead, under the caller's numpy setting
     for invalid operations. It neither reads nor stores the nodes'
     activations. Both passes recurse per level, so a tree far deeper than
-    validate() accepts raises RecursionError.
+    validate() accepts raises TreeError, as do a symbol at or past x's
+    column count and an operator short of children.
     """
     x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:
@@ -702,12 +711,18 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool) -> np
     stored array is never written again; returned arrays must not be
     mutated, since they may be stored ones.
     """
-    if finite:
-        try:
-            return _walk(tree.root, x, cache, trap=True)
-        except FloatingPointError:
-            pass
-    return _eval_saturating(tree, x, cache)
+    try:
+        if finite:
+            try:
+                return _walk(tree.root, x, cache, trap=True)
+            except FloatingPointError:
+                pass
+        return _eval_saturating(tree, x, cache)
+    # a symbol past x's last column or a node short of children
+    except IndexError as e:
+        raise TreeError(f"cannot evaluate a malformed tree: {e}") from None
+    except RecursionError:
+        raise TreeError("cannot evaluate a tree this deep") from None
 
 
 def drop_activations(root: Node) -> None:
@@ -822,7 +837,7 @@ class _Gen:
     """
 
     __slots__ = ("stream", "integers", "random", "soft", "n_features", "lo", "span",
-                 "bool_ops", "math_ops", "bool_min", "bool_end", "math_min", "math_end")
+                 "bool_ops", "math_ops", "bool_end", "math_min", "math_end")
 
     def __init__(self, variant: Variant, bounds: GenBounds, n_features: int,
                  const_range: Tuple[float, float], rng: np.random.Generator):
@@ -851,7 +866,6 @@ class _Gen:
         self.bool_ops = _SOFT_BOOL_OPS if self.soft else _HARD_BOOL_OPS
         self.math_ops = _SOFT_MATH_OPS if self.soft else _HARD_MATH_OPS
         # the stop rules draw a target depth from [min, end)
-        self.bool_min = bounds.bool_min
         self.bool_end = bounds.bool_max + 1
         self.math_min = bounds.math_min
         self.math_end = bounds.math_max + 1
@@ -905,10 +919,10 @@ class _Gen:
         return Node(kind, (child(0), child(0)), w)
 
     def bool_child(self, level: int) -> Node:
-        m = self.bool_min
-        lo = level if level > m else m
+        # the boolean min is 1, so at level >= 1 the target is drawn from
+        # [level, end)
         end = self.bool_end
-        if (lo if lo + 1 == end else self.integers(lo, end)) == level:
+        if level + 1 == end or self.integers(level, end) == level:
             return self.cmp()
         return self.bool(level + 1)
 
@@ -930,10 +944,10 @@ def random_tree(variant: Variant, bounds: GenBounds, n_features: int,
     """Generate a random valid tree.
 
     Along every root-to-leaf path the boolean depth is uniform on
-    [bool_min, bool_max] and the math depth uniform on [math_min,
-    math_max] (the comparison layer is always exactly one level). Weights
-    are uniform on [0,1], linear coefficients on [-1,1], constants on
-    const_range, symbols uniform over the features.
+    [1, bool_max] and the math depth uniform on [math_min, math_max] (the
+    comparison layer is always exactly one level). Weights are uniform on
+    [0,1], linear coefficients on [-1,1], constants on const_range,
+    symbols uniform over the features.
     """
     with _Gen(variant, bounds, n_features, const_range, rng) as gen:
         return ExprTree(variant, gen.bool(1))
@@ -956,7 +970,7 @@ def random_subtree(cls: OpClass, variant: Variant, bounds: GenBounds, n_features
         bool_max = max(1, min(bool_max, depth_budget))
     else:
         math_max = max(1, min(math_max, depth_budget))
-    inner = GenBounds(bool_min=1, bool_max=bool_max,
+    inner = GenBounds(bool_max=bool_max,
                       math_min=min(max(bounds.math_min, 1), math_max), math_max=math_max)
     with _Gen(variant, inner, n_features, const_range, rng) as gen:
         return gen.bool(1) if cls is _BOOLEAN else gen.math(1)

@@ -320,8 +320,8 @@ def test_boundary_prints_the_strict_border_fraction(tmp_path, capsys):
 
 def test_boundary_requires_two_features(tmp_path, capsys):
     model = tmp_path / "m.sgp"
-    save_model(model, ExprTree(Variant.SOFT,
-                               op(OpKind.GT, symbol(0), const(0.0), weight=1.0)), 3)
+    gt = op(OpKind.GT, symbol(0), const(0.0), weight=1.0)
+    save_model(model, ExprTree(Variant.SOFT, op(OpKind.NOT, gt, weight=1.0)), 3)
     assert run(["boundary", "--model", str(model)]) == 2
     assert "2-feature" in capsys.readouterr().err
 
@@ -444,6 +444,19 @@ def test_train_refuses_a_model_path_in_a_missing_directory_before_the_fit(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("softgp train: error: ") and str(model) in err
     assert not model.parent.exists()
+
+
+def test_train_refuses_a_model_path_that_is_a_directory_before_the_fit(tmp_path, capsys,
+                                                                       monkeypatch):
+    data = tmp_path / "d.csv"
+    run(["synth", "--kind", "linsep", "--n", "40", "--out", str(data)])
+    monkeypatch.setattr(softgp.cli, "fit", lambda *a, **k: pytest.fail("the fit ran"))
+    model = tmp_path / "adir"
+    model.mkdir()
+    assert run(["train", "--algo", "gp", "--data", str(data), "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("softgp train: error: ") and "is a directory" in err
+    assert list(model.iterdir()) == []
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf"])

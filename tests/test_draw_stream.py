@@ -90,7 +90,7 @@ def transcript(rng, variant, bounds, n_features, const_range):
     return out
 
 
-BOUNDS = [DEFAULT_BOUNDS, GenBounds(bool_min=1, bool_max=6, math_min=0, math_max=4)]
+BOUNDS = [DEFAULT_BOUNDS, GenBounds(bool_max=6, math_min=0, math_max=4)]
 
 
 @given(seeds, st.sampled_from(list(Variant)), st.sampled_from(BOUNDS),

@@ -47,7 +47,7 @@ def test_a_seed_yields_the_pinned_model(algo):
 
 
 GEN_BOUNDS = {"default": DEFAULT_BOUNDS,
-              "wide": GenBounds(bool_min=1, bool_max=6, math_min=0, math_max=4)}
+              "wide": GenBounds(bool_max=6, math_min=0, math_max=4)}
 CONST_RANGES = {"narrow": (-3.0, 7.5), "point": (0.0, 0.0), "huge": (-1e300, 1e300)}
 
 GENERATION = {

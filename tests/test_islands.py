@@ -18,8 +18,9 @@ from test_golden import GOLDEN
 import softgp.evolve as evolve_mod
 from softgp.data import gen_synthetic, shuffle_split
 from softgp.evolve import Algo, EvolutionConfig, fit_sgp
-from softgp.genetics import EvalContext
+from softgp.genetics import EvalContext, Individual
 from softgp.sexpr import format_model
+from softgp.tree import ExprTree, OpKind, Variant, const, op, symbol
 
 
 def with_workers(monkeypatch, w):
@@ -163,3 +164,36 @@ def test_a_process_running_other_threads_is_not_forked():
         release.set()
         thread.join(10.0)
     assert not thread.is_alive()
+
+
+def scored(fitnesses):
+    """Individuals of the given fitnesses, each with a tree of its own."""
+    return [Individual(ExprTree(Variant.SOFT, op(OpKind.GT, symbol(0), const(float(j)),
+                                                 weight=1.0)), f)
+            for j, f in enumerate(fitnesses)]
+
+
+@pytest.fixture
+def islands(moons):
+    cfg = EvolutionConfig(population_size=4, population_num=2, seed=8)
+    ctx = EvalContext(moons.x, moons.y)
+    return evolve_mod._Islands(ctx, evolve_mod._const_range(ctx.x), cfg, 0, 1)
+
+
+def test_the_best_of_equally_fit_individuals_is_the_first(islands):
+    islands.pops = {0: scored([0.5, 0.9, 0.7, 0.9, 0.9, 0.1]), 1: scored([0.8] * 4)}
+    bests = islands.bests()
+    assert bests[0] is islands.pops[0][1]
+    assert bests[1] is islands.pops[1][0]
+
+
+def test_a_migrant_replaces_the_first_of_equally_worst_individuals(islands):
+    before = {0: scored([0.5, 0.2, 0.7, 0.2, 0.9, 0.2]), 1: scored([0.6] * 4)}
+    islands.pops = {i: list(pop) for i, pop in before.items()}
+    migrants = {0: Individual(before[1][3].tree, 0.95), 1: Individual(before[0][0].tree, 0.3)}
+    islands.migrate(migrants)
+    for i, first_worst in ((0, 1), (1, 0)):
+        pop = islands.pops[i]
+        # a copy takes the place of the first worst; everyone else stays
+        assert pop[first_worst] == migrants[i] and pop[first_worst] is not migrants[i]
+        assert all(pop[j] is ind for j, ind in enumerate(before[i]) if j != first_worst)

@@ -1,6 +1,7 @@
 """Property tests: the evaluator against its saturating reference, the
 model-file parser against arbitrary text and a recursive reference
-parser, and subtree summaries, the locators and the weight-slot accessors
+parser, the model-file writer against trees that break its rules, and
+subtree summaries, the locators and the weight-slot accessors
 against from-scratch walks."""
 
 import numpy as np
@@ -18,13 +19,24 @@ from softgp.genetics import (
     extension_mutation,
     mutate,
 )
-from softgp.sexpr import _TOKEN_RE, ParseError, format_model, format_tree, parse_model
+from softgp.sexpr import (
+    _TOKEN_RE,
+    ParseError,
+    format_model,
+    format_tree,
+    load_model,
+    parse_model,
+    save_model,
+)
 from softgp.tree import (
     DEFAULT_BOUNDS,
     OP_CLASS,
     ExprTree,
     LocatorError,
+    Node,
     OpClass,
+    OpKind,
+    TreeError,
     Variant,
     collect_weights,
     eval_batch,
@@ -111,6 +123,42 @@ def test_model_round_trip_reproduces_evaluation_bytes(seed, variant, exponent):
     assert n_features == N_FEATURES
     assert back == tree
     assert eval_batch(back, x).tobytes() == eval_batch(tree, x).tobytes()
+
+
+# NaN never equals itself, so a tree holding one could not compare equal
+# to the tree read back
+reals = st.floats(allow_nan=False)
+hand_built = st.recursive(
+    st.one_of(st.builds(Node, st.just(OpKind.SYMBOL),
+                        payload=st.one_of(st.integers(-1, N_FEATURES), st.booleans())),
+              st.builds(Node, st.just(OpKind.CONST), payload=reals)),
+    lambda children: st.builds(
+        Node, st.sampled_from(list(OpKind)), st.lists(children, max_size=3).map(tuple),
+        st.one_of(st.none(), reals), st.one_of(st.none(), st.lists(reals, max_size=3)),
+        st.one_of(st.none(), st.integers(0, N_FEATURES), reals)),
+    max_leaves=6)
+
+
+@given(seeds, variants, st.data())
+def test_every_model_save_model_writes_loads_back_equal(tmp_path_factory, seed, variant, data):
+    # a random tree, possibly with one subtree (the root, say) replaced by
+    # a hand-built one that may break any rule, saved under a feature
+    # count that may be too small or too large for the header
+    tree = random_tree(variant, DEFAULT_BOUNDS, N_FEATURES, (-2.0, 2.0),
+                       np.random.default_rng(seed))
+    if data.draw(st.booleans()):
+        path, _ = locate_node(tree.root, data.draw(st.integers(0, node_count(tree.root) - 1)))
+        tree = ExprTree(variant, replace_subtree(tree.root, path, data.draw(hand_built)))
+    n_features = data.draw(st.sampled_from([N_FEATURES, N_FEATURES + 1, 10 ** 9 - 1,
+                                            10 ** 9, 0, -1]))
+    file = tmp_path_factory.getbasetemp() / "saved.sgp"
+    file.unlink(missing_ok=True)
+    try:
+        save_model(file, tree, n_features)
+    except TreeError:
+        assert not file.exists()
+    else:
+        assert load_model(file) == (tree, n_features)
 
 
 _SEPARATORS = st.lists(st.sampled_from(["\t", "\r\n", "\x0b", "\x85", " "]), min_size=1,

@@ -17,7 +17,9 @@ from softgp.sexpr import (
 from softgp.tree import (
     DEFAULT_BOUNDS,
     ExprTree,
+    Node,
     OpKind,
+    TreeError,
     Variant,
     const,
     eval_batch,
@@ -232,12 +234,27 @@ def test_trees_of_any_depth_format_and_save(tmp_path):
     text = nested_nots(levels)
     assert format_tree(ExprTree(Variant.SOFT, node)) == text
     path = tmp_path / "deep.sgp"
-    save_model(path, ExprTree(Variant.SOFT, node), 2)
+    # save_model refuses a tree this deep, so the file is written directly
+    path.write_text(format_model(ExprTree(Variant.SOFT, node), 2), encoding="utf-8")
     header = "#sgp-tree v1 variant=soft n_features=2\n"
     assert path.read_text(encoding="utf-8") == header + text + "\n"
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
         load_model(path)
     assert (err.value.line, err.value.col) == (2, 9 * MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize("tree, n_features", [
+    (ExprTree(Variant.SOFT, Node(OpKind.GT, (Node(OpKind.SYMBOL, payload=-1), const(0.0)), 1.0)),
+     2),
+    (ExprTree(Variant.SOFT, op(OpKind.GT, symbol(0), const(0.0), weight=1.0)), 10 ** 9),
+    (ExprTree(Variant.SOFT, op(OpKind.ADD, symbol(0), symbol(1))), 2),
+], ids=["negative symbol", "features past the header", "math root"])
+def test_save_model_refuses_an_invalid_model_before_opening_the_file(tmp_path, tree,
+                                                                     n_features):
+    path = tmp_path / "m.sgp"
+    with pytest.raises(TreeError, match="cannot save"):
+        save_model(path, tree, n_features)
+    assert not path.exists()
 
 
 def test_bare_term_parses():

@@ -424,5 +424,29 @@ def test_eval_rejects_non_matrix_input():
 
 def test_symbol_out_of_range_raises():
     t = soft(op(OpKind.GT, symbol(5), const(0.0), weight=1.0))
-    with pytest.raises(IndexError):
+    with pytest.raises(TreeError, match="cannot evaluate"):
         eval_batch(t, np.zeros((3, 2)))
+
+
+def test_symbol_refuses_a_negative_index():
+    # eval_batch would read x[:, -1], the last column
+    with pytest.raises(TreeError, match="negative"):
+        symbol(-1)
+
+
+def not_chain(levels):
+    node = op(OpKind.GT, symbol(0), symbol(1), weight=1.0)
+    for _ in range(levels - 1):
+        node = op(OpKind.NOT, node, weight=1.0)
+    return soft(node)
+
+
+@pytest.mark.parametrize("t", [
+    not_chain(5000),
+    soft(tree_mod.Node(OpKind.GT, (symbol(0),), 1.0)),
+], ids=["5000-level chain", "comparison short of a child"])
+def test_a_tree_evaluation_cannot_walk_raises_tree_error(t):
+    x = np.zeros((3, 2))
+    for evaluate in (eval_batch, cached_eval):
+        with pytest.raises(TreeError, match="cannot evaluate"):
+            evaluate(t, x)

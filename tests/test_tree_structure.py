@@ -44,7 +44,7 @@ TERM_KINDS = {OpKind.SYMBOL, OpKind.CONST}
 
 # the chain limits validate() accepts: boolean depth up to the extension
 # cap, math chains empty or up to the generation bound
-VALIDATION_BOUNDS = GenBounds(bool_min=1, bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
+VALIDATION_BOUNDS = GenBounds(bool_max=BOOL_DEPTH_CAP, math_min=0, math_max=4)
 
 
 def path_chains(tree):
@@ -82,7 +82,7 @@ def chain_ok(tree, bounds):
         if chain is None:
             return False
         b, c, m = chain
-        if not (bounds.bool_min <= b <= bounds.bool_max and c == 1
+        if not (1 <= b <= bounds.bool_max and c == 1
                 and bounds.math_min <= m <= bounds.math_max):
             return False
     return True
@@ -116,10 +116,10 @@ def test_validate_agrees_with_oracle_on_malformed_trees():
 
 def test_exact_depths_when_bounds_are_degenerate():
     rng = np.random.default_rng(12)
-    bounds = GenBounds(bool_min=2, bool_max=2, math_min=3, math_max=3)
+    bounds = GenBounds(bool_max=1, math_min=3, math_max=3)
     for _ in range(60):
         t = random_tree(Variant.SOFT, bounds, 2, (-1.0, 1.0), rng)
-        assert all(chain == (2, 1, 3) for chain in path_chains(t))
+        assert all(chain == (1, 1, 3) for chain in path_chains(t))
 
 
 def test_leftmost_path_depths_are_uniform():
@@ -496,8 +496,6 @@ def test_validate_rejects_non_boolean_root():
 
 def test_genbounds_validation():
     with pytest.raises(TreeError):
-        GenBounds(bool_min=0)
-    with pytest.raises(TreeError):
-        GenBounds(bool_min=3, bool_max=2)
+        GenBounds(bool_max=0)
     with pytest.raises(TreeError):
         GenBounds(math_min=3, math_max=2)
