@@ -274,15 +274,19 @@ def strict_border_fraction(grid: BoundaryGrid) -> float:
 
 
 def write_boundary_csv(grid: BoundaryGrid, path) -> None:
-    xs = np.linspace(grid.x_range[0], grid.x_range[1], grid.resolution)
-    ys = np.linspace(grid.y_range[0], grid.y_range[1], grid.resolution)
+    """Write the grid as CSV rows x,y,activation,label, row-major over (y, x).
+
+    The bytes are those csv.writer writes: no field needs quoting, and
+    every line ends in "\r\n". Each x and y is rendered once, and each
+    lattice row goes out in one write.
+    """
+    r = grid.resolution
+    xs = [repr(x) for x in np.linspace(grid.x_range[0], grid.x_range[1], r).tolist()]
+    ys = np.linspace(grid.y_range[0], grid.y_range[1], r).tolist()
+    acts = grid.activations.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "activation", "label"])
-        i = 0
-        for y in ys:
-            for x in xs:
-                a = float(grid.activations[i])
-                writer.writerow([repr(float(x)), repr(float(y)), repr(a),
-                                 int(a >= THRESHOLD)])
-                i += 1
+        fh.write("x,y,activation,label\r\n")
+        for row, y in enumerate(ys):
+            y = repr(y)
+            fh.write("".join([f"{x},{y},{a!r},{1 if a >= THRESHOLD else 0}\r\n"
+                              for x, a in zip(xs, acts[row * r:(row + 1) * r])]))

@@ -30,17 +30,28 @@ The parser checks token shape, arity, weight range and nesting depth
 only; layer-chain legality is validate()'s job.
 
 Both directions are single flat passes with no recursion. The parser
-walks the token list once, keeps the operators still open on an explicit
-stack and builds each Node when its ")" arrives; the formatter writes from
-an explicit stack. So a tree of any depth formats, and MAX_DEPTH is a
-policy on what a model file may hold, not a guard for Python's stack.
+walks the token list once and builds each Node when its ")" arrives. The
+innermost open operator lives in local variables, and the ones around it
+wait on an explicit stack: an operator is pushed only when another opens
+inside it, so a child is appended without unpacking a stack entry. An
+empty-string sentinel follows the last token. It is no "(", ")",
+operator, real or term, so the happy path needs no bounds checks and
+reaches an error branch at it, and only the error branches ask whether
+they stand at the end. The formatter writes from an explicit stack. So a
+tree of any depth formats, and MAX_DEPTH is a policy on what a model
+file may hold, not a guard for Python's stack.
+
+The parser builds one SYMBOL leaf per symbol token in a tree and puts it
+at every place the token occurs, as random generation does per feature
+index. Nodes are immutable, so a shared leaf changes no value, text or
+evaluation; it saves a Node per repeat.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, TreeError, Variant, validate
 
@@ -89,100 +100,105 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _expected(what: str, tokens: List[str], i: int) -> str:
-    """The message for token i where the grammar expects what."""
-    if i >= len(tokens):
-        return f"unexpected end of input, expected {what}"
-    return f"expected {what}, got {tokens[i]!r}"
-
-
 def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
     # text holds exactly one tree and starts on line first_line
     tokens = _TOKEN_RE.findall(text)
     n = len(tokens)
+    tokens.append("")  # the sentinel the module docstring describes
     soft = variant is Variant.SOFT
     symbol = _SYMBOL_RE.match
+    # each symbol token's one leaf in this tree
+    leaves = {}
 
     def error(message: str, i: int) -> ParseError:
         """A ParseError at token i, or at column 1 of the text's last line
-        when i is past the last token."""
-        if i >= n:
+        when i is the sentinel."""
+        if i == n:
             return ParseError(message, first_line + text.count("\n"), 1)
         off = next(islice(_TOKEN_RE.finditer(text), i, None)).start()
         return ParseError(message, first_line + text.count("\n", 0, off),
                           off - text.rfind("\n", 0, off))
 
-    # the operators still open, outermost first: (kind, arity, weight,
-    # coeffs, children so far)
+    def expected(what: str, i: int) -> str:
+        """The message for token i where the grammar expects what."""
+        if i == n:
+            return f"unexpected end of input, expected {what}"
+        return f"expected {what}, got {tokens[i]!r}"
+
+    # The innermost open operator lives in locals: kind, arity, weight,
+    # coeffs and children so far. Outside every operator they hold the
+    # root's holder, kind None and arity 1. The stack holds the enclosing
+    # ones, outermost first, as (kind, arity, weight, coeffs, children).
+    kind, arity, weight, coeffs, children = None, 1, None, None, []
     stack = []
     i = 0
     while True:
         # a node starts at token i
-        tok = tokens[i] if i < n else None
+        tok = tokens[i]
         if tok == "(":
             if len(stack) >= MAX_DEPTH:
                 raise error(f"operators nested deeper than {MAX_DEPTH} levels", i)
             i += 1
-            if i == n:
-                raise error("unexpected end of input, expected an operator name", i)
             entry = _OPERATORS.get(tokens[i])
             if entry is None:
-                raise error(f"unknown operator {tokens[i]!r}", i)
+                raise error("unexpected end of input, expected an operator name" if i == n
+                            else f"unknown operator {tokens[i]!r}", i)
+            stack.append((kind, arity, weight, coeffs, children))
             kind, arity, weighted, n_coeffs = entry
             i += 1
             weight = coeffs = None
             if soft and weighted:
-                weight = _float(tokens[i]) if i < n else None
+                weight = _float(tokens[i])
                 # Node would clamp it, loading a value the file does not hold
                 if weight is None or not 0.0 <= weight <= 1.0:
                     what = f"a weight for {kind.name}"
                     if weight is not None:
                         what += " in [0, 1]"
-                    raise error(_expected(what, tokens, i), i)
+                    raise error(expected(what, i), i)
                 i += 1
             if n_coeffs:
+                # a slice running past the end holds the sentinel, a None
                 coeffs = tuple(map(_float, tokens[i:i + n_coeffs]))
-                if len(coeffs) < n_coeffs or None in coeffs:
-                    j = i + (coeffs.index(None) if None in coeffs else len(coeffs))
-                    raise error(_expected(f"a coefficient for {kind.name}", tokens, j), j)
+                if None in coeffs:
+                    j = i + coeffs.index(None)
+                    raise error(expected(f"a coefficient for {kind.name}", j), j)
                 i += n_coeffs
-            stack.append((kind, arity, weight, coeffs, []))
+            children = []
             continue
-        if tok is None or tok == ")":
-            if stack:
-                kind, arity, _, _, children = stack[-1]
-                raise error(f"{kind.name} expects {arity} children, got {len(children)}", i)
-            if tok is None:
-                raise error("unexpected end of input, expected a term or '('", i)
-            raise error("expected a term or '('", i)
-        if tok[0] == "x":
-            m = symbol(tok)
-            node = Node(_SYMBOL, (), None, None, int(m.group(1))) if m else None
-        else:
-            value = _float(tok)
-            node = None if value is None else Node(_CONST, (), None, None, value)
+        node = leaves.get(tok)
         if node is None:
-            raise error(f"expected a term, got {tok!r}", i)
+            if tok == ")" or i == n:
+                if kind is not None:
+                    raise error(f"{kind.name} expects {arity} children, got {len(children)}", i)
+                raise error("unexpected end of input, expected a term or '('" if i == n
+                            else "expected a term or '('", i)
+            if tok[0] == "x":
+                m = symbol(tok)
+                if m is None:
+                    raise error(f"expected a term, got {tok!r}", i)
+                node = leaves[tok] = Node(_SYMBOL, (), None, None, int(m.group(1)))
+            else:
+                value = _float(tok)
+                if value is None:
+                    raise error(f"expected a term, got {tok!r}", i)
+                node = Node(_CONST, (), None, None, value)
         i += 1
         # the node completes its parent when it is the last child, and so on
         # up the stack, each completed operator closed by a ")"
-        while stack:
-            kind, arity, weight, coeffs, children = stack[-1]
+        while True:
             children.append(node)
             if len(children) < arity:
                 break
-            if i == n:
-                raise error("unexpected end of input, expected ')'", i)
+            if kind is None:
+                if i < n:
+                    raise error(f"unexpected trailing input {tokens[i]!r}", i)
+                return ExprTree(variant, node)
             if tokens[i] != ")":
-                raise error(f"{kind.name} expects {arity} children; "
-                            f"unexpected {tokens[i]!r}", i)
+                raise error("unexpected end of input, expected ')'" if i == n else
+                            f"{kind.name} expects {arity} children; unexpected {tokens[i]!r}", i)
             i += 1
-            stack.pop()
             node = Node(kind, tuple(children), weight, coeffs)
-        else:
-            if i < n:
-                raise error(f"unexpected trailing input {tokens[i]!r}", i)
-            return ExprTree(variant, node)
+            kind, arity, weight, coeffs, children = stack.pop()
 
 
 def parse_tree(text: str, variant: Variant) -> ExprTree:

@@ -8,16 +8,23 @@ comparison node and evaluate to [0,1] via weighted continuous operators
 (OR -> w*max, AND -> w*min, NOT -> w*(1-x), GT -> w*[x>y], ...).
 
 Trees are immutable; every "mutation" here returns a new tree that shares
-unchanged subtrees with the original. Evaluation is pure and vectorized
-over a whole row matrix at once. Mathematical operators saturate at
-+/-FLOAT_MAX. Evaluation first runs a trapping pass that leaves arrays
-unclamped and traps overflow, and nothing else: it runs only on finite
-rows and literals, where only an overflow makes an inf, so no invalid
-operation (inf - inf, inf * 0) can come before an overflow has raised.
-When it raises, a constant or coefficient is not finite, or the input has
-a non-finite cell, a saturating pass that clamps every math-node result
-runs instead, under the caller's numpy setting for invalid operations.
-Both give the same bits.
+unchanged subtrees with the original. Within one tree, too, a node may sit
+at several places: random generation builds one SYMBOL leaf per feature
+index, and the parser in sexpr one per symbol token, and each reuses it
+at every occurrence. Sharing changes no value, since no node is ever
+changed in place; a term never stores a summary or an activation, and
+pickling memoizes a shared node.
+
+Evaluation is pure and vectorized over a whole row matrix at once.
+Mathematical operators saturate at +/-FLOAT_MAX. Evaluation first runs a
+trapping pass that leaves arrays unclamped and traps overflow, and
+nothing else: it runs only on finite rows and literals, where only an
+overflow makes an inf, so no invalid operation (inf - inf, inf * 0) can
+come before an overflow has raised. When it raises, a constant or
+coefficient is not finite, or the input has a non-finite cell, a
+saturating pass that clamps every math-node result runs instead, under
+the caller's numpy setting for invalid operations. Both give the same
+bits.
 
 Evaluation reads the row matrix column-major (eval_batch converts it once),
 so each symbol is a contiguous column. A node writes only into arrays it
@@ -67,6 +74,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
@@ -200,6 +208,12 @@ class Node:
     (at most about 12 levels). On far deeper ones evaluation raises
     TreeError, as it does for a symbol past the row matrix's last column,
     while summary(), == and pickling raise RecursionError.
+
+    A node may be a child of several nodes, or sit at several places in one
+    tree: a parsed or generated tree holds one SYMBOL leaf per feature
+    index. Nothing changes a node's value fields after construction, and a
+    term's summary and acts slots stay None, so which parent reaches a node
+    never matters.
     """
 
     kind: OpKind
@@ -469,6 +483,11 @@ def validate(tree: ExprTree, n_features: int) -> list[Violation]:
             want = ARITY[node.kind]
             if node.coeffs is None or len(node.coeffs) != want:
                 bad(path, f"{node.kind.name} needs {want} coefficients")
+            else:
+                # a str would be saved as its float and load back unequal
+                for c in node.coeffs:
+                    if not isinstance(c, numbers.Real):
+                        bad(path, f"{node.kind.name} coefficient {c!r} is not a real")
         elif node.coeffs is not None:
             bad(path, f"coefficients on {node.kind.name}")
         # terms
@@ -834,10 +853,13 @@ class _Gen:
     stream's generator back. Uniform reals are drawn through random(), as
     the module docstring explains: a constant is lo + (hi - lo) * random(),
     a weight random() itself and a linear coefficient -1.0 + 2.0 * random().
+    leaves maps each feature index drawn so far to its one SYMBOL leaf,
+    which every later draw of that index reuses; a cache hit draws what a
+    miss does.
     """
 
     __slots__ = ("stream", "integers", "random", "soft", "n_features", "lo", "span",
-                 "bool_ops", "math_ops", "bool_end", "math_min", "math_end")
+                 "leaves", "bool_ops", "math_ops", "bool_end", "math_min", "math_end")
 
     def __init__(self, variant: Variant, bounds: GenBounds, n_features: int,
                  const_range: Tuple[float, float], rng: np.random.Generator):
@@ -863,6 +885,7 @@ class _Gen:
         self.n_features = n_features
         self.lo = lo
         self.span = span
+        self.leaves = {}
         self.bool_ops = _SOFT_BOOL_OPS if self.soft else _HARD_BOOL_OPS
         self.math_ops = _SOFT_MATH_OPS if self.soft else _HARD_MATH_OPS
         # the stop rules draw a target depth from [min, end)
@@ -881,7 +904,11 @@ class _Gen:
         integers = self.integers
         if integers(0, 2):
             return Node(_CONST, (), None, None, self.lo + self.span * self.random())
-        return Node(_SYMBOL, (), None, None, int(integers(0, self.n_features)))
+        j = int(integers(0, self.n_features))
+        leaf = self.leaves.get(j)
+        if leaf is None:
+            leaf = self.leaves[j] = Node(_SYMBOL, (), None, None, j)
+        return leaf
 
     def math_child(self, level: int) -> Node:
         integers = self.integers
@@ -893,7 +920,11 @@ class _Gen:
         # term(), written out: half of all nodes are terms drawn here
         if integers(0, 2):
             return Node(_CONST, (), None, None, self.lo + self.span * self.random())
-        return Node(_SYMBOL, (), None, None, int(integers(0, self.n_features)))
+        j = int(integers(0, self.n_features))
+        leaf = self.leaves.get(j)
+        if leaf is None:
+            leaf = self.leaves[j] = Node(_SYMBOL, (), None, None, j)
+        return leaf
 
     def math(self, level: int) -> Node:
         ops = self.math_ops

@@ -23,6 +23,7 @@ from softgp.bench import (
 )
 from softgp.data import DataError, Dataset, gen_synthetic, save_csv
 from softgp.evolve import Algo, EvolutionConfig
+from softgp.sexpr import parse_tree
 from softgp.tree import ExprTree, OpKind, Variant, eval_batch, op, symbol
 
 TINY = EvolutionConfig(max_generation=2, population_size=10, seed=0)
@@ -275,6 +276,19 @@ def test_write_boundary_csv(tmp_path):
     assert (float(first[0]), float(first[1])) == (-1.0, -1.0)
     for x, y, act, label in rows[1:]:
         assert int(label) == (1 if float(act) >= 0.5 else 0)
+
+
+def test_write_boundary_csv_bytes_are_pinned(tmp_path):
+    # the bytes csv.writer wrote for this grid, "\r\n" line ends included;
+    # the activations include ties at exactly 0.5, labelled 1
+    model = parse_tree("(OR 1.0 (NOT 0.5 (GT 1.0 x0 x1)) "
+                       "(LT 0.8 (SIGM (ADD x0 0.3)) (MUL x1 x1)))", Variant.SOFT)
+    grid = boundary_grid(model, 7, (-1.3, 2.1), (-0.7, 1.9))
+    assert 0.5 in grid.activations
+    p = tmp_path / "boundary.csv"
+    write_boundary_csv(grid, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+        "a95e81604803dee03b64580705d6a7abd8c09dc7382e34aea4788ddd3bcbccb1"
 
 
 def test_write_boundary_csv_labels_a_tie_positive(tmp_path):

@@ -26,6 +26,7 @@ from softgp.tree import (
     op,
     random_tree,
     symbol,
+    validate,
 )
 
 
@@ -255,6 +256,27 @@ def test_save_model_refuses_an_invalid_model_before_opening_the_file(tmp_path, t
     with pytest.raises(TreeError, match="cannot save"):
         save_model(path, tree, n_features)
     assert not path.exists()
+
+
+def test_save_model_refuses_a_lin_coefficient_that_is_not_a_real(tmp_path):
+    # Node keeps a coefficient tuple as given; saved, '0.5' would be
+    # written as 0.5 and load back as a different tree
+    lin = Node(OpKind.LIN2, (symbol(0), symbol(1)), None, ("0.5", 1))
+    tree = ExprTree(Variant.SOFT, op(OpKind.NOT, op(OpKind.GT, lin, const(0.0), weight=1.0),
+                                     weight=1.0))
+    assert [str(v) for v in validate(tree, 2)] == [
+        "at 0/0: LIN2 coefficient '0.5' is not a real"]
+    path = tmp_path / "m.sgp"
+    with pytest.raises(TreeError, match="coefficient '0.5' is not a real"):
+        save_model(path, tree, 2)
+    assert not path.exists()
+    # ints, bools and numpy floats are reals and load back equal
+    lin = Node(OpKind.LIN2, (symbol(0), symbol(1)), None, (1, np.float64(-0.25)))
+    tree = ExprTree(Variant.SOFT, op(OpKind.NOT, op(OpKind.GT, lin, const(0.0), weight=1.0),
+                                     weight=1.0))
+    assert validate(tree, 2) == []
+    save_model(path, tree, 2)
+    assert load_model(path) == (tree, 2)
 
 
 def test_bare_term_parses():
