@@ -16,6 +16,7 @@ import os
 import re
 import urllib.error
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from http.client import HTTPException
 from typing import List, Optional, Tuple
@@ -61,6 +62,8 @@ def _open_text(path):
 
 def _sniff_delimiter(path, delimiter: Optional[str]) -> str:
     if delimiter is not None:
+        if len(delimiter) != 1:
+            raise DataError(f"delimiter must be one character, got {delimiter!r}")
         return delimiter
     base = str(path)
     if base.endswith(".gz"):
@@ -135,8 +138,8 @@ def read_matrix(path, delimiter: Optional[str] = None,
                     else:
                         vals.append(v)
                 feats.append(vals)
-        except (OSError, EOFError) as e:
-            # truncated gzip raises EOFError
+        except (OSError, EOFError, zlib.error) as e:
+            # truncated gzip raises EOFError, a corrupt deflate stream zlib.error
             raise DataError(f"cannot read {path}: {e}") from e
         except (UnicodeDecodeError, csv.Error) as e:
             raise unreadable_table(path, reader, e) from e
@@ -233,6 +236,8 @@ def shuffle_split(ds: Dataset, ratio: float = 0.7, seed: int = 0) -> SplitPair:
     n_train = round(ratio * rows)
     if n_train < 1 or n_train >= rows:
         raise DataError(f"ratio {ratio} leaves an empty split for {rows} rows")
+    if seed < 0:
+        raise DataError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         perm = rng.permutation(rows)
@@ -258,6 +263,8 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
         raise DataError(f"need n >= 4, got {n}")
     if not (math.isfinite(noise) and noise >= 0):
         raise DataError(f"noise must be a finite number >= 0, got {noise}")
+    if seed < 0:
+        raise DataError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     n1 = (n + 1) // 2
     n0 = n - n1
@@ -283,6 +290,8 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
         raise DataError(f"unknown synthetic kind {kind!r} "
                         f"(expected linsep, circles, or moons)")
     x = np.vstack((pts0, pts1))
+    if not np.isfinite(x).all():
+        raise DataError(f"noise {noise} makes non-finite {kind} points")
     y = np.concatenate((np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)))
     return Dataset(kind, ["x0", "x1"], x, y)
 

@@ -44,9 +44,9 @@ and locate_node and the weight-slot accessors use the per-child counts to
 find the k-th node or weight slot by walking a single root-to-node path. A
 node never changes after construction, so a summary cannot go stale, and a
 tree edited by replace_subtree rebuilds only the nodes on the edited path;
-every shared subtree keeps its summary. node_count, which reads fresh
-trees, uses a summary that is present but never fills one: parsing and
-prediction read each tree once, and a fill costs more than a plain walk.
+every shared subtree keeps its summary. node_count neither reads nor
+fills a summary: it walks every node, since its callers count fresh
+trees that hold none, and a fill costs more than a plain walk.
 
 A caching evaluation (eval_trapped with cache=True, which training runs
 inside a generation block) also leaves each operator node's activation
@@ -190,10 +190,9 @@ class Node:
 
     summary caches what summary() returns for this subtree: node counts
     per class, size, weight slots, boolean depth and math chain. It is None
-    until summary() first runs on the node (node_count reads it but never
-    fills it), and stays None on terms with no weight or coefficients,
-    which share one constant. A node is immutable, so its summary never
-    goes stale.
+    until summary() first runs on the node, and stays None on terms with
+    no weight or coefficients, which share one constant. A node is
+    immutable, so its summary never goes stale.
 
     acts is None or (x, a): the activation array a of this operator node
     on the row matrix x, stored by a caching evaluation (eval_trapped with
@@ -320,17 +319,13 @@ def op(kind: OpKind, *children: Node, weight: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 def node_count(node: Node) -> int:
-    """Number of nodes in the subtree at node; reads summaries, fills none."""
+    """Number of nodes in the subtree at node, counted by a walk over every node."""
     count = 0
     stack = [node]
     while stack:
         node = stack.pop()
-        s = node.summary
-        if s is None:
-            count += 1
-            stack.extend(node.children)
-        else:
-            count += s[SUMMARY_SIZE]
+        count += 1
+        stack.extend(node.children)
     return count
 
 
@@ -917,14 +912,7 @@ class _Gen:
         end = self.math_end
         if (lo if lo + 1 == end else integers(lo, end)) != level:
             return self.math(level + 1)
-        # term(), written out: half of all nodes are terms drawn here
-        if integers(0, 2):
-            return Node(_CONST, (), None, None, self.lo + self.span * self.random())
-        j = int(integers(0, self.n_features))
-        leaf = self.leaves.get(j)
-        if leaf is None:
-            leaf = self.leaves[j] = Node(_SYMBOL, (), None, None, j)
-        return leaf
+        return self.term()
 
     def math(self, level: int) -> Node:
         ops = self.math_ops

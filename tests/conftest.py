@@ -1,3 +1,4 @@
+import gzip
 import multiprocessing
 
 import pytest
@@ -39,3 +40,14 @@ def stored_activations_are_read_only(monkeypatch):
         real(node, acts)
 
     monkeypatch.setattr(tree_mod, "_set_acts", set_acts)
+
+
+@pytest.fixture(scope="session")
+def corrupt_gzip():
+    """A gzip file's bytes whose header is intact but whose deflate stream
+    is not: reading it raises zlib.error, not an OSError."""
+    rows = "".join(f"{i * 0.5},{i % 7},{i % 2}\n" for i in range(3000))
+    data = bytearray(gzip.compress(("x0,x1,target\n" + rows).encode(), mtime=0))
+    for i in range(40, 80):
+        data[i] ^= 0x5A
+    return bytes(data)

@@ -152,6 +152,16 @@ def test_benchmark_records_per_run_failures(tmp_path):
     assert failures[1][1].startswith("run 2:")
 
 
+def test_benchmark_records_a_corrupt_gzip_file_and_scores_the_rest(tmp_path, corrupt_gzip):
+    bad = tmp_path / "bad.csv.gz"
+    bad.write_bytes(corrupt_gzip)
+    results, failures = run_benchmark([str(bad), "synth:moons:60"], [Algo.GP], runs=1,
+                                      ratio=0.7, cfg=TINY, master_seed=0, cache_dir=tmp_path)
+    assert [r.dataset for r in results] == ["synth:moons:60"]
+    assert len(failures) == 1 and failures[0][0] == str(bad)
+    assert failures[0][1].startswith(f"cannot read {bad}: ")
+
+
 def test_benchmark_log_callback(tmp_path):
     lines = []
     run_benchmark(["synth:linsep:30"], [Algo.SGP], runs=1, ratio=0.7,

@@ -467,6 +467,53 @@ def test_synth_non_finite_noise_exits_2(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--kind", "moons", "--seed", "-1", "--out", "{out}"],
+     "seed must be nonnegative, got -1"),
+    (["synth", "--kind", "moons", "--noise", "1e308", "--out", "{out}"],
+     "noise 1e+308 makes non-finite moons points"),
+    (["train", "--algo", "gp", "--data", "{data}", "--delimiter", "\\t", "--model-out", "{out}"],
+     "delimiter must be one character, got '\\\\t'"),
+    (["train", "--algo", "gp", "--data", "{data}", "--delimiter", "", "--model-out", "{out}"],
+     "delimiter must be one character, got ''"),
+    (["predict", "--model", "{model}", "--data", "{data}", "--delimiter", "ab", "--out", "{out}"],
+     "delimiter must be one character, got 'ab'"),
+    (["train", "--algo", "gp", "--data", "{gz}", "--model-out", "{out}"],
+     "cannot read {gz}: Error -3 while decompressing data"),
+    (["fetch", "haberman", "--cache", "{cache}"],
+     "cannot read {cache}/haberman.tsv.gz: Error -3 while decompressing data"),
+], ids=["synth-negative-seed", "synth-infinite-points", "train-backslash-t-delimiter",
+        "train-empty-delimiter", "predict-two-character-delimiter", "train-corrupt-gzip",
+        "fetch-corrupt-gzip-cache"])
+def test_a_bad_input_exits_2_with_one_error_line(tmp_path, capsys, corrupt_gzip, argv, message):
+    paths = {name: tmp_path / name for name in ("data", "model", "out", "cache")}
+    paths["gz"] = tmp_path / "bad.csv.gz"
+    paths["data"].write_text("x0,x1,target\n1,2,0\n2,1,1\n")
+    save_model(paths["model"], gt_model(), 2)
+    paths["gz"].write_bytes(corrupt_gzip)
+    paths["cache"].mkdir()
+    (paths["cache"] / "haberman.tsv.gz").write_bytes(corrupt_gzip)
+    assert run([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"softgp {argv[0]}: error: {message.format(**paths)}")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not paths["out"].exists()
+
+
+def test_bench_records_a_corrupt_gzip_file_as_a_failure(tmp_path, capsys, corrupt_gzip):
+    bad = tmp_path / "bad.csv.gz"
+    bad.write_bytes(corrupt_gzip)
+    out = tmp_path / "bench"
+    assert run(["bench", str(bad), "synth:moons:60", "--algos", "gp", "--runs", "1",
+                "--out", str(out), "--cache", str(tmp_path / "cache"),
+                "--config", str(write_cfg(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAILED {bad}: cannot read {bad}: Error -3 while decompressing")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    with open(out / "results.csv", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["synth:moons:60"]
+
+
 def test_report_re_renders_summaries(tmp_path, capsys):
     out = tmp_path / "bench"
     run(["bench", "synth:linsep:40", "--algos", "gp", "--runs", "1",

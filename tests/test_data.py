@@ -1,6 +1,7 @@
 import gzip
 import math
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -89,6 +90,21 @@ def test_read_matrix_rejects_binary_junk(tmp_path):
     p.write_bytes(b"\x1f\x8b\x00broken")
     with pytest.raises(DataError):
         read_matrix(p)
+
+
+def test_read_matrix_maps_a_corrupt_deflate_stream_to_a_data_error(tmp_path, corrupt_gzip):
+    p = tmp_path / "t.csv.gz"
+    p.write_bytes(corrupt_gzip)
+    with pytest.raises(DataError, match="cannot read") as exc:
+        read_matrix(p)
+    assert isinstance(exc.value.__cause__, zlib.error)
+
+
+@pytest.mark.parametrize("delimiter", ["ab", "\\t", ""])
+def test_load_table_refuses_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # refused before the file is opened, so a missing file is not reached
+    with pytest.raises(DataError, match="delimiter must be one character"):
+        load_table(tmp_path / "absent.csv", delimiter=delimiter)
 
 
 def test_load_table_maps_larger_label_to_one(tmp_path):
@@ -276,6 +292,11 @@ def test_shuffle_split_ratio_bounds():
             shuffle_split(ds, ratio, seed=0)
 
 
+def test_shuffle_split_refuses_a_negative_seed():
+    with pytest.raises(DataError, match="seed must be nonnegative, got -1"):
+        shuffle_split(balanced(10), 0.5, seed=-1)
+
+
 def test_shuffle_split_gives_up_when_a_class_cannot_reach_both_halves():
     # 4 rows, one positive: the positive row can only land on one side
     ds = Dataset("t", ["x0"], np.arange(4, dtype=float).reshape(4, 1),
@@ -339,6 +360,12 @@ def test_synthetic_input_errors():
     for noise in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(DataError, match="noise"):
             gen_synthetic("linsep", 10, noise, seed=0)
+    with pytest.raises(DataError, match="seed must be nonnegative, got -1"):
+        gen_synthetic("moons", 10, 0.1, seed=-1)
+    # noise this large draws points that are not finite
+    for kind in ("linsep", "circles", "moons"):
+        with pytest.raises(DataError, match=f"makes non-finite {kind} points"):
+            gen_synthetic(kind, 200, 1e308, seed=0)
 
 
 # --- save_csv -----------------------------------------------------------------------

@@ -387,7 +387,7 @@ def test_fresh_tree_readers_fill_no_summary(seed, variant):
         validate(t, N_FEATURES)
         eval_batch(t, x)
         assert all(n.summary is None for _, n in iter_nodes(t.root))
-    # once filled, node_count returns the stored value
+    # node_count agrees with the size a filled summary stores
     s = summary(tree.root)
     assert node_count(tree.root) == s[tree_mod.SUMMARY_SIZE]
 
