@@ -22,8 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .data import (DataError, Dataset, fetch_pmlb, gen_synthetic, load_table, shuffle_split,
-                   unreadable_table)
+from .data import (DataError, Dataset, check_split_ratio, fetch_pmlb, gen_synthetic,
+                   load_table, shuffle_split, unreadable_table)
 from .evolve import Algo, EvolutionConfig, EvolveError, fit, score
 from .metrics import MetricsError
 from .tree import THRESHOLD, ExprTree, eval_batch
@@ -91,6 +91,7 @@ def run_benchmark(datasets: Sequence[str], algos: Sequence[Algo], runs: int,
     """
     if runs < 1:
         raise DataError(f"need at least one run per dataset, got {runs}")
+    check_split_ratio(ratio)
     results: List[BenchResult] = []
     failures: List[Tuple[str, str]] = []
     for name in datasets:
@@ -246,11 +247,13 @@ MAX_RESOLUTION = 2000
 def boundary_grid(model: ExprTree, resolution: int,
                   x_range: Tuple[float, float], y_range: Tuple[float, float]) -> BoundaryGrid:
     """Evaluate a 2-feature model on a resolution x resolution lattice,
-    2 <= resolution <= MAX_RESOLUTION."""
+    2 <= resolution <= MAX_RESOLUTION, over finite ranges given low to high."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise DataError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
         raise DataError(f"grid bounds must be finite, got x {x_range} and y {y_range}")
+    if not (x_range[0] < x_range[1] and y_range[0] < y_range[1]):
+        raise DataError(f"grid ranges must run from low to high, got x {x_range} and y {y_range}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     # the lattice row-major over (y, x), built column-major, the layout

@@ -26,7 +26,8 @@ from .bench import (
     write_summary_csv,
     write_summary_md,
 )
-from .data import DataError, fetch_pmlb, gen_synthetic, load_table, read_matrix, save_csv
+from .data import (DataError, check_split_ratio, fetch_pmlb, gen_synthetic, load_table,
+                   read_matrix, save_csv)
 from .evolve import Algo, EvolutionConfig, EvolveError, fit, load_config
 from .metrics import MetricsError
 from .sexpr import ParseError, load_model, save_model
@@ -148,8 +149,10 @@ def cmd_bench(args) -> int:
     if not algos:
         raise EvolveError("no algorithms selected")
     runs = args.runs if args.runs is not None else (5 if args.fast else 20)
-    if runs < 1:  # before --out is made, so a bad count writes nothing
+    # before --out is made, so a bad count or ratio writes nothing
+    if runs < 1:
         raise DataError(f"need at least one run per dataset, got {runs}")
+    check_split_ratio(args.ratio)
     cfg = _build_config(args, fast=args.fast)
     os.makedirs(args.out, exist_ok=True)  # before the grid, so a bad --out costs no fit
     master_seed = cfg.seed

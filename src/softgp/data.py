@@ -224,14 +224,19 @@ def fetch_pmlb(name: str, cache_dir) -> Dataset:
     return ds
 
 
+def check_split_ratio(ratio: float) -> None:
+    """Raise DataError unless ratio, the train share of a split, is in (0, 1)."""
+    if not (0.0 < ratio < 1.0):
+        raise DataError(f"split ratio must be in (0,1), got {ratio}")
+
+
 def shuffle_split(ds: Dataset, ratio: float = 0.7, seed: int = 0) -> SplitPair:
     """Shuffle uniformly under seed and split; train gets round(ratio*rows).
 
     Permutations are re-drawn (up to 100 times) until both splits contain
     both classes.
     """
-    if not (0.0 < ratio < 1.0):
-        raise DataError(f"split ratio must be in (0,1), got {ratio}")
+    check_split_ratio(ratio)
     rows = ds.rows
     n_train = round(ratio * rows)
     if n_train < 1 or n_train >= rows:

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import softgp.bench
 import softgp.data
 from softgp.bench import (
     PAPER_DATASETS,
@@ -115,6 +116,16 @@ def test_benchmark_results_are_sorted(small_grid):
     results, _ = small_grid
     keys = [(r.dataset, r.run, r.algo.value) for r in results]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("ratio", [1.5, 1.0, 0.0, float("nan")])
+def test_benchmark_refuses_a_bad_ratio_before_resolving_a_dataset(monkeypatch, tmp_path, ratio):
+    resolved = []
+    monkeypatch.setattr(softgp.bench, "resolve_dataset", lambda *a: resolved.append(a))
+    with pytest.raises(DataError, match="split ratio"):
+        run_benchmark(["synth:moons:60"], [Algo.GP], runs=1, ratio=ratio, cfg=TINY,
+                      master_seed=0, cache_dir=tmp_path)
+    assert resolved == []
 
 
 def test_benchmark_uses_per_cell_seeds(small_grid):
@@ -260,6 +271,13 @@ def test_boundary_grid_matches_eval_at_corners():
 def test_boundary_grid_resolution_bound():
     with pytest.raises(ValueError, match="resolution"):
         boundary_grid(le_model(), 1, (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("x_range, y_range", [((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (0.0, 1.0)),
+                                              ((0.0, 1.0), (0.5, -0.5)), ((0.0, 1.0), (2.0, 2.0))])
+def test_boundary_grid_refuses_a_reversed_or_empty_range(x_range, y_range):
+    with pytest.raises(DataError, match="low to high"):
+        boundary_grid(le_model(), 3, x_range, y_range)
 
 
 def test_strict_border_fraction_counts_the_open_interval():

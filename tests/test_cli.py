@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import softgp.bench
 import softgp.cli
 import softgp.data
 from softgp.cli import main
@@ -293,6 +294,19 @@ def test_bench_without_runs_exits_2_and_writes_nothing(tmp_path, capsys, runs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["1.5", "1", "0", "-0.3", "nan"])
+def test_bench_bad_ratio_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, ratio):
+    resolved = []
+    monkeypatch.setattr(softgp.bench, "resolve_dataset", lambda *a: resolved.append(a))
+    out = tmp_path / "bench"
+    rc = run(["bench", "synth:moons:60", "--ratio", ratio, "--algos", "gp", "--runs", "1",
+              "--out", str(out), "--cache", str(tmp_path / "cache")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "split ratio must be in (0,1)" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists() and resolved == []
+
+
 def test_bench_bad_algos_exits_2(tmp_path, capsys):
     rc = run(["bench", "synth:linsep:40", "--algos", "gradient_boosting",
               "--out", str(tmp_path / "b"), "--cache", str(tmp_path / "c")])
@@ -351,6 +365,22 @@ def test_boundary_bad_grid_exits_2(tmp_path, capsys, flags):
     assert run(["boundary", "--model", str(model), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert "softgp boundary: error:" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--xmin", "1", "--xmax", "0"], ["--xmin", "1", "--xmax", "1"],
+                                   ["--ymin", "0.5", "--ymax=-0.5"],
+                                   ["--ymin", "0.25", "--ymax", "0.25"]])
+def test_boundary_reversed_or_empty_range_exits_2(tmp_path, capsys, flags):
+    model = tmp_path / "m.sgp"
+    save_model(model, ExprTree(Variant.SOFT,
+                               op(OpKind.NOT, op(OpKind.GT, symbol(0), symbol(1), weight=1.0),
+                                  weight=0.7)), 2)
+    out = tmp_path / "b.csv"
+    assert run(["boundary", "--model", str(model), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "softgp boundary: error: grid ranges must run from low to high" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
