@@ -31,7 +31,7 @@ from .data import (DataError, check_split_ratio, fetch_pmlb, gen_synthetic, load
 from .evolve import Algo, EvolutionConfig, EvolveError, fit, load_config
 from .metrics import MetricsError
 from .sexpr import ParseError, load_model, save_model
-from .tree import THRESHOLD, TreeError, eval_batch, validate
+from .tree import THRESHOLD, TreeError, eval_batch
 
 _FAULTS = (DataError, MetricsError, ParseError, TreeError, EvolveError, OSError)
 
@@ -102,20 +102,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_valid_model(path, features: Optional[int] = None):
-    """Load a model file and check it with validate(); with features, the
-    model must also take exactly that many features."""
+def _load_valid_model(path, features: int):
+    """Load a model file (load_model checks it with validate()) that takes
+    exactly `features` features."""
     model, n_features = load_model(path)
-    if features is not None and n_features != features:
+    if n_features != features:
         raise DataError(f"need a {features}-feature model; {path} has {n_features}")
-    problems = validate(model, n_features)
-    if problems:
-        raise TreeError(f"invalid model {path}: {problems[0]}")
-    return model, n_features
+    return model
 
 
 def cmd_predict(args) -> int:
-    model, n_features = _load_valid_model(args.model)
+    model, n_features = load_model(args.model)
     _, x, _ = read_matrix(args.data, args.delimiter, drop_column=args.target)
     if x.shape[1] != n_features:
         raise DataError(f"{args.data} has {x.shape[1]} features, "
@@ -172,7 +169,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    model, _ = _load_valid_model(args.model, features=2)
+    model = _load_valid_model(args.model, features=2)
     grid = boundary_grid(model, args.resolution, (args.xmin, args.xmax),
                          (args.ymin, args.ymax))
     write_boundary_csv(grid, args.out)

@@ -39,7 +39,7 @@ import threading
 import traceback
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -156,16 +156,11 @@ class Classifier:
     n_features: int
 
 
-def _const_range(x: np.ndarray) -> Tuple[float, float]:
-    # Constants are drawn commensurate with the data they will be compared
-    # against; fall back to [-1,1] for degenerate input.
-    if x.size == 0:
-        return (-1.0, 1.0)
-    lo, hi = float(x.min()), float(x.max())
+def _check_const_range(ctx: EvalContext) -> None:
     # uniform draws over [lo, hi] need a finite width; NaN cells fail here too
+    lo, hi = ctx.const_range
     if not math.isfinite(hi - lo):
         raise EvolveError(f"feature values span [{lo!r}, {hi!r}], which is not a finite range")
-    return (lo, hi)
 
 
 # Individuals are picked by fitness alone. max and min return the first of
@@ -193,8 +188,8 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     """Evolve a hard-variant classifier on the training split."""
     ctx = EvalContext(train.x, train.y)
     rng = np.random.default_rng(cfg.seed)
-    n = ctx.n_features
-    const_range = _const_range(ctx.x)
+    _check_const_range(ctx)
+    n, const_range = ctx.n_features, ctx.const_range
 
     pop = _score_gp(ctx, [random_tree(Variant.HARD, DEFAULT_BOUNDS, n, const_range, rng)
                           for _ in range(cfg.population_size)], ())
@@ -219,12 +214,12 @@ def fit_gp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
 
 class _Islands:
     """The islands of one SGP fit that one process evolves: i = k, k + w,
-    k + 2w, ... below population_num. Each method returns the best
-    individual of each of them, keyed by island."""
+    k + 2w, ... below population_num, their trees drawn over ctx's features
+    and constant range. Each method returns the best individual of each of
+    them, keyed by island."""
 
-    def __init__(self, ctx: EvalContext, const_range: Tuple[float, float],
-                 cfg: EvolutionConfig, k: int, w: int):
-        self.ctx, self.const_range, self.cfg = ctx, const_range, cfg
+    def __init__(self, ctx: EvalContext, cfg: EvolutionConfig, k: int, w: int):
+        self.ctx, self.cfg = ctx, cfg
         seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.population_num)
         self.rngs = {i: np.random.default_rng(seeds[i])
                      for i in range(k, cfg.population_num, w)}
@@ -234,7 +229,7 @@ class _Islands:
         for i, rng in self.rngs.items():
             for _ in range(cfg.population_size):
                 tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
-                                   const_range, rng)
+                                   ctx.const_range, rng)
                 self.pops[i].append(Individual(tree, ctx.fitness_of(tree)))
 
     def bests(self) -> Dict[int, Individual]:
@@ -242,7 +237,7 @@ class _Islands:
 
     def evolve(self) -> Dict[int, Individual]:
         """Run one generation on each island."""
-        ctx, cfg, const_range = self.ctx, self.cfg, self.const_range
+        ctx, cfg = self.ctx, self.cfg
         for i, rng in self.rngs.items():
             # the operators share activations within one island's generation
             with ctx.generation():
@@ -252,13 +247,12 @@ class _Islands:
                         pop[j], pop[j + 1] = positive_crossover(pop[j], pop[j + 1], ctx, rng)
                 for j in range(len(pop)):
                     if rng.random() < cfg.mut_prob:
-                        pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx,
-                                                   const_range, rng)
+                        pop[j] = positive_mutation(pop[j], cfg.max_tries_mutation, ctx, rng)
                 for j in range(len(pop)):
                     pop[j] = weight_adjustment(pop[j], cfg.max_tries_weight, ctx, rng)
                 for j in range(len(pop)):
                     if rng.random() < cfg.ext_prob:
-                        pop[j] = extension_mutation(pop[j], ctx, const_range, rng)
+                        pop[j] = extension_mutation(pop[j], ctx, rng)
             # carrying the arrays to the next generation costs more than it
             # saves; dropping them also keeps them out of migrants
             for ind in pop:
@@ -296,24 +290,24 @@ def _worker_count(population_num: int) -> int:
 _JOIN_S = 5.0  # how long close() waits for a worker before terminating it
 
 
-def _serve(conn, parent_ends, ctx: EvalContext, const_range: Tuple[float, float],
-           cfg: EvolutionConfig, k: int, w: int) -> None:
+def _serve(conn, parent_ends, ctx: EvalContext, cfg: EvolutionConfig, k: int, w: int) -> None:
     """Worker k's loop: build its islands, then run each (method, args)
     request on them and send back (True, result) or (False, exception).
-    Returns at end of file, which comes when the parent closes its pipe end
-    or dies, since this process closes every parent end it inherited."""
+    Returns when the parent closes its pipe end or dies, since this process
+    closes every parent end it inherited: at end of file, or at a reset
+    when the parent closed its end with a reply still unread."""
     for end in parent_ends:
         end.close()
     # Ctrl-C reaches the whole process group; the parent handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        islands, failure = _Islands(ctx, const_range, cfg, k, w), None
+        islands, failure = _Islands(ctx, cfg, k, w), None
     except Exception as exc:
         islands, failure = None, exc
     while True:
         try:
             name, args = conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
             return
         try:
             if failure is not None:
@@ -338,8 +332,7 @@ class _Owners:
     process's. close() ends the workers.
     """
 
-    def __init__(self, ctx: EvalContext, const_range: Tuple[float, float],
-                 cfg: EvolutionConfig, w: int):
+    def __init__(self, ctx: EvalContext, cfg: EvolutionConfig, w: int):
         self.w = w
         self.conns: list = []
         self.procs: list = []
@@ -352,14 +345,13 @@ class _Owners:
                     parent_end, child_end = mp.Pipe()
                     self.conns.append(parent_end)
                     proc = mp.Process(target=_serve, name=f"softgp-islands-{k}", daemon=True,
-                                      args=(child_end, tuple(self.conns), ctx, const_range,
-                                            cfg, k, w))
+                                      args=(child_end, tuple(self.conns), ctx, cfg, k, w))
                     proc.start()
                     self.procs.append(proc)
                     # later workers must not inherit it, so a worker's death
                     # is end of file here
                     child_end.close()
-            self.local = _Islands(ctx, const_range, cfg, 0, w)
+            self.local = _Islands(ctx, cfg, 0, w)
         except BaseException:
             self.close()
             raise
@@ -400,9 +392,9 @@ class _Owners:
 def fit_sgp(train: Dataset, cfg: EvolutionConfig) -> Classifier:
     """Evolve a soft-variant classifier with the island model."""
     ctx = EvalContext(train.x, train.y)
-    const_range = _const_range(ctx.x)
+    _check_const_range(ctx)
     num = cfg.population_num
-    islands = _Owners(ctx, const_range, cfg, _worker_count(num))
+    islands = _Owners(ctx, cfg, _worker_count(num))
     try:
         bests = islands.call("bests")
         best_ever = max((bests[i] for i in range(num)), key=_FITNESS)

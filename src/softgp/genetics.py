@@ -2,7 +2,9 @@
 
 An individual is an immutable scored tree. crossover and mutate map trees
 to trees; the fitness-gated operators, which compare a candidate's fitness
-with its parent's, take and return individuals.
+with its parent's, take and return individuals, and draw the subtrees
+they graft over the features and constant range of the EvalContext that
+scores them.
 
 Classical side: rank selection with elitism, class-matched subtree
 crossover, and mutation of a node whose class is drawn from the fixed
@@ -97,7 +99,9 @@ def _pick_class(counts: Sequence[int], rng: np.random.Generator) -> OpClass:
 
 
 class EvalContext:
-    """Binds one training split and scores trees on it.
+    """Binds one training split, and the features and constant range
+    drawn over it (n_features and const_range, which the gated operators
+    read), and scores trees on it.
 
     Fitness is the balanced accuracy of thresholded activations (>=
     THRESHOLD maps to label 1, as in prediction). The counts feed the
@@ -129,28 +133,28 @@ class EvalContext:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
-        if self.x.ndim != 2 or y.ndim != 1 or self.x.shape[0] != y.shape[0]:
+        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError("x must be (rows, features) with one label per row")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary")
-        self.y = y.astype(np.int64)
-        pos = self.y == 1
+        pos = y == 1
         self.n_pos = int(pos.sum())
         self.n_neg = len(pos) - self.n_pos
         if self.n_pos == 0 or self.n_neg == 0:
             raise MetricsError("degenerate labels: training split contains a single class")
+        self.n_features = x.shape[1]
+        # constants are drawn commensurate with the data they are compared
+        # against, over [-1,1] for a matrix with no cells; the range is not
+        # checked here, since non-finite rows must still score
+        self.const_range = (float(x.min()), float(x.max())) if x.size else (-1.0, 1.0)
         # activations are elementwise per row, so reordering the rows
         # reorders them and changes no count; stored column-major, so each
         # symbol reads a contiguous column
-        self._rows = np.asfortranarray(np.concatenate((self.x[pos], self.x[~pos])))
+        self._rows = np.asfortranarray(np.concatenate((x[pos], x[~pos])))
         self._finite = bool(np.isfinite(self._rows).all())
         self._caching = False
-
-    @property
-    def n_features(self) -> int:
-        return self.x.shape[1]
 
     @contextmanager
     def generation(self):
@@ -298,11 +302,10 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
 
 
 def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
-                      const_range: Tuple[float, float],
                       rng: np.random.Generator) -> Individual:
     """Return the first of up to max_tries mutants (drawn as mutate draws
-    them over ctx's features) that strictly improves fitness, else the
-    original."""
+    them over ctx's features and constant range) that strictly improves
+    fitness, else the original."""
     if ind.fitness >= 1.0 or max_tries <= 0:
         # nothing can strictly improve; returning early is observationally
         # identical to trying and rejecting every mutant
@@ -311,7 +314,7 @@ def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
     # evaluation reuses the activations those subtrees hold
     tree = ind.tree
     for _ in range(max_tries):
-        path, old, new = _draw_mutation(tree, ctx.n_features, const_range, rng)
+        path, old, new = _draw_mutation(tree, ctx.n_features, ctx.const_range, rng)
         if new == old:
             # the mutant equals the original, so it can only tie
             continue
@@ -349,10 +352,9 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
 
 
 def extension_mutation(ind: Individual, ctx: EvalContext,
-                       const_range: Tuple[float, float],
                        rng: np.random.Generator) -> Individual:
     """Graft a new OR root joining the tree with a fresh random subtree
-    over ctx's features.
+    over ctx's features and constant range.
 
     The new root's weight is 1.0 so the old behavior is preserved wherever
     the old branch dominates. The result is kept only if fitness does not
@@ -363,7 +365,7 @@ def extension_mutation(ind: Individual, ctx: EvalContext,
     if ind.tree.variant is not Variant.SOFT:
         raise TreeError("extension mutation requires a soft tree")
     graft = random_subtree(OpClass.BOOLEAN, Variant.SOFT, DEFAULT_BOUNDS, ctx.n_features,
-                           const_range, rng, depth_budget=DEFAULT_BOUNDS.bool_max)
+                           ctx.const_range, rng, depth_budget=DEFAULT_BOUNDS.bool_max)
     root = Node(OpKind.OR, (ind.tree.root, graft), weight=1.0)
     s = summary(root)
     if s[SUMMARY_BOOL_DEPTH] > BOOL_DEPTH_CAP or s[SUMMARY_SIZE] > NODE_CAP:

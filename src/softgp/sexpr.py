@@ -274,6 +274,8 @@ def _universal_newlines(text: str) -> str:
 
 
 def load_model(path) -> Tuple[ExprTree, int]:
+    """Read a model file. A tree validate() rejects raises TreeError, as
+    save_model refuses to write one; parse_model does not check."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -284,4 +286,8 @@ def load_model(path) -> Tuple[ExprTree, int]:
         before = _universal_newlines(data[:e.start].decode("utf-8"))
         raise ParseError(f"cannot decode byte {data[e.start]:#04x} as UTF-8",
                          1 + before.count("\n"), len(before) - before.rfind("\n")) from None
-    return parse_model(_universal_newlines(text))
+    tree, n_features = parse_model(_universal_newlines(text))
+    problems = validate(tree, n_features)
+    if problems:
+        raise TreeError(f"invalid model {path}: {problems[0]}")
+    return tree, n_features

@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 from hypothesis import settings
 
+import softgp.evolve as evolve_mod
 import softgp.tree as tree_mod
 
 # Property tests run the same examples on every run and keep no example
@@ -26,6 +27,24 @@ def no_process_outlives_its_test():
         proc.join()
     if leaked:
         pytest.fail(f"processes left running: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def island_workers_exit_cleanly(monkeypatch):
+    """Fail the test in which an island worker exited with a non-zero code,
+    as one that died with a traceback does: the fit's caller never sees it."""
+    exits = []
+    real = evolve_mod._Owners.close
+
+    def close(self):
+        real(self)
+        exits.extend((proc.name, proc.exitcode) for proc in self.procs)
+
+    monkeypatch.setattr(evolve_mod._Owners, "close", close)
+    yield
+    failed = [(name, code) for name, code in exits if code != 0]
+    if failed:
+        pytest.fail(f"island workers exited with non-zero codes: {failed}")
 
 
 @pytest.fixture(autouse=True)

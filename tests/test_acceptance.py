@@ -189,8 +189,8 @@ def test_3_positive_operators_never_decrease_fitness():
         tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
         ind = Individual(tree, ctx.fitness_of(tree))
         adjusted = weight_adjustment(ind, 10, ctx, rng)
-        mutated = positive_mutation(adjusted, 10, ctx, (-2.0, 2.0), rng)
-        extended = extension_mutation(mutated, ctx, (-2.0, 2.0), rng)
+        mutated = positive_mutation(adjusted, 10, ctx, rng)
+        extended = extension_mutation(mutated, ctx, rng)
         if not (ind.fitness <= adjusted.fitness <= mutated.fitness <= extended.fitness):
             violations += 1
         if prev is not None:

@@ -11,7 +11,7 @@ import softgp.data
 from softgp.cli import main
 from softgp.data import load_table
 from softgp.evolve import Algo, Classifier, EvolutionConfig, predict_batch
-from softgp.sexpr import load_model, save_model
+from softgp.sexpr import load_model, parse_model, save_model
 from softgp.tree import THRESHOLD, ExprTree, OpKind, Variant, const, op, symbol
 
 
@@ -139,7 +139,7 @@ def test_predict_invalid_model_exits_2(tmp_path, capsys):
     # structurally invalid: comparison at the root
     model.write_text("#sgp-tree v1 variant=soft n_features=2\n"
                      "(GT 1.0 x0 x1)\n")
-    tree, n = load_model(model)  # parses fine
+    parse_model(model.read_text())  # parses fine; load_model refuses it
     data = tmp_path / "d.csv"
     data.write_text("x0,x1\n1,2\n")
     assert run(["predict", "--model", str(model), "--data", str(data)]) == 2

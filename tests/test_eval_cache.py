@@ -375,14 +375,14 @@ def test_a_mutant_equal_to_its_parent_is_not_scored(monkeypatch):
     monkeypatch.setattr(EvalContext, "fitness_of",
                         lambda self, tree: scored.append(tree) or 0.0)
     rng = np.random.default_rng(8)
-    assert positive_mutation(ind, 10, ctx, (-2.0, 2.0), rng) is ind
+    assert positive_mutation(ind, 10, ctx, rng) is ind
     # it drew exactly what ten calls of mutate draw, and scored only the
     # mutants whose target was not a term
     twin = np.random.default_rng(8)
     want = []
     terms = 0
     for _ in range(10):
-        path, old, new = _draw_mutation(ind.tree, 1, (-2.0, 2.0), twin)
+        path, old, new = _draw_mutation(ind.tree, 1, ctx.const_range, twin)
         if OP_CLASS[old.kind] is OpClass.TERM:
             terms += 1
             assert new == old

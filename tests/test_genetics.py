@@ -94,23 +94,48 @@ def attribution_tree():
 
 
 @pytest.fixture
-def ctx():
+def rows():
     rng = np.random.default_rng(0)
     x = rng.uniform(-2.0, 2.0, size=(40, 2))
-    y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
-    return EvalContext(x, y)
+    return x, (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+
+
+@pytest.fixture
+def ctx(rows):
+    return EvalContext(*rows)
 
 
 # --- EvalContext ----------------------------------------------------------------
 
-def test_context_fitness_matches_metrics_route(ctx):
+def test_context_fitness_matches_metrics_route(rows, ctx):
+    x, y = rows
     rng = np.random.default_rng(31)
     for variant in (Variant.HARD, Variant.SOFT):
         for _ in range(100):
             tree = random_tree(variant, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
-            preds = (eval_batch(tree, ctx.x) >= 0.5).astype(np.int64)
-            expected = balanced_accuracy(confusion(ctx.y, preds))
+            preds = (eval_batch(tree, x) >= 0.5).astype(np.int64)
+            expected = balanced_accuracy(confusion(y, preds))
             assert ctx.fitness_of(tree) == expected
+
+
+def test_context_draws_constants_over_the_range_of_its_cells(rows, ctx):
+    x, y = rows
+    assert ctx.n_features == 2
+    assert ctx.const_range == (float(x.min()), float(x.max()))
+    # a matrix with no cells falls back to [-1, 1]
+    empty = EvalContext(np.empty((2, 0)), np.array([1, 0]))
+    assert (empty.n_features, empty.const_range) == (0, (-1.0, 1.0))
+
+
+def test_context_keeps_an_infinite_range_and_still_scores():
+    # the range is not checked where it is built; the fits check it
+    x = np.array([[np.inf, 1.0], [0.5, -2.0], [2.0, 0.0], [-np.inf, 3.0]])
+    y = np.array([1, 0, 1, 0])
+    ctx = EvalContext(x, y)
+    assert ctx.const_range == (-np.inf, np.inf)
+    tree = ExprTree(Variant.SOFT, op(OpKind.GT, symbol(0), const(1.0), weight=1.0))
+    preds = (eval_batch(tree, x) >= 0.5).astype(np.int64)
+    assert ctx.fitness_of(tree) == balanced_accuracy(confusion(y, preds)) == 1.0
 
 
 def test_context_threshold_tie_counts_positive():

@@ -11,13 +11,14 @@ import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from test_golden import GOLDEN
 
 import softgp.evolve as evolve_mod
-from softgp.data import gen_synthetic, shuffle_split
-from softgp.evolve import Algo, EvolutionConfig, fit_sgp
+from softgp.data import Dataset, gen_synthetic, shuffle_split
+from softgp.evolve import Algo, EvolutionConfig, EvolveError, fit_sgp
 from softgp.genetics import EvalContext, Individual
 from softgp.sexpr import format_model
 from softgp.tree import ExprTree, OpKind, Variant, const, op, symbol
@@ -108,10 +109,48 @@ def test_an_error_building_a_worker_island_reaches_the_caller(moons, monkeypatch
         fit_sgp(moons, EvolutionConfig(max_generation=2, population_size=8, population_num=2))
 
 
+def test_a_failure_here_leaves_a_worker_with_an_unread_reply_to_exit_cleanly(
+        moons, monkeypatch, capfd):
+    with_workers(monkeypatch, 2)
+    parent = os.getpid()
+    owners = []
+    real_init = evolve_mod._Owners.__init__
+    real_evolve = evolve_mod._Islands.evolve
+
+    def init(self, *args):
+        owners.append(self)
+        real_init(self, *args)
+
+    def evolve(self):
+        if os.getpid() != parent:
+            return real_evolve(self)
+        # raise once worker 1's reply is waiting, so close() discards it
+        assert owners[0].conns[0].poll(60.0)
+        raise IslandFailure("this process")
+
+    monkeypatch.setattr(evolve_mod._Owners, "__init__", init)
+    monkeypatch.setattr(evolve_mod._Islands, "evolve", evolve)
+    with pytest.raises(IslandFailure, match="this process"):
+        fit_sgp(moons, EvolutionConfig(max_generation=2, population_size=8, population_num=2))
+    assert [proc.exitcode for proc in owners[0].procs] == [0]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_a_fit_refuses_a_range_without_a_finite_width_before_forking(monkeypatch):
+    def owners(*args):
+        raise AssertionError("islands were built")
+
+    monkeypatch.setattr(evolve_mod, "_Owners", owners)
+    x = np.array([[0.0, 1.0], [np.inf, 2.0], [0.5, 3.0], [1.0, 4.0]])
+    data = Dataset("inf", ["x0", "x1"], x, np.array([1, 0, 1, 0]))
+    with pytest.raises(EvolveError, match="not a finite range"):
+        fit_sgp(data, EvolutionConfig(max_generation=1, population_size=4, population_num=2))
+
+
 def test_a_worker_exits_when_the_parent_end_of_its_pipe_closes(moons):
     cfg = EvolutionConfig(max_generation=2, population_size=6, population_num=3)
     ctx = EvalContext(moons.x, moons.y)
-    owners = evolve_mod._Owners(ctx, (-1.0, 1.0), cfg, 3)
+    owners = evolve_mod._Owners(ctx, cfg, 3)
     try:
         assert sorted(owners.call("bests")) == [0, 1, 2]
         # only this process still holds worker 1's parent end: the worker
@@ -177,7 +216,7 @@ def scored(fitnesses):
 def islands(moons):
     cfg = EvolutionConfig(population_size=4, population_num=2, seed=8)
     ctx = EvalContext(moons.x, moons.y)
-    return evolve_mod._Islands(ctx, evolve_mod._const_range(ctx.x), cfg, 0, 1)
+    return evolve_mod._Islands(ctx, cfg, 0, 1)
 
 
 def test_the_best_of_equally_fit_individuals_is_the_first(islands):

@@ -152,9 +152,9 @@ def test_the_gated_operators_keep_the_contract(guard, ctx):
     pop = [Individual(t, ctx.fitness_of(t)) for t in soft_trees(7, 8)]
     for a, b in zip(pop[::2], pop[1::2]):
         positive_crossover(a, b, ctx, rng)
-        positive_mutation(a, 5, ctx, CONST_RANGE, rng)
+        positive_mutation(a, 5, ctx, rng)
         weight_adjustment(b, 5, ctx, rng)
-        extension_mutation(b, ctx, CONST_RANGE, rng)
+        extension_mutation(b, ctx, rng)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -37,9 +37,13 @@ CONST_RANGE = (-2.0, 2.0)
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    ds = gen_synthetic("circles", 80, 0.1, seed=9)
-    return EvalContext(ds.x, ds.y)
+def circles():
+    return gen_synthetic("circles", 80, 0.1, seed=9)
+
+
+@pytest.fixture(scope="module")
+def ctx(circles):
+    return EvalContext(circles.x, circles.y)
 
 
 def scored(ctx, tree):
@@ -88,7 +92,7 @@ def test_positive_mutation_only_improves_or_returns_the_original(ctx):
     rng = np.random.default_rng(64)
     for _ in range(150):
         ind = soft_ind(ctx, rng)
-        out = positive_mutation(ind, 10, ctx, CONST_RANGE, rng)
+        out = positive_mutation(ind, 10, ctx, rng)
         if out is ind:
             continue
         assert out.fitness > ind.fitness
@@ -100,7 +104,7 @@ def test_positive_mutation_zero_tries_is_identity(ctx):
     rng = np.random.default_rng(65)
     ind = soft_ind(ctx, rng)
     state = rng.bit_generator.state
-    assert positive_mutation(ind, 0, ctx, CONST_RANGE, rng) is ind
+    assert positive_mutation(ind, 0, ctx, rng) is ind
     assert rng.bit_generator.state == state  # no draws consumed
 
 
@@ -108,7 +112,7 @@ def test_positive_mutation_skips_perfect_individuals(ctx):
     rng = np.random.default_rng(66)
     ind = Individual(soft_ind(ctx, rng).tree, 1.0)
     state = rng.bit_generator.state
-    assert positive_mutation(ind, 10, ctx, CONST_RANGE, rng) is ind
+    assert positive_mutation(ind, 10, ctx, rng) is ind
     assert rng.bit_generator.state == state
 
 
@@ -179,7 +183,7 @@ def test_extension_mutation_grafts_an_or_root(ctx):
     extended = 0
     for _ in range(150):
         ind = soft_ind(ctx, rng)
-        out = extension_mutation(ind, ctx, CONST_RANGE, rng)
+        out = extension_mutation(ind, ctx, rng)
         assert out.fitness >= ind.fitness
         if out is ind:
             continue
@@ -200,7 +204,7 @@ def test_extension_mutation_accepts_fitness_ties(ctx):
     tied = 0
     for _ in range(200):
         ind = soft_ind(ctx, rng)
-        out = extension_mutation(ind, ctx, CONST_RANGE, rng)
+        out = extension_mutation(ind, ctx, rng)
         if out is not ind and out.fitness == ind.fitness:
             tied += 1
     assert tied > 0
@@ -214,7 +218,7 @@ def test_extension_mutation_respects_caps(ctx):
         node = op(OpKind.NOT, node, weight=1.0)
     deep = scored(ctx, ExprTree(Variant.SOFT, node))
     for _ in range(30):
-        assert extension_mutation(deep, ctx, CONST_RANGE, rng) is deep
+        assert extension_mutation(deep, ctx, rng) is deep
 
     # shallow but node-heavy tree: any graft would cross NODE_CAP while the
     # boolean depth stays well under the depth cap
@@ -228,20 +232,21 @@ def test_extension_mutation_respects_caps(ctx):
     assert summary(wide)[SUMMARY_BOOL_DEPTH] + 1 <= BOOL_DEPTH_CAP
     fat = scored(ctx, ExprTree(Variant.SOFT, wide))
     for _ in range(30):
-        assert extension_mutation(fat, ctx, CONST_RANGE, rng) is fat
+        assert extension_mutation(fat, ctx, rng) is fat
 
 
 def test_extension_mutation_rejects_hard_trees(ctx):
     rng = np.random.default_rng(74)
     ind = scored(ctx, random_tree(Variant.HARD, DEFAULT_BOUNDS, 2, CONST_RANGE, rng))
     with pytest.raises(TreeError, match="soft"):
-        extension_mutation(ind, ctx, CONST_RANGE, rng)
+        extension_mutation(ind, ctx, rng)
 
 
-def test_gated_operators_draw_symbols_below_the_context_feature_count(ctx, monkeypatch):
+def test_gated_operators_draw_symbols_below_the_context_feature_count(circles, monkeypatch):
     # the trees start on feature 0 alone, so features 1 and 2 come from the
     # operators' draws, which must cover the context's three and no more
-    wide = EvalContext(np.column_stack((ctx.x, ctx.x[:, 0] * ctx.x[:, 1])), ctx.y)
+    x = circles.x
+    wide = EvalContext(np.column_stack((x, x[:, 0] * x[:, 1])), circles.y)
     rng = np.random.default_rng(75)
     seen = set()
     real = EvalContext.fitness_of
@@ -252,8 +257,8 @@ def test_gated_operators_draw_symbols_below_the_context_feature_count(ctx, monke
 
     monkeypatch.setattr(EvalContext, "fitness_of", recording)
     operators = {
-        "positive_mutation": lambda ind: positive_mutation(ind, 10, wide, CONST_RANGE, rng),
-        "extension_mutation": lambda ind: extension_mutation(ind, wide, CONST_RANGE, rng),
+        "positive_mutation": lambda ind: positive_mutation(ind, 10, wide, rng),
+        "extension_mutation": lambda ind: extension_mutation(ind, wide, rng),
     }
     for name, step in operators.items():
         seen.clear()

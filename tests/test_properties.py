@@ -299,7 +299,7 @@ def test_summaries_match_a_recomputation_through_every_edit(seed, variant):
     if variant is Variant.SOFT:
         ctx = small_context(rng)
         ind = Individual(c2, ctx.fitness_of(c2))
-        extended = extension_mutation(ind, ctx, crange, rng)
+        extended = extension_mutation(ind, ctx, rng)
         assert_summaries_hold(extended.tree.root)
 
     back, _ = parse_model(format_model(mutant, N_FEATURES))

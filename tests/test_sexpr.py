@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -256,6 +257,22 @@ def test_save_model_refuses_an_invalid_model_before_opening_the_file(tmp_path, t
     with pytest.raises(TreeError, match="cannot save"):
         save_model(path, tree, n_features)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("(ADD x0 x0)", "root is not a boolean operator"),
+    ("(NOT 1.0 (GT 1.0 x0 x1))", "symbol index 1 outside"),
+], ids=["math root", "symbol past the header's features"])
+def test_load_model_refuses_an_invalid_model(tmp_path, body, problem):
+    path = tmp_path / "m.sgp"
+    text = f"#sgp-tree v1 variant=soft n_features=1\n{body}\n"
+    path.write_text(text, encoding="utf-8")
+    # the file parses, and (ADD x0 x0) would give 6.0 and -2.0 on rows 3
+    # and -1, outside the soft codomain [0, 1]
+    tree, n_features = parse_model(text)
+    assert validate(tree, n_features)
+    with pytest.raises(TreeError, match=f"invalid model {re.escape(str(path))}: .*{problem}"):
+        load_model(path)
 
 
 def test_save_model_refuses_a_lin_coefficient_that_is_not_a_real(tmp_path):
