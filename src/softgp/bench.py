@@ -247,13 +247,17 @@ MAX_RESOLUTION = 2000
 def boundary_grid(model: ExprTree, resolution: int,
                   x_range: Tuple[float, float], y_range: Tuple[float, float]) -> BoundaryGrid:
     """Evaluate a 2-feature model on a resolution x resolution lattice,
-    2 <= resolution <= MAX_RESOLUTION, over finite ranges given low to high."""
+    2 <= resolution <= MAX_RESOLUTION, over ranges of finite bounds and
+    width given low to high."""
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise DataError(f"resolution must be in [2, {MAX_RESOLUTION}], got {resolution}")
     if not all(math.isfinite(v) for v in (*x_range, *y_range)):
         raise DataError(f"grid bounds must be finite, got x {x_range} and y {y_range}")
     if not (x_range[0] < x_range[1] and y_range[0] < y_range[1]):
         raise DataError(f"grid ranges must run from low to high, got x {x_range} and y {y_range}")
+    # linspace steps by the width, so it must be finite as well as its bounds
+    if not (math.isfinite(x_range[1] - x_range[0]) and math.isfinite(y_range[1] - y_range[0])):
+        raise DataError(f"grid ranges must have a finite width, got x {x_range} and y {y_range}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     # the lattice row-major over (y, x), built column-major, the layout

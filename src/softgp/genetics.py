@@ -4,7 +4,9 @@ An individual is an immutable scored tree. crossover and mutate map trees
 to trees; the fitness-gated operators, which compare a candidate's fitness
 with its parent's, take and return individuals, and draw the subtrees
 they graft over the features and constant range of the EvalContext that
-scores them.
+scores them. A variation that changes nothing returns its input object
+(crossover its parents, mutate its tree), and neither the GP loop nor the
+hill climbers score a tree that is still its parent's own.
 
 Classical side: rank selection with elitism, class-matched subtree
 crossover, and mutation of a node whose class is drawn from the fixed
@@ -23,7 +25,7 @@ from __future__ import annotations
 import bisect
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -239,10 +241,16 @@ def crossover(t1: ExprTree, t2: ExprTree,
     return t1, t2
 
 
-def _draw_mutation(tree: ExprTree, n_features: int, const_range: Tuple[float, float],
-                   rng: np.random.Generator) -> Tuple[Tuple[int, ...], Node, Node]:
-    # mutate's draws: the path to the node it replaces, that node and its
-    # replacement
+def mutate(tree: ExprTree, n_features: int, const_range: Tuple[float, float],
+           rng: np.random.Generator) -> ExprTree:
+    """Mutate one node of a class picked by MUTATION_WEIGHTS.
+
+    Boolean/comparison/mathematical targets are replaced by fresh random
+    subtrees of the same class sized to respect the path depth limits.
+    Term targets mutate in place: a symbol re-draws its feature index, a
+    constant c becomes c + r with r standard normal. A replacement equal
+    to its target changes nothing, and tree itself is returned.
+    """
     counts = summary(tree.root)
     cls = _pick_class(counts, rng)
     path, node = locate_node(tree.root, int(rng.integers(0, counts[cls])), cls)
@@ -269,19 +277,8 @@ def _draw_mutation(tree: ExprTree, n_features: int, const_range: Tuple[float, fl
             budget = DEFAULT_BOUNDS.math_max - maths_above
         new = random_subtree(cls, tree.variant, DEFAULT_BOUNDS, n_features, const_range, rng,
                              depth_budget=max(1, budget))
-    return path, node, new
-
-
-def mutate(tree: ExprTree, n_features: int, const_range: Tuple[float, float],
-           rng: np.random.Generator) -> ExprTree:
-    """Mutate one node of a class picked by MUTATION_WEIGHTS.
-
-    Boolean/comparison/mathematical targets are replaced by fresh random
-    subtrees of the same class sized to respect the path depth limits.
-    Term targets mutate in place: a symbol re-draws its feature index, a
-    constant c becomes c + r with r standard normal.
-    """
-    path, _, new = _draw_mutation(tree, n_features, const_range, rng)
+    if new == node:
+        return tree
     return ExprTree(tree.variant, replace_subtree(tree.root, path, new))
 
 
@@ -301,28 +298,30 @@ def positive_crossover(ind1: Individual, ind2: Individual, ctx: EvalContext,
     return pool[0], pool[1]
 
 
+def _first_gain(ind: Individual, max_tries: int, ctx: EvalContext,
+                draw: Callable[[], ExprTree]) -> Individual:
+    # the hill climbers' loop: the first of up to max_tries drawn trees that
+    # strictly beats ind, else ind. A draw that is ind's own tree can only
+    # tie, so it is not scored, and at fitness 1 no draw is made at all.
+    if ind.fitness >= 1.0:
+        return ind
+    for _ in range(max_tries):
+        candidate = draw()
+        if candidate is not ind.tree:
+            f = ctx.fitness_of(candidate)
+            if f > ind.fitness:
+                return Individual(candidate, f)
+    return ind
+
+
 def positive_mutation(ind: Individual, max_tries: int, ctx: EvalContext,
                       rng: np.random.Generator) -> Individual:
-    """Return the first of up to max_tries mutants (drawn as mutate draws
-    them over ctx's features and constant range) that strictly improves
-    fitness, else the original."""
-    if ind.fitness >= 1.0 or max_tries <= 0:
-        # nothing can strictly improve; returning early is observationally
-        # identical to trying and rejecting every mutant
-        return ind
-    # mutants share every untouched subtree with the original, so their
-    # evaluation reuses the activations those subtrees hold
-    tree = ind.tree
-    for _ in range(max_tries):
-        path, old, new = _draw_mutation(tree, ctx.n_features, ctx.const_range, rng)
-        if new == old:
-            # the mutant equals the original, so it can only tie
-            continue
-        mutant = ExprTree(tree.variant, replace_subtree(tree.root, path, new))
-        f = ctx.fitness_of(mutant)
-        if f > ind.fitness:
-            return Individual(mutant, f)
-    return ind
+    """Return the first of up to max_tries mutants (drawn by mutate over
+    ctx's features and constant range) that strictly improves fitness,
+    else the original. Mutants share every untouched subtree with the
+    original, so they evaluate only their new nodes."""
+    return _first_gain(ind, max_tries, ctx,
+                       lambda: mutate(ind.tree, ctx.n_features, ctx.const_range, rng))
 
 
 def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
@@ -335,20 +334,18 @@ def weight_adjustment(ind: Individual, max_tries: int, ctx: EvalContext,
     with the original, so their evaluation reuses the activations those
     subtrees hold.
     """
-    if ind.tree.variant is not Variant.SOFT:
+    tree = ind.tree
+    if tree.variant is not Variant.SOFT:
         raise TreeError("weight adjustment requires a soft tree")
-    if ind.fitness >= 1.0 or max_tries <= 0:
-        return ind
-    n_slots = summary(ind.tree.root)[SUMMARY_SLOTS]
+    n_slots = summary(tree.root)[SUMMARY_SLOTS]
     if not n_slots:
         return ind
-    for _ in range(max_tries):
+
+    def draw() -> ExprTree:
         k = int(rng.integers(0, n_slots))
-        candidate = set_weight(ind.tree, k, weight_at(ind.tree, k) + float(rng.normal(0.0, 0.1)))
-        f = ctx.fitness_of(candidate)
-        if f > ind.fitness:
-            return Individual(candidate, f)
-    return ind
+        return set_weight(tree, k, weight_at(tree, k) + float(rng.normal(0.0, 0.1)))
+
+    return _first_gain(ind, max_tries, ctx, draw)
 
 
 def extension_mutation(ind: Individual, ctx: EvalContext,

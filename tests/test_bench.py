@@ -280,6 +280,15 @@ def test_boundary_grid_refuses_a_reversed_or_empty_range(x_range, y_range):
         boundary_grid(le_model(), 3, x_range, y_range)
 
 
+@pytest.mark.parametrize("x_range, y_range", [((-1e308, 1e308), (-1.0, 1.0)),
+                                              ((-1.0, 1.0), (-1.7e308, 1.7e308))])
+def test_boundary_grid_refuses_a_range_without_a_finite_width(x_range, y_range):
+    # finite bounds whose difference overflows: linspace would fill the
+    # lattice with inf and nan
+    with np.errstate(all="raise"), pytest.raises(DataError, match="finite width"):
+        boundary_grid(le_model(), 10, x_range, y_range)
+
+
 def test_strict_border_fraction_counts_the_open_interval():
     acts = np.array([0.0, 0.005, 0.01, 0.5, 0.985, 0.99, 1.0])
     grid = BoundaryGrid(3, (0.0, 1.0), (0.0, 1.0), acts)

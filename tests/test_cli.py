@@ -355,7 +355,10 @@ def test_boundary_invalid_model_exits_2(tmp_path, capsys, body):
 @pytest.mark.parametrize("flags", [["--resolution", "1"], ["--resolution=-3"],
                                    ["--xmin", "nan"], ["--xmax", "inf"],
                                    ["--ymin=-inf"], ["--ymax", "nan"],
-                                   ["--resolution", "2001"]])
+                                   ["--resolution", "2001"],
+                                   # finite bounds, but a width past the largest float
+                                   ["--xmin=-1e308", "--xmax=1e308"],
+                                   ["--ymin=-1.7e308", "--ymax=1.7e308"]])
 def test_boundary_bad_grid_exits_2(tmp_path, capsys, flags):
     model = tmp_path / "m.sgp"
     save_model(model, ExprTree(Variant.SOFT,

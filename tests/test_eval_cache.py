@@ -26,11 +26,10 @@ import softgp.genetics as genetics_mod
 import softgp.tree as tree_mod
 from softgp.data import gen_synthetic
 from softgp.evolve import EvolutionConfig, fit_gp, fit_sgp
-from softgp.genetics import EvalContext, Individual, _draw_mutation, positive_mutation
+from softgp.genetics import EvalContext, Individual, mutate, positive_mutation
 from softgp.metrics import balanced_accuracy, confusion
 from softgp.tree import (
     DEFAULT_BOUNDS,
-    OP_CLASS,
     SUMMARY_SLOTS,
     THRESHOLD,
     ExprTree,
@@ -41,7 +40,6 @@ from softgp.tree import (
     eval_trapped,
     op,
     random_tree,
-    replace_subtree,
     set_weight,
     summary,
     symbol,
@@ -257,6 +255,32 @@ def test_gp_population_nodes_hold_their_own_activations_between_generations(monk
     assert carried[0] == 0 and min(carried[1:]) > 0
 
 
+def test_gp_never_scores_a_mutant_that_is_a_parents_own_tree(monkeypatch):
+    # every population tree was scored once, so a tree fitness_of has seen
+    # is a parent's own; a mutant that reproduces one must keep its fitness
+    seen, reproduced, rescored = {}, {}, []
+    real_fitness, real_mutate = EvalContext.fitness_of, evolve_mod.mutate
+
+    def fitness_of(self, tree):
+        if id(tree) in reproduced:
+            rescored.append(tree)
+        seen[id(tree)] = tree
+        return real_fitness(self, tree)
+
+    def mutate(tree, *args):
+        mut = real_mutate(tree, *args)
+        if id(tree) in seen and mut == tree:
+            reproduced[id(mut)] = mut
+        return mut
+
+    monkeypatch.setattr(EvalContext, "fitness_of", fitness_of)
+    monkeypatch.setattr(evolve_mod, "mutate", mutate)
+    cfg = EvolutionConfig(max_generation=10, population_size=30, seed=2)
+    assert fit_gp(moons(), cfg).generations_run == 10
+    assert reproduced
+    assert rescored == []
+
+
 # --- the node slot ----------------------------------------------------------------
 
 def test_two_contexts_over_different_rows_never_share_activations():
@@ -377,17 +401,17 @@ def test_a_mutant_equal_to_its_parent_is_not_scored(monkeypatch):
     rng = np.random.default_rng(8)
     assert positive_mutation(ind, 10, ctx, rng) is ind
     # it drew exactly what ten calls of mutate draw, and scored only the
-    # mutants whose target was not a term
+    # mutants that are not the parent's own tree
     twin = np.random.default_rng(8)
     want = []
-    terms = 0
+    ties = 0
     for _ in range(10):
-        path, old, new = _draw_mutation(ind.tree, 1, ctx.const_range, twin)
-        if OP_CLASS[old.kind] is OpClass.TERM:
-            terms += 1
-            assert new == old
+        mut = mutate(ind.tree, 1, ctx.const_range, twin)
+        if mut is ind.tree:
+            ties += 1
         else:
-            want.append(ExprTree(Variant.SOFT, replace_subtree(ind.tree.root, path, new)))
-    assert terms > 0
+            assert mut != ind.tree
+            want.append(mut)
+    assert ties > 0 and want
     assert scored == want
     assert twin.bit_generator.state == rng.bit_generator.state

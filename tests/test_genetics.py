@@ -6,7 +6,6 @@ import pytest
 from softgp.genetics import (
     EvalContext,
     Individual,
-    _draw_mutation,
     crossover,
     mutate,
     rank_select,
@@ -16,7 +15,6 @@ from softgp.sexpr import format_tree
 from softgp.tree import (
     DEFAULT_BOUNDS,
     ExprTree,
-    OP_CLASS,
     GenBounds,
     OpClass,
     OpKind,
@@ -309,13 +307,34 @@ def test_symbol_mutation_redraws_the_feature_index():
     rng = np.random.default_rng(54)
     counts = np.zeros(7, dtype=int)
     for _ in range(8000):
-        _, old, new = _draw_mutation(tree, 7, (-1.0, 1.0), rng)
-        if old.kind is OpKind.SYMBOL:  # a term mutation that targets the symbol
-            counts[new.payload] += 1
+        mut = mutate(tree, 7, (-1.0, 1.0), rng)
+        if mut is tree:  # the symbol redrew its own index
+            counts[3] += 1
+            continue
+        leaf = mut.root.children[0].children[0]
+        # a term mutation that targets the symbol changes that leaf alone
+        if leaf.kind is OpKind.SYMBOL and replace_subtree(tree.root, (0, 0), leaf) == mut.root:
+            counts[leaf.payload] += 1
     total = counts.sum()
     assert total > 2000
     for i in range(7):
         assert counts[i] / total == pytest.approx(1 / 7, abs=0.04), i
+
+
+@pytest.mark.parametrize("variant", [Variant.HARD, Variant.SOFT])
+def test_a_mutation_that_changes_nothing_returns_its_tree(variant):
+    # one feature: a symbol can only redraw its own index
+    w = 1.0 if variant is Variant.SOFT else None
+    tree = ExprTree(variant, op(OpKind.NOT, op(OpKind.GT, symbol(0), symbol(0), weight=w),
+                                weight=w))
+    rng = np.random.default_rng(56)
+    same = 0
+    for _ in range(200):
+        mut = mutate(tree, 1, (-1.0, 1.0), rng)
+        if mut == tree:
+            assert mut is tree
+            same += 1
+    assert same > 50
 
 
 def test_const_mutation_adds_standard_normal_noise():
@@ -324,18 +343,17 @@ def test_const_mutation_adds_standard_normal_noise():
                                      weight=1.0))
     rng = np.random.default_rng(55)
     deltas = []
-    terms = 0
-    while terms < 3000:
-        path, old, new = _draw_mutation(tree, 2, (-1.0, 1.0), rng)
-        if OP_CLASS[old.kind] is not OpClass.TERM:
+    while len(deltas) < 3000:
+        mut = mutate(tree, 2, (-1.0, 1.0), rng)
+        cmp = mut.root.children[0]
+        # fresh boolean and comparison subtrees carry fresh uniform weights
+        if (mut.root.kind, mut.root.weight, cmp.kind, cmp.weight) != (
+                OpKind.NOT, 1.0, OpKind.GT, 1.0):
             continue
-        terms += 1
-        mut = replace_subtree(tree.root, path, new)
-        for child in mut.children[0].children:
-            if child.payload != 10.0:
-                deltas.append(child.payload - 10.0)
+        changed = [c.payload - 10.0 for c in cmp.children if c.payload != 10.0]
+        assert len(changed) == 1  # exactly one constant changes per term mutation
+        deltas.append(changed[0])
     deltas = np.asarray(deltas)
-    assert len(deltas) == 3000  # exactly one constant changes per term mutation
     assert deltas.mean() == pytest.approx(0.0, abs=0.08)
     assert deltas.std() == pytest.approx(1.0, abs=0.08)
 

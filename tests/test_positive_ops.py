@@ -7,6 +7,7 @@ from softgp.genetics import (
     Individual,
     crossover,
     extension_mutation,
+    mutate,
     positive_crossover,
     positive_mutation,
     weight_adjustment,
@@ -23,6 +24,7 @@ from softgp.tree import (
     collect_weights,
     const,
     SUMMARY_BOOL_DEPTH,
+    SUMMARY_SLOTS,
     node_count,
     op,
     random_tree,
@@ -176,6 +178,30 @@ def test_weight_adjustment_zero_tries_and_perfect_skip(ctx):
     state = rng.bit_generator.state
     assert weight_adjustment(ind, 10, ctx, rng) is ind
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("climber", [positive_mutation, weight_adjustment])
+def test_a_rejecting_hill_climber_draws_what_its_tries_draw(climber):
+    # every row twice, once per label, and a power-of-two row count: each
+    # tree gets exactly half the balanced accuracy, so every candidate ties
+    # and every try is drawn and rejected
+    x = gen_synthetic("moons", 32, 0.1, seed=11).x
+    tie = EvalContext(np.concatenate((x, x)), np.repeat([0, 1], 32))
+    tree = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, tie.const_range,
+                       np.random.default_rng(12))
+    ind = scored(tie, tree)
+    assert ind.fitness == 0.5
+    rng = np.random.default_rng(13)
+    assert climber(ind, 25, tie, rng) is ind
+    twin = np.random.default_rng(13)
+    n_slots = summary(tree.root)[SUMMARY_SLOTS]
+    for _ in range(25):
+        if climber is positive_mutation:
+            mutate(tree, tie.n_features, tie.const_range, twin)
+        else:
+            twin.integers(0, n_slots)
+            twin.normal(0.0, 0.1)
+    assert twin.bit_generator.state == rng.bit_generator.state
 
 
 def test_extension_mutation_grafts_an_or_root(ctx):
