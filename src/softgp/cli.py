@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -117,18 +116,16 @@ def cmd_predict(args) -> int:
     if x.shape[1] != n_features:
         raise DataError(f"{args.data} has {x.shape[1]} features, "
                         f"model expects {n_features}")
-    labels = (eval_batch(model, x) >= THRESHOLD).astype(int)
+    positive = (eval_batch(model, x) >= THRESHOLD).tolist()
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
-        writer = csv.writer(sink)
-        writer.writerow(["label"])
-        for v in labels:
-            writer.writerow([int(v)])
+        # the bytes csv.writer writes, every line ending in "\r\n", in one write
+        sink.write("label\r\n" + "".join(["1\r\n" if v else "0\r\n" for v in positive]))
     finally:
         if args.out:
             sink.close()
     if args.out:
-        print(f"wrote {len(labels)} labels to {args.out}")
+        print(f"wrote {len(positive)} labels to {args.out}")
     return 0
 
 

@@ -35,8 +35,14 @@ class DataError(ValueError):
 class Dataset:
     name: str
     columns: List[str]
-    x: np.ndarray  # (rows, n) float64
+    # (rows, n) float64, column-major: the layout eval_batch reads, so
+    # evaluating on x copies nothing
+    x: np.ndarray
     y: np.ndarray  # (rows,) int64 in {0,1}
+
+    def __post_init__(self):
+        # no copy when x already is a column-major float64 matrix
+        self.x = np.asarray(self.x, dtype=np.float64, order="F")
 
     @property
     def rows(self) -> int:
@@ -95,10 +101,10 @@ def read_matrix(path, delimiter: Optional[str] = None,
                 ) -> Tuple[List[str], np.ndarray, Optional[np.ndarray]]:
     """Read a delimited numeric table.
 
-    Returns (feature column names, feature matrix, raw values of
-    drop_column or None if that column is absent). Non-numeric and
-    non-finite cells are reported with their file line number and column
-    name.
+    Returns (feature column names, column-major float64 feature matrix,
+    raw values of drop_column or None if that column is absent).
+    Non-numeric and non-finite cells are reported with their file line
+    number and column name.
     """
     delim = _sniff_delimiter(path, delimiter)
     try:
@@ -147,7 +153,7 @@ def read_matrix(path, delimiter: Optional[str] = None,
         raise DataError(f"{path} has no data rows")
     if not names:
         raise DataError(f"{path} has no feature columns")
-    x = np.asarray(feats, dtype=np.float64)
+    x = np.array(feats, dtype=np.float64, order="F")
     raw = np.asarray(dropped, dtype=np.float64) if drop_idx is not None else None
     return names, x, raw
 

@@ -17,10 +17,13 @@ shortest round-trip form re-parses to the identical float, so serialization
 preserves evaluation exactly.
 
 A token is "(", ")" or a run of other non-whitespace characters, where
-whitespace is what str.isspace() accepts. The tokens are plain strings; a
-line and column are worked out only when a ParseError is raised. Columns
-count code points from the start of the line, and only a line feed starts
-a new line.
+whitespace is what str.isspace() accepts, which is also where str.split()
+cuts. So _tokens pads each parenthesis with spaces and splits the text
+once. The tokens are plain strings; a line and column are worked out only
+when a ParseError is raised. Only whitespace lies between two tokens, so
+the error walks the tokens up to the bad one, finding each with str.find()
+from where the one before it ends. Columns count code points from the
+start of the line, and only a line feed starts a new line.
 
 A REAL is an ASCII token that float() accepts without "_" separators,
 so inf, nan and 1e999 (which is inf) are reals. A weight must lie in
@@ -50,8 +53,7 @@ evaluation; it saves a Node per repeat.
 from __future__ import annotations
 
 import re
-from itertools import islice
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, TreeError, Variant, validate
 
@@ -59,9 +61,6 @@ from .tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, TreeError, V
 # 4300 digits with a ValueError, and no real model comes near the cap.
 _SYMBOL_RE = re.compile(r"^x([0-9]{1,9})$")
 _HEADER_RE = re.compile(r"^#sgp-tree v1 variant=(hard|soft) n_features=([0-9]{1,9})\s*$")
-
-# For str patterns \s matches exactly the characters str.isspace() accepts.
-_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 _SYMBOL, _CONST = OpKind.SYMBOL, OpKind.CONST
 
@@ -93,6 +92,11 @@ def _float(tok: str) -> Optional[float]:
     return None
 
 
+def _tokens(text: str) -> List[str]:
+    """The tokens of text, in order."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
@@ -102,7 +106,7 @@ class ParseError(ValueError):
 
 def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
     # text holds exactly one tree and starts on line first_line
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _tokens(text)
     n = len(tokens)
     tokens.append("")  # the sentinel the module docstring describes
     soft = variant is Variant.SOFT
@@ -115,7 +119,10 @@ def _parse(text: str, variant: Variant, first_line: int) -> ExprTree:
         when i is the sentinel."""
         if i == n:
             return ParseError(message, first_line + text.count("\n"), 1)
-        off = next(islice(_TOKEN_RE.finditer(text), i, None)).start()
+        off = 0
+        for tok in tokens[:i]:
+            off = text.find(tok, off) + len(tok)
+        off = text.find(tokens[i], off)
         return ParseError(message, first_line + text.count("\n", 0, off),
                           off - text.rfind("\n", 0, off))
 

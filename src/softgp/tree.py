@@ -28,8 +28,10 @@ saturating pass that clamps every math-node result runs instead, under
 the caller's numpy setting for invalid operations. Both give the same
 bits.
 
-Evaluation reads the row matrix column-major (eval_batch converts it once),
-so each symbol is a contiguous column. A node writes only into arrays it
+Evaluation reads the row matrix column-major, so each symbol is a
+contiguous column. eval_batch converts x once to that layout, a no-op for
+the matrices softgp.data builds (Dataset fixes the layout), and
+EvalContext stores its rows in it. A node writes only into arrays it
 created itself, never into a child's result, a stored activation or x,
 with the bits of a fresh array per pass (_walk says how). Callers must
 not mutate the arrays evaluation returns.
@@ -682,8 +684,9 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
 
     Hard trees yield values in {0,1}, soft trees in [0,1]. Mathematical
     operators saturate at +/-FLOAT_MAX. x is converted once to a
-    column-major float64 matrix (no copy when it already is one) and is
-    never written. A trapping pass that leaves arrays unclamped with
+    column-major float64 matrix and is never written; a Dataset's x, and
+    every matrix softgp.data reads or generates, already is one, so it is
+    not copied. A trapping pass that leaves arrays unclamped with
     overflow raising computes the result; clamping a finite array changes
     nothing, so while nothing overflows it equals the saturating pass bit
     for bit. When an operation overflows, a constant or coefficient is not
@@ -709,8 +712,8 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool) -> np
 
     The caller has entered np.errstate(over="raise"), changing no other
     setting; x is a float64 (rows, n_features) matrix, column-major for
-    speed (any layout gives the same bits), and finite says whether every
-    cell of it is finite.
+    speed as eval_batch and EvalContext leave it (any layout gives the
+    same bits), and finite says whether every cell of it is finite.
 
     cache=True makes re-evaluating a slightly edited copy of a tree cheap,
     since unchanged subtrees are shared: an activation lives on its node.

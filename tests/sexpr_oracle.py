@@ -7,10 +7,15 @@ both parsers on the same text and require an equal tree, or a ParseError
 with the same message, line and column.
 """
 
+import re
 from itertools import islice
 
-from softgp.sexpr import _HEADER_RE, _SYMBOL_RE, _TOKEN_RE, MAX_DEPTH, ParseError
+from softgp.sexpr import _HEADER_RE, _SYMBOL_RE, MAX_DEPTH, ParseError
 from softgp.tree import ARITY, OP_CLASS, ExprTree, Node, OpClass, OpKind, Variant
+
+# A token as the grammar defines it. For str patterns \s matches exactly
+# the characters str.isspace() accepts.
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 _KIND_BY_NAME = {k.name: k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)}
 

@@ -1,5 +1,6 @@
 import csv
 import gzip
+import hashlib
 import os
 
 import numpy as np
@@ -98,6 +99,23 @@ def test_predict_to_stdout(tmp_path, capsys):
     assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["label", "1", "0"]
+
+
+def test_predict_csv_bytes_are_pinned(tmp_path, capsys):
+    # the bytes csv.writer wrote for these labels: a "label" header, then a 0
+    # or a 1 per row, every line ending in "\r\n"
+    data = tmp_path / "moons.csv"
+    run(["synth", "--kind", "moons", "--n", "200", "--noise", "0.3", "--seed", "11",
+         "--out", str(data)])
+    model = tmp_path / "m.sgp"
+    save_model(model, gt_model(), 2)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "b6b3118c3a4c8b5ee3019ae93625a1f80ed55317dfc6d8a6d0a9932bfb67672d"
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode()
 
 
 def test_predict_labels_an_activation_of_one_half_positive(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import math
 import threading
 import zlib
@@ -378,3 +379,53 @@ def test_save_csv_round_trips_exactly(tmp_path):
     assert back.columns == ds.columns
     assert back.x.tolist() == ds.x.tolist()  # repr() rendering is lossless
     assert back.y.tolist() == ds.y.tolist()
+
+
+# --- layout -------------------------------------------------------------------------
+
+# sha256 of the row-major bytes of gen_synthetic("linsep", 50, 0.2, seed=3).x
+# and of its shuffle_split(ratio 0.7, seed 1) train and test matrices, as
+# they were when the generator held its matrices row-major
+LINSEP_DIGESTS = ("0bc037a0c8b7a892597c473f75904f4c399be63d28511e89d5a74f2aeb495291",
+                  "77b20ac51146811c96a7d72981ba2b88691fdf0f064c6156b13d0fe290d07907",
+                  "3d48d162d896871b609f0796b5789e4746040a98d1b2e28d02561deb14902883")
+
+
+def assert_column_major(x):
+    """x has the one feature-matrix layout, column-major float64, which
+    eval_batch's conversion takes without a copy."""
+    assert x.dtype == np.float64 and x.flags.f_contiguous and not x.flags.c_contiguous
+    assert np.asarray(x, dtype=np.float64, order="F") is x
+
+
+def test_read_and_loaded_matrices_are_column_major(tmp_path):
+    text = "a,b,target\n1,2.5,0\n3,-4,1\n-0.5,7,1\n"
+    rows = [[1.0, 2.5], [3.0, -4.0], [-0.5, 7.0]]
+    plain = write(tmp_path / "t.csv", text)
+    packed = tmp_path / "t.csv.gz"
+    with gzip.open(packed, "wt") as fh:
+        fh.write(text)
+    for path in (plain, packed):
+        x = load_table(path).x
+        assert_column_major(x)
+        assert x.tolist() == rows
+    _, x, _ = read_matrix(plain)
+    assert_column_major(x)
+    assert x.tolist() == [r + [t] for r, t in zip(rows, [0.0, 1.0, 1.0])]
+
+
+def test_a_dataset_converts_a_row_major_int_matrix_once():
+    ints = np.arange(6).reshape(3, 2)
+    ds = Dataset("t", ["a", "b"], ints, np.array([0, 1, 1]))
+    assert_column_major(ds.x)
+    assert ds.x.tolist() == ints.tolist()
+    # a matrix already in the layout is kept, not copied
+    assert Dataset("t", ["a", "b"], ds.x, ds.y).x is ds.x
+
+
+def test_synthetic_and_split_matrices_are_column_major_with_unchanged_values():
+    ds = gen_synthetic("linsep", 50, 0.2, seed=3)
+    pair = shuffle_split(ds, 0.7, seed=1)
+    for x, digest in zip((ds.x, pair.train.x, pair.test.x), LINSEP_DIGESTS):
+        assert_column_major(x)
+        assert hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest() == digest

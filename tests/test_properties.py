@@ -4,6 +4,8 @@ parser, the model-file writer against trees that break its rules, and
 subtree summaries, the locators and the weight-slot accessors
 against from-scratch walks."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,7 +22,6 @@ from softgp.genetics import (
     mutate,
 )
 from softgp.sexpr import (
-    _TOKEN_RE,
     ParseError,
     format_model,
     format_tree,
@@ -52,6 +53,7 @@ from softgp.tree import (
 )
 
 import sexpr_oracle
+from sexpr_oracle import _TOKEN_RE
 from treewalk import iter_nodes
 
 N_FEATURES = 3
@@ -183,11 +185,31 @@ _HEADERS = ["", "#sgp-tree v1 variant=soft n_features=2\n",
 _TOKENS = ["(", ")", "OR", "AND", "NOT", "OR3", "AND3", "GT", "LT", "ADD", "MUL", "NEG",
            "SIGM", "LIN2", "LIN3", "x0", "x7", "0.5", "-2", "1e999", "inf", "nan", "?", "\n"]
 
+# the 29 characters str.isspace() accepts
+_SPACES = st.sampled_from([c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()])
+
+
+@st.composite
+def respaced_models(pick):
+    """A random tree's tokens joined by runs of any str.isspace()
+    characters, with no run at all beside some parentheses, under a header
+    whose variant need not be the tree's, so that some fail to parse."""
+    tree, _, _, _ = draw(pick(seeds), pick(variants), 1.0, rows=1)
+    tokens = _TOKEN_RE.findall(format_tree(tree))
+    text = pick(st.sampled_from(_HEADERS[1:]))
+    # before the first token, as beside a parenthesis, no run is needed
+    for prev, tok in zip(["("] + tokens, tokens):
+        least = 0 if {prev, tok} & {"(", ")"} else 1
+        text += pick(st.text(_SPACES, min_size=least, max_size=3)) + tok
+    return text + pick(st.text(_SPACES, max_size=3))
+
+
 model_texts = st.one_of(
     st.text(),
     st.builds(str.__add__, st.sampled_from(_HEADERS), st.text()),
     st.builds(lambda head, toks: head + " ".join(toks),
               st.sampled_from(_HEADERS), st.lists(st.sampled_from(_TOKENS), max_size=40)),
+    respaced_models(),
 )
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from softgp.sexpr import (
-    _TOKEN_RE,
     MAX_DEPTH,
     ParseError,
+    _tokens,
     format_model,
     format_tree,
     load_model,
@@ -29,6 +29,8 @@ from softgp.tree import (
     symbol,
     validate,
 )
+
+from sexpr_oracle import _TOKEN_RE
 
 
 def test_soft_example_round_trip():
@@ -178,8 +180,15 @@ def test_error_reports_line_and_column():
 
 def test_token_whitespace_is_exactly_str_isspace():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
-    kept = "".join(_TOKEN_RE.findall(every))
+    kept = "".join(_tokens(every))
     assert kept == "".join(c for c in every if not c.isspace())
+
+
+def test_tokens_are_the_grammar_tokens():
+    # every code point, then parentheses beside runs, whitespace and each other
+    for text in ("".join(map(chr, range(sys.maxunicode + 1))),
+                 "((x0\u2028)\x1c(\x85 ))x1(\u3000LT)\t1e9)(", ""):
+        assert _tokens(text) == _TOKEN_RE.findall(text)
 
 
 def test_numbers_are_ascii_digits_only():
