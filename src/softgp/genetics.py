@@ -153,8 +153,13 @@ class EvalContext:
         self.const_range = (float(x.min()), float(x.max())) if x.size else (-1.0, 1.0)
         # activations are elementwise per row, so reordering the rows
         # reorders them and changes no count; stored column-major, so each
-        # symbol reads a contiguous column
-        self._rows = np.asfortranarray(np.concatenate((x[pos], x[~pos])))
+        # symbol reads a contiguous column. One gather per column writes
+        # straight into place, the only copy of x made; mode="clip" since
+        # the default mode buffers the output, and every index is in range
+        order = np.concatenate((np.flatnonzero(pos), np.flatnonzero(~pos)))
+        self._rows = np.empty(x.shape, order="F")
+        for j in range(self.n_features):
+            np.take(x[:, j], order, out=self._rows[:, j], mode="clip")
         self._finite = bool(np.isfinite(self._rows).all())
         self._caching = False
 

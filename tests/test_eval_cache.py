@@ -15,6 +15,7 @@ next; and the model a fit returns holds none.
 """
 
 import pickle
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -332,6 +333,35 @@ def test_fitness_matches_the_metrics_module_on_non_finite_rows():
         t = random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-2.0, 2.0), rng)
         preds = (eval_batch(t, x) >= THRESHOLD).astype(np.int64)
         assert ctx.fitness_of(t) == balanced_accuracy(confusion(y, preds))
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])
+def test_training_rows_are_one_column_major_gather(layout):
+    # positive rows first, then negative ones, each in their order in x:
+    # the matrix the mask gathers and concatenation built, in one copy
+    rng = np.random.default_rng(5)
+    x = np.asarray(rng.normal(size=(40, 3)), order=layout)
+    x[3, 1], x[7, 2] = np.nan, -np.inf
+    y = (rng.random(40) < 0.4).astype(np.int64)
+    ctx = EvalContext(x, y)
+    want = np.concatenate((x[y == 1], x[y == 0]))
+    assert ctx._rows.flags.f_contiguous
+    assert ctx._rows.shape == want.shape
+    assert ctx._rows.tobytes(order="C") == want.tobytes(order="C")
+
+
+def test_training_rows_copy_x_once():
+    # one copy of x and an index per row: the peak stays well under the
+    # two copies a gather followed by a relayout holds at once
+    x = np.asfortranarray(np.random.default_rng(6).normal(size=(20_000, 16)))
+    y = np.arange(20_000) % 3 == 0
+    tracemalloc.start()
+    try:
+        EvalContext(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes, (peak, x.nbytes)
 
 
 @pytest.mark.parametrize("invalid", ["warn", "ignore", "raise"])

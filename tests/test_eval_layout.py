@@ -1,14 +1,17 @@
 """eval_batch against the layout of its input, and what it costs.
 
 Evaluation reads one column of x per symbol and writes only into arrays
-it creates itself, so the memory layout of x changes no bit of the result
-and x is never written. EVAL_DIGEST pins the bytes eval_batch returns for
-a seeded corpus of soft and hard trees at 10k rows, some of whose rows
-overflow, so both the trapping and the saturating pass are pinned.
+a node or one of its operator children created, so the memory layout of
+x changes no bit of the result and x is never written. EVAL_DIGEST pins
+the bytes eval_batch returns for a seeded corpus of soft and hard trees
+at 10k rows, some of whose rows overflow, so both the trapping and the
+saturating pass are pinned.
 GRID_PEAKS and EVAL_PEAKS pin the traced peak memory of boundary grids at
 resolution 600, whose arrays are above numpy's 256 KiB threshold for
 reusing a temporary in place: an array a node binds to a name is not
-reused that way, so keeping such arrays alive too long shows here.
+reused that way, so keeping such arrays alive too long shows here, and so
+does a node that makes a fresh array where it could write into one an
+operator child returned.
 """
 
 import hashlib
@@ -36,14 +39,14 @@ EVAL_DIGEST = "afa911061d22505439477dc0ed9e41ed4f23a1660e4986ffa3cb3f3c75946dd9"
 
 # traced peak bytes, one per grid tree, of boundary_grid at GRID_RESOLUTION
 # (lattice included) and of eval_batch alone on a column-major lattice, as
-# the evaluation that wrote every node's result to a fresh array measured
-# them. The interpreter's own allocations move a peak by a few KB from run
-# to run, so a peak may exceed its pin by PEAK_SLACK, far below the 2.9 MB
-# of one more array.
+# the evaluation that writes a node's result into an array an operator
+# child returned measured them. The interpreter's own allocations move a
+# peak by a few KB from run to run, so a peak may exceed its pin by
+# PEAK_SLACK, far below the 2.9 MB of one more array.
 GRID_RESOLUTION = 600
 PEAK_SLACK = 64 * 1024
-GRID_PEAKS = (28_814_268, 31_692_522, 28_812_146, 28_812_034)
-EVAL_PEAKS = (17_281_592, 20_161_704, 17_281_608, 17_281_496)
+GRID_PEAKS = (23_053_158, 25_932_192, 23_051_792, 20_171_680)
+EVAL_PEAKS = (17_281_592, 20_161_704, 17_281_608, 14_401_536)
 
 
 def sample_matrix(rows: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Property tests: the evaluator against its saturating reference, the
+"""Property tests: the evaluator against its saturating reference and,
+on trees that hold a node at two places, a fresh-array-per-node oracle, the
 model-file parser against arbitrary text and a recursive reference
 parser, the model-file writer against trees that break its rules, and
 subtree summaries, the locators and the weight-slot accessors
@@ -8,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softgp.tree as tree_mod
@@ -30,6 +31,7 @@ from softgp.sexpr import (
     save_model,
 )
 from softgp.tree import (
+    ARITY,
     DEFAULT_BOUNDS,
     OP_CLASS,
     ExprTree,
@@ -54,7 +56,7 @@ from softgp.tree import (
 
 import sexpr_oracle
 from sexpr_oracle import _TOKEN_RE
-from treewalk import iter_nodes
+from treewalk import eval_fresh, iter_nodes
 
 N_FEATURES = 3
 
@@ -116,6 +118,74 @@ def test_the_trapping_pass_meets_no_invalid_operation(seed, variant, exponent):
             tree_mod._walk(tree.root, np.asfortranarray(x), False, trap=True)
         except FloatingPointError as e:
             assert "overflow" in str(e)
+
+
+# cells besides ordinary values: NaNs of both signs and two payloads, whose
+# bits show which operand an operation took its NaN from, the infinities,
+# and magnitudes whose sums and products overflow
+EDGE_CELLS = [np.nan, -np.nan, float(np.uint64(0x7FF8_0000_0000_0123).view(np.float64)),
+              np.inf, -np.inf, 1e308, -1e308, 0.0]
+
+
+def with_shared_nodes(tree, rng):
+    """tree with one to three operator node objects each placed at a
+    second position: either twinned under a new node (OR(n, n) or
+    AND(n, n) for a boolean or comparison, ADD(m, m) or MUL(m, m) for a
+    mathematical operator; soft trees add OR3/AND3 and LIN2), or copied by
+    reference over another node of its class that is neither its ancestor
+    nor its descendant."""
+    root = tree.root
+    soft = tree.variant is Variant.SOFT
+    for _ in range(rng.integers(1, 4)):
+        ops = [(p, n) for p, n in iter_nodes(root) if n.children]
+        path, node = ops[rng.integers(len(ops))]
+        cls = OP_CLASS[node.kind]
+        others = [p for p, n in iter_nodes(root) if OP_CLASS[n.kind] is cls
+                  and p[:len(path)] != path and path[:len(p)] != p]
+        if others and rng.random() < 0.5:
+            root = replace_subtree(root, others[rng.integers(len(others))], node)
+            continue
+        if cls is OpClass.MATHEMATICAL:
+            kinds = [OpKind.ADD, OpKind.MUL] + ([OpKind.LIN2] if soft else [])
+        else:
+            kinds = [OpKind.OR, OpKind.AND] + ([OpKind.OR3, OpKind.AND3] if soft else [])
+        kind = kinds[rng.integers(len(kinds))]
+        weighted = soft and cls is not OpClass.MATHEMATICAL
+        weight = float(rng.uniform(0.2, 1.0)) if weighted else None
+        coeffs = tuple(rng.uniform(-2.0, 2.0, 2)) if kind is OpKind.LIN2 else None
+        twin = Node(kind, (node,) * ARITY[kind], weight, coeffs)
+        root = replace_subtree(root, path, twin)
+    return ExprTree(tree.variant, root)
+
+
+@settings(derandomize=True)
+@given(seeds, variants, exponents, st.sampled_from([0.0, 0.05, 0.3]))
+def test_eval_batch_equals_a_fresh_array_per_node_on_shared_nodes(seed, variant, exponent,
+                                                                   edges):
+    # an evaluation that writes into an array a child returned must never
+    # write one that is read again: a node evaluated at two places, a
+    # stored activation or a column of x. The oracle makes a fresh array
+    # per node; x holds nan, +/-inf and +/-1e308 cells in some draws (the
+    # saturating pass) and none in others (the trapping pass)
+    tree, x, rng, _ = draw(seed, variant, exponent)
+    tree = with_shared_nodes(tree, rng)
+    ids = [id(n) for _, n in iter_nodes(tree.root) if n.children]
+    assert len(set(ids)) < len(ids)
+    cells = rng.random(x.shape) < edges
+    x[cells] = rng.choice(EDGE_CELLS, int(cells.sum()))
+    x = np.asfortranarray(x)
+    before = x.tobytes()
+    # a comparison hides the NaN payloads of its operands; each math chain
+    # evaluated as a tree of its own shows them
+    chains = [ExprTree(variant, c) for _, n in iter_nodes(tree.root)
+              if OP_CLASS[n.kind] is OpClass.COMPARISON for c in n.children if c.children]
+    for t in [tree] + chains:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = eval_fresh(t, x).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert eval_batch(t, x).tobytes() == want
+            assert cached_eval(t, x).tobytes() == want
+    assert x.tobytes() == before
 
 
 @given(seeds, variants, exponents)

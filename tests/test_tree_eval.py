@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 
 import softgp.tree as tree_mod
 from softgp.tree import (
+    ARITY,
     DEFAULT_BOUNDS,
     FLOAT_MAX,
+    OP_CLASS,
     ExprTree,
+    OpClass,
     OpKind,
     TreeError,
     Variant,
@@ -18,6 +22,8 @@ from softgp.tree import (
     replace_subtree,
     symbol,
 )
+
+from treewalk import eval_fresh
 
 
 def sat_ref(v):
@@ -325,6 +331,39 @@ def test_sigm_array_overflow_matches_the_saturating_pass(fallbacks):
     got = same_bits(soft(op(OpKind.SIGM, x0)), col(-800.0, 800.0, 0.0, -1.0))
     assert got[:3].tolist() == [0.0, 1.0, 0.5]
     assert len(fallbacks) == 1
+
+
+# --- where an operator writes -------------------------------------------------
+#
+# Every operator over every mix of a symbol, a constant and an operator
+# child (NEG of a symbol), each written as a tree of its own so that no
+# comparison hides a NaN's payload: an uncached evaluation writes into the
+# operator child's array only, never into x, and gives the bytes of the
+# fresh-array oracle with its operands in their order. The rows hold every
+# pair of NaNs of two signs and two payloads, infinities, overflowing
+# magnitudes and ordinary values.
+
+EDGES = [math.nan, -math.nan, float(np.uint64(0x7FF8_0000_0000_0123).view(np.float64)),
+         math.inf, -math.inf, 1e308, -1e308, 0.0, 1.5, -2.5]
+OPERANDS = [symbol(0), const(-1.5), op(OpKind.NEG, symbol(1))]
+
+
+@pytest.mark.parametrize("kind", [k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)],
+                         ids=lambda k: k.name)
+@pytest.mark.parametrize("cached", [False, True], ids=["batch", "cached"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_an_operator_writes_only_an_operand_it_owns(kind, cached):
+    x = np.asfortranarray(list(itertools.product(EDGES, repeat=2)))
+    before = x.tobytes()
+    weighted = OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON)
+    for children in itertools.product(OPERANDS, repeat=ARITY[kind]):
+        t = soft(op(kind, *children, weight=0.75 if weighted else None,
+                    coeffs=(1.5, -0.5, 2.0)[:ARITY[kind]] if kind in (OpKind.LIN2, OpKind.LIN3)
+                    else None))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = eval_fresh(t, x).tobytes()
+        assert (cached_eval(t, x) if cached else eval_batch(t, x)).tobytes() == want
+        assert x.tobytes() == before
 
 
 def test_finite_evaluation_takes_no_fallback(fallbacks):
