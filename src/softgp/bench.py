@@ -53,6 +53,18 @@ def run_seed(master_seed: int, dataset: str, run: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_grid(datasets: Sequence[str], algos: Sequence[Algo]) -> None:
+    """Refuse a dataset or algorithm named twice: each would repeat its
+    cells under the same run seeds, and results.csv holds one row per
+    (dataset, run, algo)."""
+    for what, names in (("dataset", datasets), ("algorithm", [a.value for a in algos])):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise DataError(f"{what} {name!r} is named twice")
+            seen.add(name)
+
+
 def resolve_dataset(name: str, cache_dir, master_seed: int) -> Dataset:
     """Turn a benchmark dataset argument into a Dataset.
 
@@ -88,10 +100,12 @@ def run_benchmark(datasets: Sequence[str], algos: Sequence[Algo], runs: int,
     Failures (unfetchable dataset, impossible split, degenerate labels,
     infinite feature span) are recorded as (dataset, message) and the
     affected cells skipped. Results come back sorted by (dataset, run, algo).
+    A dataset or algorithm named twice raises DataError before any runs.
     """
     if runs < 1:
         raise DataError(f"need at least one run per dataset, got {runs}")
     check_split_ratio(ratio)
+    check_grid(datasets, algos)
     results: List[BenchResult] = []
     failures: List[Tuple[str, str]] = []
     for name in datasets:
@@ -128,7 +142,27 @@ def write_results_csv(results: Sequence[BenchResult], path) -> None:
                              repr(r.balanced_accuracy), f"{r.train_seconds:.3f}", r.seed])
 
 
+def _result_row(row: List[str]) -> BenchResult:
+    # one results.csv row as run_benchmark writes it; ValueError otherwise
+    if len(row) != len(RESULTS_HEADER):
+        raise ValueError(f"{len(row)} cells, want {len(RESULTS_HEADER)}")
+    r = BenchResult(row[0], int(row[1]), Algo(row[2]), float(row[3]), float(row[4]),
+                    int(row[5]))
+    if not 0.0 <= r.balanced_accuracy <= 1.0:
+        raise ValueError("balanced accuracy outside [0, 1]")
+    if not 0.0 <= r.train_seconds < math.inf:
+        raise ValueError("train seconds not finite and non-negative")
+    if r.run < 1:
+        raise ValueError("run below 1")
+    if r.seed < 0:
+        raise ValueError("negative seed")
+    return r
+
+
 def read_results_csv(path) -> List[BenchResult]:
+    """Read a results.csv back, refusing any row run_benchmark would not
+    write: a bad cell count or value, or a second row for a (dataset, run,
+    algo) cell."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,14 +170,20 @@ def read_results_csv(path) -> List[BenchResult]:
             if header is None or tuple(header) != RESULTS_HEADER:
                 raise DataError(f"{path}: not a results.csv (bad header)")
             out = []
+            cells = set()
             for row in reader:
                 if not row:
                     continue
                 try:
-                    out.append(BenchResult(row[0], int(row[1]), Algo(row[2]),
-                                           float(row[3]), float(row[4]), int(row[5])))
-                except (ValueError, IndexError) as e:
+                    r = _result_row(row)
+                except ValueError as e:
                     raise DataError(f"{path}: bad row {row!r}: {e}") from None
+                cell = (r.dataset, r.run, r.algo)
+                if cell in cells:
+                    raise DataError(f"{path}: a second row for {cell[0]} run {cell[1]} "
+                                    f"{cell[2].value}")
+                cells.add(cell)
+                out.append(r)
         except (UnicodeDecodeError, csv.Error) as e:
             raise unreadable_table(path, reader, e) from e
     return out

@@ -17,6 +17,7 @@ from typing import List, Optional
 from .bench import (
     PAPER_DATASETS,
     boundary_grid,
+    check_grid,
     emit_bench_files,
     read_results_csv,
     run_benchmark,
@@ -143,10 +144,11 @@ def cmd_bench(args) -> int:
     if not algos:
         raise EvolveError("no algorithms selected")
     runs = args.runs if args.runs is not None else (5 if args.fast else 20)
-    # before --out is made, so a bad count or ratio writes nothing
+    # before --out is made, so a bad count, ratio or repeat writes nothing
     if runs < 1:
         raise DataError(f"need at least one run per dataset, got {runs}")
     check_split_ratio(args.ratio)
+    check_grid(datasets, algos)
     cfg = _build_config(args, fast=args.fast)
     os.makedirs(args.out, exist_ok=True)  # before the grid, so a bad --out costs no fit
     master_seed = cfg.seed

@@ -32,12 +32,9 @@ Evaluation reads the row matrix column-major, so each symbol is a
 contiguous column. eval_batch converts x once to that layout, a no-op for
 the matrices softgp.data builds (Dataset fixes the layout), and
 EvalContext stores its rows in it. A node writes only into arrays it
-owns: those it created itself and, in an uncached evaluation such as
-eval_batch, those its operator children returned, which nothing else
-holds. It never writes into a symbol's column of x, a constant or a
-stored activation, and every result has the bits of a fresh array per
-node (_walk says how). Callers must not mutate the arrays evaluation
-returns.
+owns, never into x or a stored activation, and every result has the bits
+of a fresh array per node; _walk states the rule. Callers must not mutate
+the arrays evaluation returns.
 
 Every node carries a summary of its subtree: its node count per operator
 class, its size, its weight-slot count (operator weights plus linear
@@ -576,7 +573,7 @@ def _add_own(a, b):
 
 
 def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
-    """One recursive evaluation pass; eval_batch documents the two modes.
+    """One recursive evaluation pass; eval_batch documents the two passes.
 
     With trap=True the caller has made overflow raise, array results are
     left unclamped, and a non-finite constant or coefficient raises
@@ -589,25 +586,29 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     scalars are cheap to recompute; keeping them out of the slot means
     every literal passes the trap before it reaches an array.
 
-    A symbol reads column x[:, j], contiguous when x is column-major. A
-    node writes only into arrays it owns: any it created, and in an
-    uncached walk (cache=False) also any an operator child returned.
-    Nothing else holds those: such a walk stores nothing, and a node that
-    sits at two places is computed afresh at each. No node writes into a
-    symbol's column of x, a constant or, with cache=True, a child's
-    result, which may be a stored activation. ADD and MUL write into their
-    left operand if it is owned, else into their right; LIN2/LIN3
-    multiply an owned child by its coefficient in place and add into one
-    of their products; NEG and SIGM negate an owned child, and SIGM then
-    runs exp, 1 + and 1 / in place; NOT writes 1 - a into an owned child;
-    OR/AND write max/min into an owned operand, and OR3/AND3 their second
-    max/min into the first one's result in both modes; the saturating
-    pass clamps in place, and a weighted node scales its result in place.
-    Each element goes through the same operations with its operands in
-    the same order, so the bits, NaN payloads included, are those of a
-    fresh array per node. Every LIN product passes sat (_sat_scalar in the
-    trapping pass) before it is added, so a Python-float product that
-    overflowed to inf is clamped to FLOAT_MAX before any in-place add.
+    A symbol reads column x[:, j], contiguous when x is column-major.
+
+    The ownership rule: a node writes only into arrays it owns. It owns
+    every array it created and, in an uncached walk (cache=False), every
+    array an operator child returned. Nothing else holds those: an
+    uncached walk stores nothing, and a node that sits at two places is
+    computed afresh at each. So no node writes into a symbol's column of
+    x, a constant or, in a cached walk, a child's result, which is a
+    stored activation. An operand a node does not own takes the fresh
+    expression, as every operand of a cached walk does. Into an owned
+    operand, ADD and MUL write their result (the left operand first, else
+    the right), OR/AND/OR3/AND3 their first max/min, LIN2/LIN3 the product
+    of a child and its coefficient, NEG and SIGM the negation and NOT
+    1 - a. Into arrays a node created, in both walks: LIN2/LIN3 add each
+    product into the sum so far (_add_own), SIGM runs exp, 1 + and 1 / on
+    its negation, OR3/AND3 take their second max/min into the first one's
+    result, the saturating pass clamps, and a weighted node scales its
+    result. Each element goes through the same operations with its
+    operands in the same order, so the bits, NaN payloads included, are
+    those of a fresh array per node. Every LIN product passes sat
+    (_sat_scalar in the trapping pass) before it is added, so a
+    Python-float product that overflowed to inf is clamped to FLOAT_MAX
+    before any in-place add.
     """
     sat = _sat_scalar if trap else _sat
     isfinite = math.isfinite
@@ -628,76 +629,60 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
                 return hit[1]
         ch = node.children
         # ordered by frequency: the math layer is most of the operators.
-        # Each operator tests own once: a cached walk runs the fresh
-        # expression alone, and an uncached one writes into an operand that
-        # is owned, an array whose node is no symbol. The tests are written
-        # out at each operand, since a helper call per node costs more than
-        # the array it saves at 140 rows.
+        # An operand is owned (see the docstring) when own holds and it is
+        # an array whose node is no symbol; any other falls through to the
+        # fresh expression. The test is written out at each operand, since
+        # a helper call per node costs more than the array it saves at 140
+        # rows.
         if k is _ADD:
-            if own:
-                a = ev(ch[0])
-                b = ev(ch[1])
-                if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                    a += b
-                    r = sat(a)
-                elif type(b) is _ndarray and ch[1].kind is not _SYMBOL:
-                    r = sat(np.add(a, b, out=b))
-                else:
-                    r = sat(a + b)
+            a = ev(ch[0])
+            b = ev(ch[1])
+            if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                a += b
+                r = sat(a)
+            elif own and type(b) is _ndarray and ch[1].kind is not _SYMBOL:
+                r = sat(np.add(a, b, out=b))
             else:
-                r = sat(ev(ch[0]) + ev(ch[1]))
+                r = sat(a + b)
         elif k is _MUL:
-            if own:
-                a = ev(ch[0])
-                b = ev(ch[1])
-                if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                    a *= b
-                    r = sat(a)
-                elif type(b) is _ndarray and ch[1].kind is not _SYMBOL:
-                    r = sat(np.multiply(a, b, out=b))
-                else:
-                    r = sat(a * b)
+            a = ev(ch[0])
+            b = ev(ch[1])
+            if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                a *= b
+                r = sat(a)
+            elif own and type(b) is _ndarray and ch[1].kind is not _SYMBOL:
+                r = sat(np.multiply(a, b, out=b))
             else:
-                r = sat(ev(ch[0]) * ev(ch[1]))
+                r = sat(a * b)
         elif k is _LIN2 or k is _LIN3:
             cs = node.coeffs
             if trap and not all(map(isfinite, cs)):
                 raise FloatingPointError(f"non-finite coefficient in {cs!r}")
-            if own:
-                a = ev(ch[0])
-                if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                    r = sat(np.multiply(cs[0], a, out=a))
-                else:
-                    r = sat(cs[0] * a)
-                a = ev(ch[1])
-                if type(a) is _ndarray and ch[1].kind is not _SYMBOL:
-                    r = sat(_add_own(r, sat(np.multiply(cs[1], a, out=a))))
-                else:
-                    r = sat(_add_own(r, sat(cs[1] * a)))
-                if k is _LIN3:
-                    # the second product is dead once added: let it go
-                    # before the third child's arrays are made
-                    a = None
-                    a = ev(ch[2])
-                    if type(a) is _ndarray and ch[2].kind is not _SYMBOL:
-                        r = sat(_add_own(r, sat(np.multiply(cs[2], a, out=a))))
-                    else:
-                        r = sat(_add_own(r, sat(cs[2] * a)))
+            a = ev(ch[0])
+            if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                r = sat(np.multiply(cs[0], a, out=a))
             else:
-                # products passed straight to _add_own, not bound to names:
-                # no product outlives the add
-                r = sat(_add_own(sat(cs[0] * ev(ch[0])), sat(cs[1] * ev(ch[1]))))
-                if k is _LIN3:
-                    r = sat(_add_own(r, sat(cs[2] * ev(ch[2]))))
+                r = sat(cs[0] * a)
+            a = ev(ch[1])
+            if own and type(a) is _ndarray and ch[1].kind is not _SYMBOL:
+                r = sat(_add_own(r, sat(np.multiply(cs[1], a, out=a))))
+            else:
+                r = sat(_add_own(r, sat(cs[1] * a)))
+            if k is _LIN3:
+                # the second product is dead once added: let it go before
+                # the third child's arrays are made
+                a = None
+                a = ev(ch[2])
+                if own and type(a) is _ndarray and ch[2].kind is not _SYMBOL:
+                    r = sat(_add_own(r, sat(np.multiply(cs[2], a, out=a))))
+                else:
+                    r = sat(_add_own(r, sat(cs[2] * a)))
         elif k is _NEG or k is _SIGM:
-            if own:
-                a = ev(ch[0])
-                if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                    r = np.negative(a, out=a)
-                else:
-                    r = -a
+            a = ev(ch[0])
+            if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                r = np.negative(a, out=a)
             else:
-                r = -ev(ch[0])
+                r = -a
             if k is _SIGM:
                 if type(r) is _ndarray:
                     np.exp(r, out=r)
@@ -708,63 +693,38 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
         else:
             if k is _GT or k is _LT:
                 r = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1])).astype(np.float64)
-            elif k is _OR:
-                if own:
-                    a = ev(ch[0])
-                    b = ev(ch[1])
-                    if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                        r = np.maximum(a, b, out=a)
-                    elif type(b) is _ndarray and ch[1].kind is not _SYMBOL:
-                        r = np.maximum(a, b, out=b)
-                    else:
-                        r = np.maximum(a, b)
-                else:
-                    r = np.maximum(ev(ch[0]), ev(ch[1]))
-            elif k is _AND:
-                if own:
-                    a = ev(ch[0])
-                    b = ev(ch[1])
-                    if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                        r = np.minimum(a, b, out=a)
-                    elif type(b) is _ndarray and ch[1].kind is not _SYMBOL:
-                        r = np.minimum(a, b, out=b)
-                    else:
-                        r = np.minimum(a, b)
-                else:
-                    r = np.minimum(ev(ch[0]), ev(ch[1]))
             elif k is _NOT:
-                if own:
-                    a = ev(ch[0])
-                    if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                        r = np.subtract(1.0, a, out=a)
-                    else:
-                        r = 1.0 - a
+                a = ev(ch[0])
+                if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                    r = np.subtract(1.0, a, out=a)
                 else:
-                    r = 1.0 - ev(ch[0])
-            elif k is _OR3 or k is _AND3:
-                f = np.maximum if k is _OR3 else np.minimum
-                if own:
-                    a = ev(ch[0])
-                    b = ev(ch[1])
-                    if type(a) is _ndarray and ch[0].kind is not _SYMBOL:
-                        r = f(a, b, out=a)
-                    elif type(b) is _ndarray and ch[1].kind is not _SYMBOL:
-                        r = f(a, b, out=b)
-                    else:
-                        r = f(a, b)
+                    r = 1.0 - a
+            else:
+                # OR/AND take one max/min; OR3/AND3 take a second one
+                # into the first one's result, this node's own in both
+                # walks
+                if k is _OR or k is _OR3:
+                    f = np.maximum
+                elif k is _AND or k is _AND3:
+                    f = np.minimum
+                else:  # pragma: no cover
+                    raise TreeError(f"unknown operator {k}")
+                a = ev(ch[0])
+                b = ev(ch[1])
+                if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                    r = f(a, b, out=a)
+                elif own and type(b) is _ndarray and ch[1].kind is not _SYMBOL:
+                    r = f(a, b, out=b)
+                else:
+                    r = f(a, b)
+                if k is _OR3 or k is _AND3:
                     # the operand that did not take r is dead before the
                     # third child's arrays are made
                     a = b = None
-                else:
-                    r = f(ev(ch[0]), ev(ch[1]))
-                # the second max/min goes into the first's result, this
-                # node's own in either mode
-                if type(r) is _ndarray:
-                    f(r, ev(ch[2]), out=r)
-                else:
-                    r = f(r, ev(ch[2]))
-            else:  # pragma: no cover
-                raise TreeError(f"unknown operator {k}")
+                    if type(r) is _ndarray:
+                        f(r, ev(ch[2]), out=r)
+                    else:
+                        r = f(r, ev(ch[2]))
             w = node.weight
             if w is not None and w != 1.0:
                 r *= w
@@ -806,12 +766,11 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     finite, or x has a non-finite cell, the saturating pass (which clamps
     every math-node result) runs instead, under the caller's numpy setting
     for invalid operations. It neither reads nor stores the nodes'
-    activations, so a node writes its result into an array one of its
-    operator children returned where it can, never into x: a pass makes
-    far fewer arrays than the tree has operators, with the bits of a fresh
-    array per node. Both passes recurse per level, so a tree far deeper than
-    validate() accepts raises TreeError, as do a symbol at or past x's
-    column count and an operator short of children.
+    activations, so a node may write its result into an array an operator
+    child returned (_walk states the rule), and a pass makes far fewer
+    arrays than the tree has operators. Both passes recurse per level, so
+    a tree far deeper than validate() accepts raises TreeError, as do a
+    symbol at or past x's column count and an operator short of children.
     """
     x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:
@@ -838,12 +797,11 @@ def eval_trapped(tree: ExprTree, x: np.ndarray, cache: bool, finite: bool) -> np
     where it stays (8 bytes per row of x) while the node lives or until
     the caller clears it with drop_activations. Symbols and constants are
     never read or stored. Stored arrays are exact whichever pass wrote
-    them, so the fallback reuses those an aborted trapped pass wrote. With
-    cache=True a node writes only into arrays it created, before it stores
-    one, so a stored array is never written again; returned arrays must not
-    be mutated, since they may be stored ones. With cache=False a node also
-    writes into arrays its operator children returned, which nothing
-    stores, and an aborted trapped pass leaves nothing behind.
+    them, so the fallback reuses those an aborted trapped pass wrote. No
+    node writes into a stored array (_walk states the rule), and returned
+    arrays must not be mutated, since they may be stored ones. With
+    cache=False nothing is stored, and an aborted trapped pass leaves
+    nothing behind.
     """
     try:
         if finite:

@@ -8,6 +8,7 @@ import softgp.bench
 import softgp.data
 from softgp.bench import (
     PAPER_DATASETS,
+    RESULTS_HEADER,
     BenchResult,
     BoundaryGrid,
     boundary_grid,
@@ -128,6 +129,22 @@ def test_benchmark_refuses_a_bad_ratio_before_resolving_a_dataset(monkeypatch, t
     assert resolved == []
 
 
+@pytest.mark.parametrize("datasets, algos, message", [
+    (["synth:moons:60", "synth:linsep:40", "synth:moons:60"], [Algo.GP],
+     "dataset 'synth:moons:60' is named twice"),
+    (["synth:moons:60"], [Algo.GP, Algo.SGP, Algo.GP], "algorithm 'gp' is named twice"),
+], ids=["dataset", "algo"])
+def test_benchmark_refuses_a_repeat_before_resolving_a_dataset(monkeypatch, tmp_path,
+                                                               datasets, algos, message):
+    # a repeat would run its cells again under the same run seeds
+    resolved = []
+    monkeypatch.setattr(softgp.bench, "resolve_dataset", lambda *a: resolved.append(a))
+    with pytest.raises(DataError, match=message):
+        run_benchmark(datasets, algos, runs=1, ratio=0.7, cfg=TINY, master_seed=0,
+                      cache_dir=tmp_path)
+    assert resolved == []
+
+
 def test_benchmark_uses_per_cell_seeds(small_grid):
     results, _ = small_grid
     for r in results:
@@ -208,6 +225,39 @@ def test_read_results_rejects_other_files(tmp_path):
     p.write_text("x,y\n1,2\n")
     with pytest.raises(DataError, match="bad header"):
         read_results_csv(p)
+
+
+_HEADER = ",".join(RESULTS_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a,1,gp,nan,0.5,42\n", "balanced accuracy outside"),
+    ("a,1,gp,7.5,0.5,42\n", "balanced accuracy outside"),
+    ("a,1,gp,-0.1,0.5,42\n", "balanced accuracy outside"),
+    ("a,1,gp,0.8,-inf,42\n", "train seconds not finite"),
+    ("a,1,gp,0.8,inf,42\n", "train seconds not finite"),
+    ("a,1,gp,0.8,nan,42\n", "train seconds not finite"),
+    ("a,1,gp,0.8,-0.5,42\n", "train seconds not finite"),
+    ("a,0,gp,0.8,0.5,42\n", "run below 1"),
+    ("a,1,gp,0.8,0.5,-3\n", "negative seed"),
+    ("a,1,gp,0.8,0.5\n", "5 cells, want 6"),
+    ("a,1,gp,0.8,0.5,42,extra\n", "7 cells, want 6"),
+    ("a,1,gp,0.8,0.5,42\na,2,gp,0.9,0.5,43\na,1,gp,0.7,0.5,42\n",
+     "a second row for a run 1 gp"),
+], ids=["bacc-nan", "bacc-above-1", "bacc-below-0", "seconds-minus-inf", "seconds-inf",
+        "seconds-nan", "seconds-negative", "run-0", "negative-seed", "short-row",
+        "long-row", "repeated-cell"])
+def test_read_results_refuses_a_row_no_benchmark_writes(tmp_path, rows, message):
+    p = tmp_path / "results.csv"
+    p.write_text(_HEADER + rows)
+    with pytest.raises(DataError, match=message):
+        read_results_csv(p)
+
+
+def test_read_results_accepts_the_range_ends(tmp_path):
+    p = tmp_path / "results.csv"
+    p.write_text(_HEADER + "a,1,gp,0.0,0.0,0\na,1,sgp,1.0,0.0,0\n")
+    assert [(r.balanced_accuracy, r.seed) for r in read_results_csv(p)] == [(0.0, 0), (1.0, 0)]
 
 
 def test_summarize_means_and_sample_stddev():

@@ -325,6 +325,25 @@ def test_bench_bad_ratio_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
     assert not out.exists() and resolved == []
 
 
+@pytest.mark.parametrize("datasets, algos, message", [
+    (["synth:linsep:40"], "gp,gp", "algorithm 'gp' is named twice"),
+    (["synth:linsep:40", "synth:moons:60", "synth:linsep:40"], "gp",
+     "dataset 'synth:linsep:40' is named twice"),
+    (["paper", "pima"], "gp", "dataset 'pima' is named twice"),
+], ids=["algo", "dataset", "paper-expanded"])
+def test_bench_with_a_repeat_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                         datasets, algos, message):
+    resolved = []
+    monkeypatch.setattr(softgp.bench, "resolve_dataset", lambda *a: resolved.append(a))
+    out = tmp_path / "bench"
+    rc = run(["bench", *datasets, "--algos", algos, "--runs", "2", "--out", str(out),
+              "--cache", str(tmp_path / "cache")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"softgp bench: error: {message}\n"
+    assert not out.exists() and resolved == []
+
+
 def test_bench_bad_algos_exits_2(tmp_path, capsys):
     rc = run(["bench", "synth:linsep:40", "--algos", "gradient_boosting",
               "--out", str(tmp_path / "b"), "--cache", str(tmp_path / "c")])
@@ -425,15 +444,31 @@ _LONG_CELL = b"9" * (csv.field_size_limit() + 1)
     (["report", "--results", "{bad}", "--out", "{out}"],
      _RESULTS_HEADER + b"linsep,1,gp,0.5,0.1," + _LONG_CELL,
      "line 2: field larger than field limit"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,nan,0.1,7\n", "balanced accuracy outside [0, 1]"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,7.5,0.1,7\n", "balanced accuracy outside [0, 1]"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,0,gp,0.5,0.1,7\n", "run below 1"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,0.5,0.1,-3\n", "negative seed"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,0.5,-inf,7\n", "train seconds not finite and non-negative"),
+    (["report", "--results", "{bad}", "--out", "{out}"],
+     _RESULTS_HEADER + b"linsep,1,gp,0.5,0.1,7\nlinsep,1,gp,0.6,0.1,7\n",
+     "a second row for linsep run 1 gp"),
     (["train", "--algo", "gp", "--data", "{bad}", "--model-out", "{out}"],
      b"x0,x1,target\n1,2,0\n3," + _LONG_CELL, "line 3: field larger than field limit"),
     (["predict", "--model", "{model}", "--data", "{bad}", "--out", "{out}"],
      b"x0,x1\n" + _LONG_CELL + b",1\n", "line 2: field larger than field limit"),
 ], ids=["train-config", "bench-config", "report-header-byte", "report-row-byte",
-        "report-long-cell", "train-data-long-cell", "predict-data-long-cell"])
+        "report-long-cell", "report-nan-accuracy", "report-accuracy-above-1",
+        "report-run-0", "report-negative-seed", "report-minus-inf-seconds",
+        "report-repeated-cell", "train-data-long-cell", "predict-data-long-cell"])
 def test_an_unreadable_file_exits_2_with_one_error_line(tmp_path, capsys, argv, bad, message):
     # a config, results or data file the UTF-8 decoder or the csv module
-    # refuses is a data error, not a crash
+    # refuses, or a results row no benchmark writes, is a data error, not
+    # a crash
     paths = {name: tmp_path / name for name in ("bad", "data", "model", "out")}
     paths["bad"].write_bytes(bad)
     paths["data"].write_text("x0,x1,target\n1,2,0\n2,1,1\n")

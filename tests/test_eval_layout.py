@@ -11,7 +11,10 @@ resolution 600, whose arrays are above numpy's 256 KiB threshold for
 reusing a temporary in place: an array a node binds to a name is not
 reused that way, so keeping such arrays alive too long shows here, and so
 does a node that makes a fresh array where it could write into one an
-operator child returned.
+operator child returned. CACHED_PEAKS pins a cached evaluation of the
+same trees on a coarser lattice, whose 40k-row arrays are still above
+that threshold. It stores every operator's array on its node, so a
+temporary that a node keeps alive past its use shows on top of them.
 """
 
 import hashlib
@@ -28,7 +31,9 @@ from softgp.tree import (
     Node,
     OpKind,
     Variant,
+    drop_activations,
     eval_batch,
+    eval_trapped,
     random_tree,
 )
 
@@ -38,15 +43,18 @@ N_FEATURES = 3
 EVAL_DIGEST = "afa911061d22505439477dc0ed9e41ed4f23a1660e4986ffa3cb3f3c75946dd9"
 
 # traced peak bytes, one per grid tree, of boundary_grid at GRID_RESOLUTION
-# (lattice included) and of eval_batch alone on a column-major lattice, as
-# the evaluation that writes a node's result into an array an operator
-# child returned measured them. The interpreter's own allocations move a
-# peak by a few KB from run to run, so a peak may exceed its pin by
-# PEAK_SLACK, far below the 2.9 MB of one more array.
+# (lattice included), of eval_batch alone on a column-major lattice, and of
+# a cached eval_trapped on one at CACHED_RESOLUTION, as the evaluation that
+# writes a node's result into an array an operator child returned measured
+# them. The interpreter's own allocations move a peak by a few KB from run
+# to run, so a peak may exceed its pin by PEAK_SLACK, far below the 2.9 MB,
+# or at CACHED_RESOLUTION the 320 KB, of one more array.
 GRID_RESOLUTION = 600
+CACHED_RESOLUTION = 200
 PEAK_SLACK = 64 * 1024
 GRID_PEAKS = (23_053_158, 25_932_192, 23_051_792, 20_171_680)
 EVAL_PEAKS = (17_281_592, 20_161_704, 17_281_608, 14_401_536)
+CACHED_PEAKS = (23_053_071, 35_895_352, 45_177_568, 23_688_712)
 
 
 def sample_matrix(rows: int, seed: int) -> np.ndarray:
@@ -94,12 +102,24 @@ def grid_peak(t: ExprTree) -> int:
     return traced_peak(boundary_grid, t, GRID_RESOLUTION, (-3.0, 3.0), (-3.0, 3.0))
 
 
-def eval_peak(t: ExprTree) -> int:
-    xs = np.linspace(-3.0, 3.0, GRID_RESOLUTION)
+def lattice(resolution: int) -> np.ndarray:
+    """A boundary grid's points as a column-major (rows, 2) matrix."""
+    xs = np.linspace(-3.0, 3.0, resolution)
     gx, gy = np.meshgrid(xs, xs)
-    lattice = np.asfortranarray(np.column_stack((gx.ravel(), gy.ravel())))
-    del gx, gy
-    return traced_peak(eval_batch, t, lattice)
+    return np.asfortranarray(np.column_stack((gx.ravel(), gy.ravel())))
+
+
+def eval_peak(t: ExprTree) -> int:
+    return traced_peak(eval_batch, t, lattice(GRID_RESOLUTION))
+
+
+def cached_eval_peak(t: ExprTree) -> int:
+    x = lattice(CACHED_RESOLUTION)
+    try:
+        with np.errstate(over="raise"):
+            return traced_peak(eval_trapped, t, x, True, True)
+    finally:
+        drop_activations(t.root)
 
 
 def mirror(node: Node) -> Node:
@@ -150,8 +170,9 @@ def test_every_input_layout_gives_the_same_bytes_and_leaves_x_alone(t):
         assert xs.tobytes() == before
 
 
-@pytest.mark.parametrize("measure, pins", [(grid_peak, GRID_PEAKS), (eval_peak, EVAL_PEAKS)],
-                         ids=["boundary_grid", "eval_batch"])
+@pytest.mark.parametrize("measure, pins", [(grid_peak, GRID_PEAKS), (eval_peak, EVAL_PEAKS),
+                                           (cached_eval_peak, CACHED_PEAKS)],
+                         ids=["boundary_grid", "eval_batch", "cached_eval_trapped"])
 def test_boundary_grid_peak_memory_is_pinned(measure, pins):
     peaks = [measure(t) for t in grid_trees()]
     assert all(p <= pin + PEAK_SLACK for p, pin in zip(peaks, pins, strict=True)), (peaks, pins)
