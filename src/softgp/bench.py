@@ -214,8 +214,12 @@ def write_summary_csv(results: Sequence[BenchResult], path) -> None:
 
 def write_summary_md(results: Sequence[BenchResult], path,
                      failures: Sequence[Tuple[str, str]] = ()) -> None:
-    """Render the mean table; (k) marks each cell's rank within its column."""
+    """Render the mean table; (k) marks each cell's rank within its column.
+
+    The heading gives the run count when every cell averages the same
+    number of runs; otherwise a second table gives each cell's count."""
     stats = summarize(results)
+    counts = {n for _, _, n in stats.values()}
     datasets = sorted({d for d, _ in stats})
     algos = sorted({a for _, a in stats})
     ranks: Dict[Tuple[str, str], int] = {}
@@ -224,23 +228,29 @@ def write_summary_md(results: Sequence[BenchResult], path,
                      key=lambda d: -stats[(d, algo)][0])
         for i, d in enumerate(col, start=1):
             ranks[(d, algo)] = i
+
+    def table(fh, cell) -> None:
+        fh.write("| dataset | " + " | ".join(algos) + " |\n")
+        fh.write("|---" * (len(algos) + 1) + "|\n")
+        for d in datasets:
+            cells = [cell(d, a) if (d, a) in stats else "-" for a in algos]
+            fh.write(f"| {d} | " + " | ".join(cells) + " |\n")
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# Benchmark summary\n\n")
-        if stats:
-            fh.write(f"Mean balanced accuracy over {max(s[2] for s in stats.values())} runs; "
+        if len(counts) == 1:
+            fh.write(f"Mean balanced accuracy over {min(counts)} runs; "
                      "(k) is the rank within the column.\n\n")
-            fh.write("| dataset | " + " | ".join(algos) + " |\n")
-            fh.write("|---" * (len(algos) + 1) + "|\n")
+        elif counts:
+            fh.write("Mean balanced accuracy; (k) is the rank within the column. "
+                     "Cells average different numbers of runs, given under Runs.\n\n")
         else:
             fh.write("No results.\n")
-        for d in datasets:
-            cells = []
-            for a in algos:
-                if (d, a) in stats:
-                    cells.append(f"{stats[(d, a)][0]:.4f} ({ranks[(d, a)]})")
-                else:
-                    cells.append("-")
-            fh.write(f"| {d} | " + " | ".join(cells) + " |\n")
+        if stats:
+            table(fh, lambda d, a: f"{stats[(d, a)][0]:.4f} ({ranks[(d, a)]})")
+        if len(counts) > 1:
+            fh.write("\n## Runs\n\n")
+            table(fh, lambda d, a: str(stats[(d, a)][2]))
         if failures:
             fh.write("\n## Failures\n\n")
             for name, msg in failures:

@@ -33,8 +33,10 @@ contiguous column. eval_batch converts x once to that layout, a no-op for
 the matrices softgp.data builds (Dataset fixes the layout), and
 EvalContext stores its rows in it. A node writes only into arrays it
 owns, never into x or a stored activation, and every result has the bits
-of a fresh array per node; _walk states the rule. Callers must not mutate
-the arrays evaluation returns.
+of a fresh array per node; _walk states the rule. An evaluation that
+stores nothing keeps a hard tree's boolean layer in bool arrays, converted
+to float64 once at the root. Callers must not mutate the arrays
+evaluation returns.
 
 Every node carries a summary of its subtree: its node count per operator
 class, its size, its weight-slot count (operator weights plus linear
@@ -82,6 +84,7 @@ import numpy as np
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
 _ndarray = np.ndarray  # a global load, for the per-node type checks
+_BOOL = np.dtype(np.bool_)  # the descriptor every bool array numpy makes has
 
 # Structural caps. Generation and ordinary variation respect the tighter
 # DEFAULT_BOUNDS below; only root extension may grow boolean depth past
@@ -572,6 +575,13 @@ def _add_own(a, b):
     return a + b
 
 
+def _float(v):
+    # An operand that must leave the bool layer: a bool array or numpy bool
+    # becomes the float64 one a fresh evaluation gives, a new array the
+    # calling node owns; any other operand stays as it is.
+    return v.astype(np.float64) if getattr(v, "dtype", None) is _BOOL else v
+
+
 def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     """One recursive evaluation pass; eval_batch documents the two passes.
 
@@ -599,9 +609,9 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     operand, ADD and MUL write their result (the left operand first, else
     the right), OR/AND/OR3/AND3 their first max/min, LIN2/LIN3 the product
     of a child and its coefficient, NEG and SIGM the negation and NOT
-    1 - a. Into arrays a node created, in both walks: LIN2/LIN3 add each
-    product into the sum so far (_add_own), SIGM runs exp, 1 + and 1 / on
-    its negation, OR3/AND3 take their second max/min into the first one's
+    1 - a (logical_not of a bool a). Into arrays a node created, in both
+    walks: LIN2/LIN3 add each product into the sum so far (_add_own), SIGM
+    runs exp, 1 + and 1 / on its negation, OR3/AND3 take their second max/min into the first one's
     result, the saturating pass clamps, and a weighted node scales its
     result. Each element goes through the same operations with its
     operands in the same order, so the bits, NaN payloads included, are
@@ -609,12 +619,29 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
     (_sat_scalar in the trapping pass) before it is added, so a
     Python-float product that overflowed to inf is clamped to FLOAT_MAX
     before any in-place add.
+
+    The bool layer: in an uncached walk, an unweighted comparison returns
+    numpy's bool result as it is (an array, or a numpy bool for two
+    scalars) to a parent that takes one, and only the root and an
+    unweighted boolean operator whose own parent takes one do. Such an
+    OR/AND over two bool arrays takes their max/min into the left one, and
+    such a NOT takes logical_not into a bool array. A float operand beside
+    a bool one takes both to float64 first (_float), and OR3/AND3 take
+    their first max/min to float64 before the second, whose third child is
+    float64, so no write changes an array's dtype; a weighted node and
+    every math node are given float64 operands. On {0, 1} max, min and
+    logical_not are exactly OR, AND and 1 - a in float64, so the root's one
+    conversion to float64 gives the float layer's bits, for one byte per
+    row and no float64 copy per comparison. The cached walk stays float64:
+    it stores the arrays on their nodes, and storing bool ones there as
+    well left a fit's peak memory higher, through the heap fragmentation of
+    many small arrays kept between generations.
     """
     sat = _sat_scalar if trap else _sat
     isfinite = math.isfinite
     own = not cache
 
-    def ev(node: Node):
+    def ev(node: Node, bools: bool = False):
         k = node.kind
         if k is _CONST:
             r = node.payload
@@ -691,11 +718,18 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
                 else:
                     r = 1.0 / (1.0 + np.exp(r))
         else:
+            w = node.weight
+            # an unweighted node keeps the bool layer if its parent takes it
+            bools = bools and w is None
             if k is _GT or k is _LT:
-                r = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1])).astype(np.float64)
+                r = (np.greater if k is _GT else np.less)(ev(ch[0]), ev(ch[1]))
+                if not bools:
+                    r = r.astype(np.float64)
             elif k is _NOT:
-                a = ev(ch[0])
-                if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
+                a = ev(ch[0], bools)
+                if bools and type(a) is _ndarray and a.dtype is _BOOL:
+                    r = np.logical_not(a, out=a)
+                elif own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
                     r = np.subtract(1.0, a, out=a)
                 else:
                     r = 1.0 - a
@@ -709,8 +743,12 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
                     f = np.minimum
                 else:  # pragma: no cover
                     raise TreeError(f"unknown operator {k}")
-                a = ev(ch[0])
-                b = ev(ch[1])
+                a = ev(ch[0], bools)
+                b = ev(ch[1], bools)
+                if bools and not (type(a) is _ndarray and type(b) is _ndarray
+                                  and a.dtype is _BOOL and b.dtype is _BOOL):
+                    # a float operand takes the other out of the bool layer
+                    a, b = _float(a), _float(b)
                 if own and type(a) is _ndarray and ch[0].kind is not _SYMBOL:
                     r = f(a, b, out=a)
                 elif own and type(b) is _ndarray and ch[1].kind is not _SYMBOL:
@@ -721,11 +759,12 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
                     # the operand that did not take r is dead before the
                     # third child's arrays are made
                     a = b = None
+                    if bools:  # an unweighted OR3/AND3 of a hard tree
+                        r = _float(r)
                     if type(r) is _ndarray:
                         f(r, ev(ch[2]), out=r)
                     else:
                         r = f(r, ev(ch[2]))
-            w = node.weight
             if w is not None and w != 1.0:
                 r *= w
         if cache and type(r) is _ndarray:
@@ -733,7 +772,7 @@ def _walk(root: Node, x: np.ndarray, cache: bool, trap: bool) -> np.ndarray:
         return r
 
     try:
-        out = np.asarray(ev(root), dtype=np.float64)
+        out = np.asarray(ev(root, own), dtype=np.float64)
     finally:
         # ev refers to itself through its closure; breaking that cycle here
         # frees the closure, and the x it holds, now rather than at the
@@ -767,10 +806,12 @@ def eval_batch(tree: ExprTree, x: np.ndarray) -> np.ndarray:
     every math-node result) runs instead, under the caller's numpy setting
     for invalid operations. It neither reads nor stores the nodes'
     activations, so a node may write its result into an array an operator
-    child returned (_walk states the rule), and a pass makes far fewer
-    arrays than the tree has operators. Both passes recurse per level, so
-    a tree far deeper than validate() accepts raises TreeError, as do a
-    symbol at or past x's column count and an operator short of children.
+    child returned (_walk states the rule), a pass makes far fewer arrays
+    than the tree has operators, and a hard tree's comparisons and boolean
+    operators work on bool arrays, converted to float64 once at the root.
+    Both passes recurse per level, so a tree far deeper than validate()
+    accepts raises TreeError, as do a symbol at or past x's column count
+    and an operator short of children.
     """
     x = np.asarray(x, dtype=np.float64, order="F")
     if x.ndim != 2:

@@ -282,6 +282,20 @@ def test_summary_md_ranks_within_columns(tmp_path):
     assert "## Failures" in text and "- c: boom" in text
 
 
+def test_summary_md_gives_each_cell_its_run_count_when_counts_differ(tmp_path):
+    p = tmp_path / "summary.md"
+    results = [BenchResult("d", i, Algo.GP, 0.8, 0.0, i) for i in (1, 2, 3)]
+    results.append(BenchResult("d", 1, Algo.SGP, 0.7, 0.0, 1))
+    write_summary_md(results, p)
+    text = p.read_text()
+    assert "over 3 runs" not in text and "over 1 runs" not in text
+    assert "| 0.8000 (1) | 0.7000 (1) |" in text
+    assert "## Runs\n\n| dataset | gp | sgp |\n|---|---|---|\n| d | 3 | 1 |\n" in text
+    write_summary_md(results[:2] + [BenchResult("d", 2, Algo.SGP, 0.7, 0.0, 2)] + results[3:], p)
+    text = p.read_text()
+    assert "Mean balanced accuracy over 2 runs;" in text and "## Runs" not in text
+
+
 def test_emit_bench_files(tmp_path):
     out = tmp_path / "bench_out"
     emit_bench_files(sample_results(), [], out)

@@ -15,6 +15,9 @@ operator child returned. CACHED_PEAKS pins a cached evaluation of the
 same trees on a coarser lattice, whose 40k-row arrays are still above
 that threshold. It stores every operator's array on its node, so a
 temporary that a node keeps alive past its use shows on top of them.
+HARD_GRID_PEAKS pins boundary grids of hard trees, whose boolean layer the
+uncached walk keeps in bool arrays of one byte per row: a comparison that
+made a float64 array as well shows there.
 """
 
 import hashlib
@@ -46,15 +49,19 @@ EVAL_DIGEST = "afa911061d22505439477dc0ed9e41ed4f23a1660e4986ffa3cb3f3c75946dd9"
 # (lattice included), of eval_batch alone on a column-major lattice, and of
 # a cached eval_trapped on one at CACHED_RESOLUTION, as the evaluation that
 # writes a node's result into an array an operator child returned measured
-# them. The interpreter's own allocations move a peak by a few KB from run
-# to run, so a peak may exceed its pin by PEAK_SLACK, far below the 2.9 MB,
-# or at CACHED_RESOLUTION the 320 KB, of one more array.
+# them; HARD_GRID_PEAKS the boundary_grid of the hard grid trees, as the
+# walk that keeps their boolean layer in bool arrays measured it (one tree
+# peaked 2.5 MB higher, at 14_771_320, when every comparison made a float64
+# array as well). The interpreter's own allocations move a peak by a few KB
+# from run to run, so a peak may exceed its pin by PEAK_SLACK, far below
+# the 2.9 MB, or at CACHED_RESOLUTION the 320 KB, of one more array.
 GRID_RESOLUTION = 600
 CACHED_RESOLUTION = 200
 PEAK_SLACK = 64 * 1024
 GRID_PEAKS = (23_053_158, 25_932_192, 23_051_792, 20_171_680)
 EVAL_PEAKS = (17_281_592, 20_161_704, 17_281_608, 14_401_536)
 CACHED_PEAKS = (23_053_071, 35_895_352, 45_177_568, 23_688_712)
+HARD_GRID_PEAKS = (14_772_835, 12_251_320, 11_891_208, 14_411_432)
 
 
 def sample_matrix(rows: int, seed: int) -> np.ndarray:
@@ -84,9 +91,9 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
-def grid_trees():
+def grid_trees(variant: Variant = Variant.SOFT):
     rng = np.random.default_rng(1903)
-    return [random_tree(Variant.SOFT, DEFAULT_BOUNDS, 2, (-3.0, 3.0), rng) for _ in range(4)]
+    return [random_tree(variant, DEFAULT_BOUNDS, 2, (-3.0, 3.0), rng) for _ in range(4)]
 
 
 def traced_peak(f, *args) -> int:
@@ -170,9 +177,12 @@ def test_every_input_layout_gives_the_same_bytes_and_leaves_x_alone(t):
         assert xs.tobytes() == before
 
 
-@pytest.mark.parametrize("measure, pins", [(grid_peak, GRID_PEAKS), (eval_peak, EVAL_PEAKS),
-                                           (cached_eval_peak, CACHED_PEAKS)],
-                         ids=["boundary_grid", "eval_batch", "cached_eval_trapped"])
-def test_boundary_grid_peak_memory_is_pinned(measure, pins):
-    peaks = [measure(t) for t in grid_trees()]
+@pytest.mark.parametrize("measure, variant, pins", [
+    (grid_peak, Variant.SOFT, GRID_PEAKS),
+    (eval_peak, Variant.SOFT, EVAL_PEAKS),
+    (cached_eval_peak, Variant.SOFT, CACHED_PEAKS),
+    (grid_peak, Variant.HARD, HARD_GRID_PEAKS),
+], ids=["boundary_grid", "eval_batch", "cached_eval_trapped", "hard_boundary_grid"])
+def test_boundary_grid_peak_memory_is_pinned(measure, variant, pins):
+    peaks = [measure(t) for t in grid_trees(variant)]
     assert all(p <= pin + PEAK_SLACK for p, pin in zip(peaks, pins, strict=True)), (peaks, pins)

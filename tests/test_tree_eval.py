@@ -341,11 +341,28 @@ def test_sigm_array_overflow_matches_the_saturating_pass(fallbacks):
 # operator child's array only, never into x, and gives the bytes of the
 # fresh-array oracle with its operands in their order. The rows hold every
 # pair of NaNs of two signs and two payloads, infinities, overflowing
-# magnitudes and ordinary values.
+# magnitudes and ordinary values. The hard operators are also written as
+# hard trees whose operands include comparisons: an uncached walk keeps
+# those as bool arrays and writes into them, while a float operand beside
+# one takes both back to float64.
 
 EDGES = [math.nan, -math.nan, float(np.uint64(0x7FF8_0000_0000_0123).view(np.float64)),
          math.inf, -math.inf, 1e308, -1e308, 0.0, 1.5, -2.5]
 OPERANDS = [symbol(0), const(-1.5), op(OpKind.NEG, symbol(1))]
+BOOL_OPERANDS = [op(OpKind.GT, symbol(0), symbol(1)),
+                 op(OpKind.NOT, op(OpKind.LT, symbol(1), const(-1.5)))]
+
+
+def operator_trees(kind):
+    """kind over every mix of OPERANDS as a soft tree and, for the hard
+    operators, over every mix of those and BOOL_OPERANDS as a hard one."""
+    weighted = OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON)
+    coeffs = (1.5, -0.5, 2.0)[:ARITY[kind]] if kind in (OpKind.LIN2, OpKind.LIN3) else None
+    for children in itertools.product(OPERANDS, repeat=ARITY[kind]):
+        yield soft(op(kind, *children, weight=0.75 if weighted else None, coeffs=coeffs))
+    if kind in (OpKind.GT, OpKind.LT, OpKind.NOT, OpKind.OR, OpKind.AND):
+        for children in itertools.product(OPERANDS + BOOL_OPERANDS, repeat=ARITY[kind]):
+            yield hard(op(kind, *children))
 
 
 @pytest.mark.parametrize("kind", [k for k in OpKind if k not in (OpKind.SYMBOL, OpKind.CONST)],
@@ -355,15 +372,65 @@ OPERANDS = [symbol(0), const(-1.5), op(OpKind.NEG, symbol(1))]
 def test_an_operator_writes_only_an_operand_it_owns(kind, cached):
     x = np.asfortranarray(list(itertools.product(EDGES, repeat=2)))
     before = x.tobytes()
-    weighted = OP_CLASS[kind] in (OpClass.BOOLEAN, OpClass.COMPARISON)
-    for children in itertools.product(OPERANDS, repeat=ARITY[kind]):
-        t = soft(op(kind, *children, weight=0.75 if weighted else None,
-                    coeffs=(1.5, -0.5, 2.0)[:ARITY[kind]] if kind in (OpKind.LIN2, OpKind.LIN3)
-                    else None))
+    for t in operator_trees(kind):
         with np.errstate(over="ignore", invalid="ignore"):
             want = eval_fresh(t, x).tobytes()
         assert (cached_eval(t, x) if cached else eval_batch(t, x)).tobytes() == want
         assert x.tobytes() == before
+
+
+# --- the bool layer beside float operands ---------------------------------------
+#
+# Trees validate() rejects, and a comparison of two constants (a numpy bool,
+# not an array), put a bool operand of the uncached walk beside a float one
+# or where a float is expected. Each gives the bytes of the float64 oracle in
+# the trapping pass (finite rows) and the saturating pass (EDGES), cached or
+# not, and leaves x unwritten.
+
+def mixed_trees():
+    x1 = symbol(1)
+    gt = op(OpKind.GT, x0, x1)
+    lt = op(OpKind.LT, x1, const(0.5))
+    soft_gt = op(OpKind.GT, x0, x1, weight=0.5)
+    soft_lt = op(OpKind.LT, x1, const(0.5), weight=0.25)
+    return {
+        "weightless comparison in a soft tree": soft(op(OpKind.OR, gt, soft_lt, weight=0.75)),
+        "weightless soft root": soft(op(OpKind.AND, soft_gt, soft_lt)),
+        "weightless AND in a soft tree": soft(op(OpKind.OR, op(OpKind.AND, gt, lt), soft_gt,
+                                                 weight=0.75)),
+        "weighted comparison in a hard tree": hard(op(OpKind.OR, soft_gt, lt)),
+        "weighted NOT in a hard tree": hard(op(OpKind.AND, op(OpKind.NOT, gt, weight=0.5), lt)),
+        "NOT of a math node": hard(op(OpKind.OR, op(OpKind.NOT, op(OpKind.ADD, x0, x1)), gt)),
+        "NOT of a symbol": hard(op(OpKind.AND, gt, op(OpKind.NOT, x0))),
+        "OR of a symbol": hard(op(OpKind.OR, x0, gt)),
+        "AND of a constant": hard(op(OpKind.AND, gt, const(0.5))),
+        "OR3 of comparisons and a math node": hard(op(OpKind.OR3, gt, lt, op(OpKind.MUL, x0, x1))),
+        "AND3 of comparisons": hard(op(OpKind.AND3, gt, lt, op(OpKind.NOT, gt))),
+        "NOT of two constants compared": hard(op(OpKind.OR, gt, op(OpKind.NOT, op(
+            OpKind.GT, const(1.0), const(2.0))))),
+        "OR of two constants compared": hard(op(OpKind.AND, op(OpKind.OR, op(
+            OpKind.GT, const(2.0), const(1.0)), op(OpKind.LT, const(2.0), const(1.0))), gt)),
+        "math over comparisons": hard(op(OpKind.GT, op(OpKind.ADD, gt, lt), op(OpKind.NEG, gt))),
+        "comparison of comparisons": hard(op(OpKind.OR, op(OpKind.LT, gt, lt), lt)),
+        "LIN2 and SIGM of comparisons": soft(op(OpKind.GT, op(
+            OpKind.LIN2, gt, op(OpKind.SIGM, lt), coeffs=(0.5, 2.0)), const(0.6), weight=0.5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(mixed_trees()))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_bool_operand_beside_a_float_one_gives_the_fresh_bytes(name, fallbacks):
+    t = mixed_trees()[name]
+    finite = np.asfortranarray(list(itertools.product([-2.0, 0.0, 0.5, 1.5], repeat=2)))
+    edges = np.asfortranarray(list(itertools.product(EDGES, repeat=2)))
+    for x, passes in ((finite, 0), (edges, 2)):
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = eval_fresh(t, x).tobytes()
+        assert eval_batch(t, x).tobytes() == want
+        assert cached_eval(t, x).tobytes() == want
+        assert x.tobytes() == before
+        assert len(fallbacks) == passes
 
 
 def test_finite_evaluation_takes_no_fallback(fallbacks):
